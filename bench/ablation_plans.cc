@@ -7,10 +7,10 @@
 //                    reader with pushdown on vs off;
 //   3. execution model — columnar expressions vs boxed items for the same
 //                    query (Q1, where plan shape is trivial);
-//   4. expression execution — the full tier ladder: per-row tree-walking
-//                    interpretation vs the vectorized bytecode VM vs the
-//                    fused strip-mined kernels (engine/vexpr_fuse), same
-//                    plans, bit-identical histograms across all three;
+//   4. expression execution — per-row tree-walking interpretation vs the
+//                    compiled, fused strip-mined kernels (engine/vexpr,
+//                    engine/vexpr_fuse), same plans, bit-identical
+//                    histograms;
 //   5. predicate pushdown + late materialization — zone-map pruning on vs
 //                    off for every query on every frontend;
 //   6. layout optimization — the same queries against the generator-order
@@ -116,48 +116,37 @@ int main() {
   }
 
   hepq::bench::PrintHeaderLine(
-      "Ablation 4: expression execution tier "
-      "(interpret / bytecode / simd, same plans)");
+      "Ablation 4: expression execution tier (interpret / simd, same plans)");
   int identity_failures = 0;
   {
+    using hepq::engine::ExprTier;
     using hepq::queries::EngineKind;
     using hepq::queries::EngineKindName;
     using hepq::queries::RunAdlQuery;
-    using hepq::queries::VexprTier;
-    std::printf("%-6s %-8s %13s %13s %13s %10s %10s %10s\n", "Query",
-                "engine", "interp[s]", "bytecode[s]", "simd[s]", "byte/int",
-                "simd/byte", "identical");
+    std::printf("%-6s %-14s %13s %13s %10s %10s\n", "Query", "engine",
+                "interp[s]", "simd[s]", "int/simd", "identical");
     for (int q = 1; q <= hepq::queries::kNumAdlQueries; ++q) {
       for (EngineKind engine :
            {EngineKind::kBigQueryShape, EngineKind::kPrestoShape}) {
         hepq::queries::RunOptions options;
-        options.vexpr_tier = VexprTier::kInterpret;
+        options.expr_tier = ExprTier::kInterpret;
         auto interp = RunAdlQuery(engine, q, path, options);
         interp.status().Check();
-        options.vexpr_tier = VexprTier::kBytecode;
-        auto bytecode = RunAdlQuery(engine, q, path, options);
-        bytecode.status().Check();
-        options.vexpr_tier = VexprTier::kSimd;
+        options.expr_tier = ExprTier::kSimd;
         auto simd = RunAdlQuery(engine, q, path, options);
         simd.status().Check();
-        // The tier ladder's contract: all three produce the same bits.
+        // The tier contract: both produce the same bits.
         bool identical =
-            interp->histograms.size() == bytecode->histograms.size() &&
             interp->histograms.size() == simd->histograms.size() &&
-            interp->events_processed == bytecode->events_processed &&
             interp->events_processed == simd->events_processed;
         for (size_t h = 0; identical && h < interp->histograms.size(); ++h) {
-          identical = BitIdentical(interp->histograms[h],
-                                   bytecode->histograms[h]) &&
-                      BitIdentical(interp->histograms[h], simd->histograms[h]);
+          identical = BitIdentical(interp->histograms[h], simd->histograms[h]);
         }
         if (!identical) ++identity_failures;
-        std::printf("Q%-5d %-8s %13.4f %13.4f %13.4f %9.1fx %9.2fx %10s\n",
-                    q, EngineKindName(engine), interp->cpu_seconds,
-                    bytecode->cpu_seconds, simd->cpu_seconds,
-                    interp->cpu_seconds /
-                        std::max(1e-9, bytecode->cpu_seconds),
-                    bytecode->cpu_seconds / std::max(1e-9, simd->cpu_seconds),
+        std::printf("Q%-5d %-14s %13.4f %13.4f %9.1fx %10s\n", q,
+                    EngineKindName(engine), interp->cpu_seconds,
+                    simd->cpu_seconds,
+                    interp->cpu_seconds / std::max(1e-9, simd->cpu_seconds),
                     identical ? "yes" : "NO");
       }
     }
@@ -231,7 +220,7 @@ int main() {
         auto opt = RunAdlQuery(engine, q, optimized);
         opt.status().Check();
         // The optimizer's contract: a rewritten layout is invisible in
-        // every histogram bit, like the tier ladder and pruning above.
+        // every histogram bit, like the expression tier and pruning above.
         bool identical = orig->histograms.size() == opt->histograms.size() &&
                          orig->events_processed == opt->events_processed;
         for (size_t h = 0; identical && h < orig->histograms.size(); ++h) {
@@ -253,9 +242,9 @@ int main() {
       "\nExpected: the unnest plan is slower than the expression plan and\n"
       "the gap explodes on Q6 (n^3 row materialization); pushdown-off\n"
       "multiplies bytes read without changing results; boxing costs one\n"
-      "to two orders of magnitude even on the trivial query; each rung of\n"
-      "the expression tier ladder pays off where per-event expression work\n"
-      "is heavy (Q6's combination search), while scan-dominated queries\n"
+      "to two orders of magnitude even on the trivial query; the compiled\n"
+      "expression tier pays off where per-event expression work is heavy\n"
+      "(Q6's combination search), while scan-dominated queries\n"
       "and the unnest plan's materialization costs are unaffected by\n"
       "construction. Neither the tier (ablation 4) nor pruning (ablation\n"
       "5) nor the layout rewrite (ablation 6) may be visible in any\n"

@@ -86,26 +86,23 @@ inline int ParseThreadsFlag(int argc, char** argv, int default_threads = 1) {
   return default_threads;
 }
 
-/// Parses `--vexpr-tier=interpret|bytecode|simd` (default simd) — the
-/// expression-execution tier for the bigquery/presto plan shapes, shared
-/// by fig4 and the other bench drivers. Exits with a message on a bad
-/// tier name so typos cannot silently benchmark the wrong tier.
-inline queries::VexprTier ParseVexprTierFlag(
-    int argc, char** argv,
-    queries::VexprTier default_tier = queries::VexprTier::kSimd) {
+/// Parses `--vexpr-tier=interpret|simd` (default simd) — the
+/// expression-execution tier for the bigquery/presto plan shapes. Exits
+/// with a message on a bad tier name so typos cannot silently benchmark
+/// the wrong tier.
+inline engine::ExprTier ParseExprTierFlag(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--vexpr-tier=", 13) == 0) {
-      queries::VexprTier tier;
-      if (!queries::ParseVexprTier(arg + 13, &tier)) {
-        std::fprintf(stderr,
-                     "--vexpr-tier must be interpret, bytecode, or simd\n");
+      engine::ExprTier tier;
+      if (!engine::ParseExprTier(arg + 13, &tier)) {
+        std::fprintf(stderr, "--vexpr-tier must be interpret or simd\n");
         std::exit(2);
       }
       return tier;
     }
   }
-  return default_tier;
+  return engine::ExprTier::kSimd;
 }
 
 inline void PrintHeaderLine(const char* title) {
@@ -140,7 +137,7 @@ class BenchJson {
   /// Expression-tier record: one (kernel, tier) measurement from the
   /// micro-benchmarks. ns_per_row is the normalized cost; fused_coverage
   /// is the fraction of source VOps absorbed into superinstructions
-  /// (simd tier only, 0 otherwise). CI compares the simd/bytecode
+  /// (simd tier only, 0 otherwise). CI compares the interpret/simd
   /// ns_per_row ratio against bench/baselines/micro_kernels_tiers.json.
   void AddTier(const std::string& kernel, const std::string& tier,
                double ns_per_row, double vops_per_row,

@@ -19,8 +19,8 @@ using hepq::queries::RunAdlQuery;
 
 int main(int argc, char** argv) {
   const int threads = hepq::bench::ParseThreadsFlag(argc, argv);
-  const hepq::queries::VexprTier tier =
-      hepq::bench::ParseVexprTierFlag(argc, argv);
+  const hepq::engine::ExprTier tier =
+      hepq::bench::ParseExprTierFlag(argc, argv);
   const int64_t events = hepq::bench::BenchEvents();
   const std::string path = hepq::bench::BenchDataset(events);
 
@@ -31,12 +31,12 @@ int main(int argc, char** argv) {
       "measured with --threads=%d --vexpr-tier=%s (CPU totals are summed "
       "across workers; histograms are bit-identical for any thread count "
       "and tier)\n",
-      threads, hepq::queries::VexprTierName(tier));
+      threads, hepq::engine::ExprTierName(tier));
 
   // Measure everything once.
   hepq::queries::RunOptions run_options;
   run_options.num_threads = threads;
-  run_options.vexpr_tier = tier;
+  run_options.expr_tier = tier;
   QueryRunOutput results[9][4];
   for (int q = 1; q <= 8; ++q) {
     for (int e = 0; e < 4; ++e) {

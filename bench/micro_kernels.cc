@@ -391,21 +391,16 @@ void BM_CountJetsNative(benchmark::State& state) {
 }
 BENCHMARK(BM_CountJetsNative);
 
-/// Shared tier decoding for the three-tier expression benchmarks: arg
-/// 0 = interpret (per-row tree walk), 1 = bytecode (per-opcode batch
-/// loops), 2 = simd (fused strip-mined kernels).
-const char* TierLabel(int tier) {
-  return tier == 0 ? "interpret" : tier == 1 ? "bytecode" : "simd";
-}
+/// The expression benchmarks' argument is the engine::ExprTier value:
+/// 0 = interpret (per-row tree walk), 1 = simd (fused strip-mined kernels).
+constexpr int kNumExprTiers = 2;
 
-engine::ExprExec TierExec(int tier) {
-  if (tier == 0) return engine::ExprExec::kInterpreted;
-  if (tier == 1) return engine::ExprExec::kBytecode;
-  return engine::ExprExec::kSimd;
+engine::ExprTier TierArg(const benchmark::State& state) {
+  return static_cast<engine::ExprTier>(state.range(0));
 }
 
 void BM_CountJetsExprTree(benchmark::State& state) {
-  const int tier = static_cast<int>(state.range(0));
+  const engine::ExprTier tier = TierArg(state);
   auto reader = LaqReader::Open(AblationDataset(Codec::kLz)).ValueOrDie();
   auto batch = reader->ReadRowGroup(0, {"Jet.pt"}).ValueOrDie();
   engine::EventQuery query("bench");
@@ -417,7 +412,7 @@ void BM_CountJetsExprTree(benchmark::State& state) {
                           nullptr),
       engine::Lit(2.0)));
   query.AddHistogram({"h", "", 10, 0, 10}, engine::Lit(1.0));
-  query.set_expr_exec(TierExec(tier));
+  query.set_expr_tier(tier);
   for (auto _ : state) {
     auto result = query.MakeResult();
     query.ExecuteBatch(*batch, &result).Check();
@@ -425,9 +420,9 @@ void BM_CountJetsExprTree(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           batch->num_rows());
-  state.SetLabel(TierLabel(tier));
+  state.SetLabel(engine::ExprTierName(tier));
 }
-BENCHMARK(BM_CountJetsExprTree)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_CountJetsExprTree)->DenseRange(0, kNumExprTiers - 1);
 
 void BM_CountJetsBoxedItems(benchmark::State& state) {
   auto reader = LaqReader::Open(AblationDataset(Codec::kLz)).ValueOrDie();
@@ -568,18 +563,17 @@ void BM_SelectiveScan(benchmark::State& state) {
 BENCHMARK(BM_SelectiveScan)->Arg(0)->Arg(1);
 
 // ---------------------------------------------------------------------------
-// Expression evaluation: per-row virtual tree walk vs vectorized bytecode
-// vs fused strip-mined kernels (engine/vexpr + engine/vexpr_fuse). Same
-// Expr trees, same bindings, bit-identical outputs — only the execution
-// model differs. These are the micro-scale version of the paper's
-// Rumble-vs-BigQuery interpretation-overhead axis, now with the third
-// tier below the bytecode VM. Per-tier costs are exported to
-// BENCH_micro_kernels.json so CI can gate the simd/bytecode ratio
-// against bench/baselines/micro_kernels_tiers.json.
+// Expression evaluation: per-row virtual tree walk vs compiled, fused
+// strip-mined kernels (engine/vexpr + engine/vexpr_fuse). Same Expr
+// trees, same bindings, bit-identical outputs — only the execution model
+// differs. These are the micro-scale version of the paper's
+// Rumble-vs-BigQuery interpretation-overhead axis. Per-tier costs are
+// exported to BENCH_micro_kernels.json so CI can gate the interpret/simd
+// ratio against bench/baselines/micro_kernels_tiers.json.
 // ---------------------------------------------------------------------------
 
-/// Measured per-tier cost of one expression kernel (index = tier as in
-/// TierLabel), exported to BENCH_micro_kernels.json by main().
+/// Measured per-tier cost of one expression kernel (index = ExprTier
+/// value), exported to BENCH_micro_kernels.json by main().
 struct ExprTierRecord {
   bool set = false;
   double ns_per_row = 0;
@@ -589,7 +583,7 @@ struct ExprTierRecord {
 constexpr int kNumExprKernels = 2;
 const char* const kExprKernelNames[kNumExprKernels] = {"expr_simple_cut",
                                                        "expr_trijet_body"};
-ExprTierRecord g_expr_tiers[kNumExprKernels][3];
+ExprTierRecord g_expr_tiers[kNumExprKernels][kNumExprTiers];
 
 int64_t SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -599,15 +593,14 @@ int64_t SteadyNowNs() {
 
 /// A simple event-level cut over MET scalars (pure arithmetic, one shared
 /// subexpression for the CSE pass to merge). Arg 0 walks the shared_ptr
-/// tree once per row; arg 1 runs the per-opcode bytecode over the whole
-/// batch; arg 2 runs the fused strip-mined kernels. The compiled variants
-/// report allocs_per_eval, which must drop to 0 in steady state: program,
-/// bindings, and scratch are all reused. The simd variant additionally
-/// reports the fusion pass's coverage (fraction of source VOps absorbed
-/// into superinstructions).
+/// tree once per row; arg 1 runs the fused strip-mined kernels over the
+/// whole batch and reports allocs_per_eval, which must drop to 0 in steady
+/// state: program, bindings, and scratch are all reused. It also reports
+/// the fusion pass's coverage (fraction of source VOps absorbed into
+/// superinstructions).
 void BM_ExprSimpleCut(benchmark::State& state) {
-  const int tier = static_cast<int>(state.range(0));
-  const bool compiled = tier != 0;
+  const engine::ExprTier tier = TierArg(state);
+  const bool compiled = tier == engine::ExprTier::kSimd;
   auto reader = LaqReader::Open(AblationDataset(Codec::kLz)).ValueOrDie();
   auto batch = reader->ReadRowGroup(0, {"MET.pt", "MET.phi"}).ValueOrDie();
   auto bindings = engine::BatchBindings::Bind(
@@ -625,8 +618,7 @@ void BM_ExprSimpleCut(benchmark::State& state) {
   std::vector<double> out(static_cast<size_t>(rows));
   auto kernel = CompiledExprKernel::Compile(cut).ValueOrDie();
   VexprScratch scratch;
-  scratch.vm.set_simd(tier == 2);
-  if (compiled) {  // warm the register/lane pools to high-water capacity
+  if (compiled) {  // warm the strip/lane pools to high-water capacity
     kernel.Eval(bindings, rows, &scratch, out.data(), nullptr).Check();
   }
   uint64_t allocations = 0;
@@ -665,21 +657,21 @@ void BM_ExprSimpleCut(benchmark::State& state) {
   record.vops_per_row =
       fused != nullptr ? static_cast<double>(fused->num_source_ops()) : 0.0;
   record.fused_coverage =
-      tier == 2 && fused != nullptr ? fused->fused_coverage() : 0.0;
-  g_expr_tiers[0][tier] = record;
-  if (tier == 2 && fused != nullptr) {
+      compiled && fused != nullptr ? fused->fused_coverage() : 0.0;
+  g_expr_tiers[0][static_cast<int>(tier)] = record;
+  if (compiled && fused != nullptr) {
     state.counters["fused_coverage"] = fused->fused_coverage();
     state.counters["vops_per_row"] =
         static_cast<double>(fused->num_source_ops());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * rows);
-  state.SetLabel(TierLabel(tier));
+  state.SetLabel(engine::ExprTierName(tier));
 }
-BENCHMARK(BM_ExprSimpleCut)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ExprSimpleCut)->DenseRange(0, kNumExprTiers - 1);
 
 /// The fused gate+fill against the two-pass filter shape it replaces:
-/// arg 0 evaluates the predicate's 0/1 vector with the bytecode VM and
-/// compacts the passing row indices in a second pass; arg 1 runs the
+/// arg 0 evaluates the predicate's 0/1 vector (fused Eval) and compacts
+/// the passing row indices in a second pass; arg 1 runs the
 /// fused RunGate, which emits the indices directly from the last strip
 /// temporaries without materializing the value vector. Selections are
 /// bit-identical (asserted at setup).
@@ -700,7 +692,6 @@ void BM_ExprFusedGateFill(benchmark::State& state) {
   const int64_t rows = batch->num_rows();
   auto kernel = CompiledExprKernel::Compile(cut).ValueOrDie();
   VexprScratch scratch;
-  scratch.vm.set_simd(fused);
   std::vector<double> out(static_cast<size_t>(rows));
   std::vector<uint32_t> sel(static_cast<size_t>(rows));
   {  // warm-up + cross-check: both shapes select the same rows
@@ -749,13 +740,13 @@ BENCHMARK(BM_ExprFusedGateFill)->Arg(0)->Arg(1);
 /// the max b-tag of its jets. The inner key runs over every C(J,3)
 /// combination, so this is where batching the combination frame pays the
 /// most — the acceptance bar for the compiled path is >= 2x over the
-/// interpreter, and the fused SoA mass_of_sum3 kernel must beat the
-/// bytecode tier on top of that. Args are tiers as in TierLabel. The
-/// dispatch counters (VOps retired/row, fused coverage) come from one
-/// traced warm-up run's vops_retired / vops_fused counters — the same
-/// numbers a profiled run reports under the vexpr_kernel stage.
+/// interpreter. Args are ExprTier values as in TierArg. The dispatch
+/// counters (VOps retired/row, fused coverage) come from one traced
+/// warm-up run's vops_retired / vops_fused counters — the same numbers a
+/// profiled run reports under the vexpr_kernel stage.
 void BM_ExprTrijetBody(benchmark::State& state) {
-  const int tier = static_cast<int>(state.range(0));
+  const engine::ExprTier tier = TierArg(state);
+  const bool compiled = tier == engine::ExprTier::kSimd;
   auto reader = LaqReader::Open(AblationDataset(Codec::kLz)).ValueOrDie();
   auto batch =
       reader
@@ -782,10 +773,10 @@ void BM_ExprTrijetBody(benchmark::State& state) {
       Call(Fn::kMax2, {Call(Fn::kMax2, {IterMember(jets, 0, kBtag),
                                         IterMember(jets, 1, kBtag)}),
                        IterMember(jets, 2, kBtag)}));
-  query.set_expr_exec(TierExec(tier));
+  query.set_expr_tier(tier);
   double vops_per_row = 0.0;
   double fused_coverage = 0.0;
-  if (tier == 2) {  // traced warm-up: pull the dispatch counters
+  if (compiled) {  // traced warm-up: pull the dispatch counters
     obs::TraceSession session;
     session.Start();
     auto result = query.MakeResult();
@@ -822,17 +813,17 @@ void BM_ExprTrijetBody(benchmark::State& state) {
       static_cast<double>(std::max<int64_t>(
           1, static_cast<int64_t>(state.iterations()) * batch->num_rows()));
   record.vops_per_row = vops_per_row;
-  record.fused_coverage = tier == 2 ? fused_coverage : 0.0;
-  g_expr_tiers[1][tier] = record;
-  if (tier == 2) {
+  record.fused_coverage = fused_coverage;
+  g_expr_tiers[1][static_cast<int>(tier)] = record;
+  if (compiled) {
     state.counters["fused_coverage"] = fused_coverage;
     state.counters["vops_per_row"] = vops_per_row;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           batch->num_rows());
-  state.SetLabel(TierLabel(tier));
+  state.SetLabel(engine::ExprTierName(tier));
 }
-BENCHMARK(BM_ExprTrijetBody)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ExprTrijetBody)->DenseRange(0, kNumExprTiers - 1);
 
 }  // namespace
 }  // namespace hepq
@@ -857,12 +848,14 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   // Machine-readable companion for the selective-scan ablation and the
   // expression-tier measurements (consumed by CI as an artifact; the
-  // tier records feed the simd-regression gate). Only written when the
+  // tier records feed the tier-ratio regression gate). Only written when the
   // producing benchmarks ran, so --benchmark_filter on other kernels
   // stays file-free.
   bool any_tier = false;
   for (int k = 0; k < hepq::kNumExprKernels; ++k) {
-    for (int t = 0; t < 3; ++t) any_tier |= hepq::g_expr_tiers[k][t].set;
+    for (int t = 0; t < hepq::kNumExprTiers; ++t) {
+      any_tier |= hepq::g_expr_tiers[k][t].set;
+    }
   }
   if (hepq::g_selective_scan[0].set || hepq::g_selective_scan[1].set ||
       any_tier) {
@@ -875,10 +868,12 @@ int main(int argc, char** argv) {
                r.bytes_decoded, r.rows_pruned);
     }
     for (int k = 0; k < hepq::kNumExprKernels; ++k) {
-      for (int t = 0; t < 3; ++t) {
+      for (int t = 0; t < hepq::kNumExprTiers; ++t) {
         const auto& r = hepq::g_expr_tiers[k][t];
         if (!r.set) continue;
-        json.AddTier(hepq::kExprKernelNames[k], hepq::TierLabel(t),
+        json.AddTier(hepq::kExprKernelNames[k],
+                     hepq::engine::ExprTierName(
+                         static_cast<hepq::engine::ExprTier>(t)),
                      r.ns_per_row, r.vops_per_row, r.fused_coverage);
       }
     }

@@ -400,13 +400,12 @@ Status EventQuery::ExecuteBatch(const RecordBatch& batch,
                                 EventQueryResult* result,
                                 VexprScratch* scratch) const {
   obs::ScopedSpan span("expr_batch", obs::Stage::kExpr);
-  if (expr_exec_ != ExprExec::kInterpreted) {
+  if (expr_tier_ == ExprTier::kSimd) {
     HEPQ_RETURN_NOT_OK(EnsureCompiled());
     if (scratch == nullptr) {
       thread_local VexprScratch tls_scratch;
       scratch = &tls_scratch;
     }
-    scratch->vm.set_simd(expr_exec_ == ExprExec::kSimd);
     BatchBindings bindings;
     HEPQ_ASSIGN_OR_RETURN(bindings,
                           BatchBindings::Bind(batch, lists_, scalars_));
@@ -495,7 +494,7 @@ Result<EventQueryResult> EventQuery::Execute(LaqReader* reader) const {
   const int num_groups = reader->num_row_groups();
   std::vector<EventQueryResult> partials(static_cast<size_t>(num_groups));
   for (EventQueryResult& p : partials) p = MakeResult();
-  if (expr_exec_ != ExprExec::kInterpreted) HEPQ_RETURN_NOT_OK(EnsureCompiled());
+  if (expr_tier_ == ExprTier::kSimd) HEPQ_RETURN_NOT_OK(EnsureCompiled());
   ScratchBuffers scratch;
   VexprScratch vexpr_scratch;
   HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
@@ -549,7 +548,7 @@ Result<EventQueryResult> EventQuery::Execute(const std::string& path,
 
   std::vector<EventQueryResult> partials(layout.groups.size());
   for (EventQueryResult& p : partials) p = MakeResult();
-  if (expr_exec_ != ExprExec::kInterpreted) HEPQ_RETURN_NOT_OK(EnsureCompiled());
+  if (expr_tier_ == ExprTier::kSimd) HEPQ_RETURN_NOT_OK(EnsureCompiled());
   HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
       workers, std::move(tasks), [&](int worker, int g) -> Status {
         const exec::DatasetLayout::Group& loc =

@@ -77,11 +77,11 @@ class EventQuery {
                                  std::vector<ComboLoop> loops,
                                  ExprPtr filter, ExprPtr value);
 
-  /// Selects between the vectorized bytecode path (the default) and the
-  /// per-row tree-walking interpreter. Results are bit-identical; the
-  /// interpreter is kept for the interpreted-vs-compiled ablation.
-  void set_expr_exec(ExprExec exec) { expr_exec_ = exec; }
-  ExprExec expr_exec() const { return expr_exec_; }
+  /// Selects between the compiled simd tier (the default) and the per-row
+  /// tree-walking interpreter. Results are bit-identical; the interpreter
+  /// is kept for the interpreted-vs-compiled ablation.
+  void set_expr_tier(ExprTier tier) { expr_tier_ = tier; }
+  ExprTier expr_tier() const { return expr_tier_; }
 
   /// Storage projection implied by the declarations.
   std::vector<std::string> Projection() const;
@@ -138,8 +138,8 @@ class EventQuery {
     bool per_combination = false;
   };
 
-  /// Compiles the stages and fills to bytecode on first use (compiled
-  /// mode only). Safe to race; Execute paths call it before fanning out.
+  /// Compiles the stages and fills to VM programs on first use (simd
+  /// tier only). Safe to race; Execute paths call it before fanning out.
   Status EnsureCompiled() const;
 
   std::string name_;
@@ -147,7 +147,7 @@ class EventQuery {
   std::vector<ScalarDecl> scalars_;
   std::vector<ExprPtr> stages_;
   std::vector<FillSpec> fills_;
-  ExprExec expr_exec_ = ExprExec::kSimd;
+  ExprTier expr_tier_ = ExprTier::kSimd;
   // Behind a pointer so EventQuery stays movable (builders return by
   // value); the compiled plan cache moves with the query.
   mutable std::unique_ptr<std::mutex> compile_mu_ =

@@ -8,6 +8,21 @@
 
 namespace hepq::engine {
 
+const char* ExprTierName(ExprTier tier) {
+  return tier == ExprTier::kInterpret ? "interpret" : "simd";
+}
+
+bool ParseExprTier(const std::string& name, ExprTier* out) {
+  if (name == "interpret") {
+    *out = ExprTier::kInterpret;
+  } else if (name == "simd") {
+    *out = ExprTier::kSimd;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 namespace {
 
 const char* BinOpName(BinOp op) {

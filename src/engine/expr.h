@@ -50,26 +50,30 @@ struct ComboLoop {
 };
 
 /// Which execution tier an engine uses for its expression trees — the
-/// ablation ladder of DESIGN.md "Expression execution":
-///   kInterpreted — per-row virtual-dispatch tree walk (the Rumble end);
-///   kBytecode    — vectorized bytecode VM, one full-batch register loop
-///                  per opcode (engine/vexpr, PR 3);
-///   kSimd        — the bytecode program after the fusion pass
-///                  (engine/vexpr_fuse): straight-line op runs grouped
-///                  into strip-mined batch kernels (the default).
-/// All three produce bit-identical results; only the cost model differs.
-enum class ExprExec {
-  kInterpreted,
-  kBytecode,
+/// interpreted-vs-compiled ablation of DESIGN.md "Expression execution":
+///   kInterpret — per-row virtual-dispatch tree walk (the Rumble end); also
+///                the independent oracle the compiled tier is tested
+///                against;
+///   kSimd      — the tree lowered to a VM program (engine/vexpr) and run
+///                as fused, strip-mined batch kernels (engine/vexpr_fuse);
+///                the default.
+/// Both produce bit-identical results; only the cost model differs.
+enum class ExprTier {
+  kInterpret,
   kSimd,
-  /// Deprecated alias for the default compiled tier (now the fused one).
-  kCompiled = kSimd,
 };
+
+/// Stable lowercase tier name ("interpret" / "simd") — the value syntax of
+/// the `--vexpr-tier` flag.
+const char* ExprTierName(ExprTier tier);
+/// Parses a tier name; returns false (leaving `out` untouched) on any
+/// other string.
+bool ParseExprTier(const std::string& name, ExprTier* out);
 
 class Expr;
 
 /// Structural reflection of one expression node, consumed by the
-/// vectorizing compiler (engine/vexpr): it lowers trees to batch bytecode
+/// vectorizing compiler (engine/vexpr): it lowers trees to batch programs
 /// without widening the interpreter's class hierarchy or exposing the
 /// node classes outside expr.cc. Child pointers stay owned by the
 /// reflected node and are valid while the tree is alive.

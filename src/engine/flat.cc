@@ -772,7 +772,7 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
     return Status::Invalid("HAVING requires aggregates");
   }
 
-  // ---- compile the hot flat-row expressions to bytecode ----
+  // ---- compile the hot flat-row expressions to VM programs ----
   // One program per pipeline step and (when ungrouped) per fill; HAVING
   // and grouped fills run over the tiny per-event aggregate output where
   // batching buys nothing, so they stay on the interpreter. Input slot
@@ -780,7 +780,7 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
   // pointing VColumns at its chunk's columns through its selection
   // vector. Programs are immutable after this block and shared by all
   // workers; each worker brings its own VexprScratch.
-  const bool compiled = expr_exec_ != ExprExec::kInterpreted;
+  const bool compiled = expr_tier_ == ExprTier::kSimd;
   std::vector<VProgram> step_programs;
   std::vector<VProgram> fill_programs;
   if (compiled) {
@@ -869,7 +869,6 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
         GroupPartial& p = partials[static_cast<size_t>(g)];
         FlatBatch chunk = layout;
         VexprScratch* vs = compiled ? source->vexpr(worker) : nullptr;
-        if (vs != nullptr) vs->vm.set_simd(expr_exec_ == ExprExec::kSimd);
 
         auto flush_interpreted = [&]() -> Status {
           if (chunk.num_rows == 0) return Status::OK();

@@ -155,13 +155,13 @@ class FlatPipeline {
   /// else per surviving flat row.
   int AddHistogram(HistogramSpec spec, FlatExprPtr value);
 
-  /// Selects between the vectorized bytecode path (the default) and the
-  /// per-row tree-walking interpreter. In compiled mode filters narrow a
+  /// Selects between the compiled simd tier (the default) and the per-row
+  /// tree-walking interpreter. In compiled mode filters narrow a
   /// selection vector instead of physically compacting every materialized
   /// column; results are bit-identical either way, and the interpreter is
   /// kept for the interpreted-vs-compiled ablation.
-  void set_expr_exec(ExprExec exec) { expr_exec_ = exec; }
-  ExprExec expr_exec() const { return expr_exec_; }
+  void set_expr_tier(ExprTier tier) { expr_tier_ = tier; }
+  ExprTier expr_tier() const { return expr_tier_; }
 
   /// Runs the pipeline over all row groups of `reader`, single-threaded
   /// but through the shared row-group runtime.
@@ -206,7 +206,7 @@ class FlatPipeline {
   std::vector<FlatAggSpec> aggregates_;
   std::vector<FlatExprPtr> having_;
   std::vector<std::pair<HistogramSpec, FlatExprPtr>> fills_;
-  ExprExec expr_exec_ = ExprExec::kSimd;
+  ExprTier expr_tier_ = ExprTier::kSimd;
 };
 
 }  // namespace hepq::engine

@@ -6,7 +6,6 @@
 
 #include "core/physics.h"
 #include "engine/vexpr_fuse.h"
-#include "obs/trace.h"
 
 namespace hepq::engine {
 
@@ -156,17 +155,6 @@ double VOpApply(VOp op, const double* v) {
   return 0.0;
 }
 
-double* VScratch::Reg(int r, int n) {
-  if (static_cast<size_t>(r) >= regs_.size()) {
-    regs_.resize(static_cast<size_t>(r) + 1);
-  }
-  std::vector<double>& buf = regs_[static_cast<size_t>(r)];
-  if (buf.size() < static_cast<size_t>(n)) {
-    buf.resize(static_cast<size_t>(n));
-  }
-  return buf.data();
-}
-
 double* VScratch::Block(int num_temps) {
   // Over-allocate by one cacheline and hand out an aligned pointer: the
   // fused strip loops then run over 64-byte-aligned temporaries, which the
@@ -179,237 +167,14 @@ double* VScratch::Block(int num_temps) {
   return reinterpret_cast<double*>(aligned);
 }
 
-namespace {
-
-template <typename T>
-void GatherInto(const T* src, const uint32_t* index, int n, double* d) {
-  if (index != nullptr) {
-    for (int i = 0; i < n; ++i) d[i] = static_cast<double>(src[index[i]]);
-  } else {
-    for (int i = 0; i < n; ++i) d[i] = static_cast<double>(src[i]);
-  }
-}
-
-// One dense lane loop per operator. Each lane performs the exact IEEE
-// operation sequence of the interpreter's switch in expr.cc (same helper
-// calls, same comparison forms), so results are bit-identical; the only
-// difference is dispatch amortized over the batch.
-#define HEPQ_VM_LOOP2(expr)                          \
-  do {                                               \
-    const double* a = args[0];                       \
-    const double* b = args[1];                       \
-    for (int i = 0; i < n; ++i) d[i] = (expr);       \
-  } while (0)
-
-void RunInstr(VOp op, const double* const* args, int n, double* d) {
-  switch (op) {
-    case VOp::kAdd: HEPQ_VM_LOOP2(a[i] + b[i]); break;
-    case VOp::kSub: HEPQ_VM_LOOP2(a[i] - b[i]); break;
-    case VOp::kMul: HEPQ_VM_LOOP2(a[i] * b[i]); break;
-    case VOp::kDiv: HEPQ_VM_LOOP2(a[i] / b[i]); break;
-    case VOp::kLt: HEPQ_VM_LOOP2(a[i] < b[i] ? 1.0 : 0.0); break;
-    case VOp::kLe: HEPQ_VM_LOOP2(a[i] <= b[i] ? 1.0 : 0.0); break;
-    case VOp::kGt: HEPQ_VM_LOOP2(a[i] > b[i] ? 1.0 : 0.0); break;
-    case VOp::kGe: HEPQ_VM_LOOP2(a[i] >= b[i] ? 1.0 : 0.0); break;
-    case VOp::kEq: HEPQ_VM_LOOP2(a[i] == b[i] ? 1.0 : 0.0); break;
-    case VOp::kNe: HEPQ_VM_LOOP2(a[i] != b[i] ? 1.0 : 0.0); break;
-    case VOp::kAnd:
-      HEPQ_VM_LOOP2(a[i] != 0.0 && b[i] != 0.0 ? 1.0 : 0.0);
-      break;
-    case VOp::kOr:
-      HEPQ_VM_LOOP2(a[i] != 0.0 || b[i] != 0.0 ? 1.0 : 0.0);
-      break;
-    case VOp::kMin2: HEPQ_VM_LOOP2(std::min(a[i], b[i])); break;
-    case VOp::kMax2: HEPQ_VM_LOOP2(std::max(a[i], b[i])); break;
-    case VOp::kAbs: {
-      const double* a = args[0];
-      for (int i = 0; i < n; ++i) d[i] = std::abs(a[i]);
-      break;
-    }
-    case VOp::kSqrt: {
-      const double* a = args[0];
-      for (int i = 0; i < n; ++i) d[i] = std::sqrt(a[i]);
-      break;
-    }
-    case VOp::kNot: {
-      const double* a = args[0];
-      for (int i = 0; i < n; ++i) d[i] = a[i] != 0.0 ? 0.0 : 1.0;
-      break;
-    }
-    case VOp::kDeltaPhi: {
-      const double* a = args[0];
-      const double* b = args[1];
-      for (int i = 0; i < n; ++i) d[i] = DeltaPhi(a[i], b[i]);
-      break;
-    }
-    case VOp::kDeltaR: {
-      for (int i = 0; i < n; ++i) {
-        d[i] = DeltaR(args[0][i], args[1][i], args[2][i], args[3][i]);
-      }
-      break;
-    }
-    case VOp::kInvMass2: {
-      for (int i = 0; i < n; ++i) {
-        d[i] = InvariantMass2(
-            {args[0][i], args[1][i], args[2][i], args[3][i]},
-            {args[4][i], args[5][i], args[6][i], args[7][i]});
-      }
-      break;
-    }
-    case VOp::kInvMass3: {
-      for (int i = 0; i < n; ++i) {
-        d[i] = InvariantMass3(
-            {args[0][i], args[1][i], args[2][i], args[3][i]},
-            {args[4][i], args[5][i], args[6][i], args[7][i]},
-            {args[8][i], args[9][i], args[10][i], args[11][i]});
-      }
-      break;
-    }
-    case VOp::kSumPt3: {
-      for (int i = 0; i < n; ++i) {
-        d[i] = AddPtEtaPhiM3(
-                   {args[0][i], args[1][i], args[2][i], args[3][i]},
-                   {args[4][i], args[5][i], args[6][i], args[7][i]},
-                   {args[8][i], args[9][i], args[10][i], args[11][i]})
-                   .pt;
-      }
-      break;
-    }
-    case VOp::kTransverseMass: {
-      for (int i = 0; i < n; ++i) {
-        d[i] = TransverseMass(args[0][i], args[1][i], args[2][i], args[3][i]);
-      }
-      break;
-    }
-    case VOp::kMassOfSum2: {
-      for (int i = 0; i < n; ++i) {
-        d[i] = MassOfSum2({args[0][i], args[1][i], args[2][i], args[3][i]},
-                          {args[4][i], args[5][i], args[6][i], args[7][i]});
-      }
-      break;
-    }
-    case VOp::kMassOfSum3: {
-      for (int i = 0; i < n; ++i) {
-        d[i] = MassOfSum3({args[0][i], args[1][i], args[2][i], args[3][i]},
-                          {args[4][i], args[5][i], args[6][i], args[7][i]},
-                          {args[8][i], args[9][i], args[10][i], args[11][i]});
-      }
-      break;
-    }
-    case VOp::kPtOfSum3: {
-      for (int i = 0; i < n; ++i) {
-        d[i] = PtOfSum3({args[0][i], args[1][i], args[2][i], args[3][i]},
-                        {args[4][i], args[5][i], args[6][i], args[7][i]},
-                        {args[8][i], args[9][i], args[10][i], args[11][i]});
-      }
-      break;
-    }
-    case VOp::kConst:
-    case VOp::kLoad:
-      break;  // handled by the caller
-  }
-}
-
-#undef HEPQ_VM_LOOP2
-
-}  // namespace
-
 void VProgram::Run(const VColumn* cols, int n, VScratch* scratch,
                    double* out) const {
-  if (n <= 0) return;
-  if (scratch->simd() && fused_ != nullptr) {
-    fused_->Run(cols, n, scratch, out);
-    return;
-  }
-  RunBytecode(cols, n, scratch, out);
+  fused_->Run(cols, n, scratch, out);
 }
 
 int VProgram::RunGate(const VColumn* cols, int n, VScratch* scratch,
                       bool negate, uint32_t* sel_out) const {
-  if (n <= 0) return 0;
-  if (scratch->simd() && fused_ != nullptr) {
-    return fused_->RunGate(cols, n, scratch, negate, sel_out);
-  }
-  // Bytecode fallback: evaluate the 0/1 vector, then compact — the exact
-  // selection the fused gate produces. The values land in a register one
-  // past the program's own (sized up front so the inner Reg calls cannot
-  // reallocate under the pointer).
-  double* vals = scratch->Reg(num_regs_, n);
-  RunBytecode(cols, n, scratch, vals);
-  int count = 0;
-  for (int i = 0; i < n; ++i) {
-    if ((vals[i] != 0.0) != negate) sel_out[count++] = static_cast<uint32_t>(i);
-  }
-  return count;
-}
-
-void VProgram::RunBytecode(const VColumn* cols, int n, VScratch* scratch,
-                           double* out) const {
-  // Same dispatch-overhead counters as the fused tier (vexpr_kernels.cc):
-  // vops_retired counts source VOps x lanes with the time spent, so a
-  // profiled run attributes kernel time identically on either tier. The
-  // bytecode tier fuses nothing, so no vops_fused record is emitted.
-  const bool traced = obs::TracingActive();
-  const int64_t t0 = traced ? obs::NowNs() : 0;
-  const double* arg_ptrs[12];
-  for (const VInstr& in : code_) {
-    double* d = scratch->Reg(in.dst, n);
-    switch (in.op) {
-      case VOp::kConst: {
-        const double v = consts_[in.index];
-        for (int i = 0; i < n; ++i) d[i] = v;
-        break;
-      }
-      case VOp::kLoad: {
-        const VColumn& c = cols[in.index];
-        if (c.data == nullptr) {
-          const double v = c.splat;
-          for (int i = 0; i < n; ++i) d[i] = v;
-          break;
-        }
-        // The per-type dispatch the interpreter pays on every
-        // MemberAccessor::Get runs once per (instruction, batch) here.
-        switch (c.type) {
-          case TypeId::kFloat32:
-            GatherInto(static_cast<const float*>(c.data), c.index, n, d);
-            break;
-          case TypeId::kFloat64:
-            GatherInto(static_cast<const double*>(c.data), c.index, n, d);
-            break;
-          case TypeId::kInt32:
-            GatherInto(static_cast<const int32_t*>(c.data), c.index, n, d);
-            break;
-          case TypeId::kInt64:
-            GatherInto(static_cast<const int64_t*>(c.data), c.index, n, d);
-            break;
-          case TypeId::kBool:
-            GatherInto(static_cast<const uint8_t*>(c.data), c.index, n, d);
-            break;
-          default:
-            // Unreachable: BatchBindings rejects non-primitive leaves at
-            // bind time (see AccessorFor in context.cc).
-            for (int i = 0; i < n; ++i) d[i] = 0.0;
-            break;
-        }
-        break;
-      }
-      default: {
-        for (int k = 0; k < in.num_args; ++k) {
-          arg_ptrs[k] = scratch->Reg(args_[in.first_arg + k], n);
-        }
-        RunInstr(in.op, arg_ptrs, n, d);
-        break;
-      }
-    }
-  }
-  std::memcpy(out, scratch->Reg(result_reg_, n),
-              static_cast<size_t>(n) * sizeof(double));
-  if (traced) {
-    obs::CountStage("vops_retired", obs::Stage::kVexprKernel,
-                    obs::NowNs() - t0,
-                    static_cast<uint64_t>(code_.size()) *
-                        static_cast<uint64_t>(n));
-  }
+  return fused_->RunGate(cols, n, scratch, negate, sel_out);
 }
 
 std::string VProgram::ToString() const {
@@ -540,8 +305,9 @@ bool VProgramBuilder::IsConst(int reg, double* value) const {
 VProgram VProgramBuilder::Finish(int result_reg) {
   Materialize(result_reg);
   program_.result_reg_ = static_cast<uint16_t>(result_reg);
-  // The fusion pass runs once here, so every program carries its simd-tier
-  // plan; which tier Run actually executes is VScratch's decision.
+  // The fusion pass runs once here: the fused plan is what Run executes.
+  // The instruction list is never empty at this point (the result register
+  // is a materialized constant, a load, or an op), so the plan exists.
   program_.fused_ = BuildFusedPlan(program_);
   return std::move(program_);
 }

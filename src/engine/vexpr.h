@@ -12,36 +12,32 @@
 
 namespace hepq::engine {
 
-// Vectorized expression bytecode.
+// Vectorized expression programs.
 //
 // An Expr (or FlatExpr) tree is lowered once into a flat postfix program:
-// every leaf and every operator becomes one instruction that evaluates a
-// *batch of lanes* into a reusable register buffer. The lowering performs
-// constant folding and common-subexpression elimination, and resolves
-// member accessors to typed input slots, so the per-lane hot loop contains
-// no virtual dispatch, no shared_ptr chasing, and no per-access type
-// switch — the `MemberAccessor::Get` switch runs once per (instruction,
-// batch) instead of once per access. This is the paper's fast execution
-// model (BigQuery's vectorized array expressions) as opposed to the
-// tree-walking interpreter (the Rumble end of Figure 1); both are kept and
-// selectable via ExprExec so the gap stays measurable.
+// every leaf and every operator becomes one instruction over a *batch of
+// lanes*. The lowering performs constant folding and common-subexpression
+// elimination, and resolves member accessors to typed input slots, so the
+// per-lane hot loop contains no virtual dispatch, no shared_ptr chasing,
+// and no per-access type switch — the `MemberAccessor::Get` switch runs
+// once per (instruction, batch) instead of once per access. This is the
+// paper's fast execution model (BigQuery's vectorized array expressions)
+// as opposed to the tree-walking interpreter (the Rumble end of Figure 1);
+// both are kept and selectable via ExprTier so the gap stays measurable.
 //
-// Below the bytecode sits a third tier: Finish() runs the fusion pass
-// (engine/vexpr_fuse), which regroups the whole straight-line program
+// The instruction list is an intermediate form: Finish() runs the fusion
+// pass (engine/vexpr_fuse), which regroups the whole straight-line program
 // into superinstruction "batch kernels" executed strip-mined over small
-// lane blocks, so intermediates stay in registers/L1 instead of making a
-// full-batch round trip per opcode. Run() picks bytecode or fused
-// execution from the VScratch tier flag (set by the drivers from
-// ExprExec), so every call site gets the selected tier without signature
-// changes.
+// lane blocks, so intermediates stay in registers/L1. Run() and RunGate()
+// always execute that fused plan.
 //
-// Results are bit-identical to the interpreter across all tiers: each
-// arithmetic opcode is the same single IEEE operation on the same
-// operands, and every physics opcode either calls the same out-of-line
-// helper in core/physics.cc that the interpreter calls, or (the fused
-// structure-of-arrays kernels) repeats the helper's exact operation
-// sequence in a TU compiled with the same contraction rules (see the
-// notes in core/physics.h and engine/vexpr_kernels.cc).
+// Results are bit-identical to the interpreter: each arithmetic opcode is
+// the same single IEEE operation on the same operands (VOpApply is the
+// scalar reference), and every physics opcode either calls the same
+// out-of-line helper in core/physics.cc that the interpreter calls, or
+// (the fused structure-of-arrays kernels) repeats the helper's exact
+// operation sequence in a TU compiled with the same contraction rules (see
+// the notes in core/physics.h and engine/vexpr_kernels.cc).
 
 /// VM opcodes. kConst splats a constant-pool entry; kLoad gathers a typed
 /// input slot; everything else consumes argument registers lane-wise.
@@ -85,9 +81,9 @@ VOp VOpFor(BinOp op);
 VOp VOpFor(Fn fn);
 /// Number of argument registers `op` consumes (0 for kConst / kLoad).
 int VOpArity(VOp op);
-/// Applies `op` to one lane of arguments — the exact scalar semantics of
-/// the VM loops, shared with the constant folder so folded and evaluated
-/// results are bit-identical.
+/// Applies `op` to one lane of arguments — the exact scalar semantics the
+/// fused kernels implement, shared with the constant folder so folded and
+/// evaluated results are bit-identical.
 double VOpApply(VOp op, const double* v);
 
 struct VInstr {
@@ -109,37 +105,26 @@ struct VColumn {
   double splat = 0.0;
 };
 
-/// Reusable register buffers for one worker. Buffers keep their capacity
-/// across row groups, so steady-state execution allocates nothing. The
-/// scratch also carries the execution-tier flag (drivers set it once per
-/// batch from ExprExec) and the cacheline-aligned strip-block storage of
-/// the fused tier.
+/// Per-worker strip storage of the fused kernels. The buffer keeps its
+/// capacity across row groups, so steady-state execution allocates
+/// nothing.
 class VScratch {
  public:
-  double* Reg(int r, int n);
-
-  /// Tier selector consulted by VProgram::Run: true (the default) runs
-  /// the fused strip-mined kernels, false the per-opcode bytecode loops.
-  void set_simd(bool simd) { simd_ = simd; }
-  bool simd() const { return simd_; }
-
   /// 64-byte-aligned block storage for `num_temps` fused-kernel strip
-  /// temporaries of kVexprBlockLanes lanes each. Capacity is kept, so
-  /// steady-state fused execution allocates nothing.
+  /// temporaries of kVexprBlockLanes lanes each.
   double* Block(int num_temps);
 
  private:
-  std::vector<std::vector<double>> regs_;
   std::vector<double> block_;
-  bool simd_ = true;
 };
 
 class VFusedPlan;  // engine/vexpr_fuse.h
 
 /// A compiled batch program: flat postfix instruction list over a constant
-/// pool, input slots, and registers, plus the fused superinstruction plan
-/// built from it at Finish time. Immutable after Finish; Run is const and
-/// thread-safe (each worker brings its own VScratch).
+/// pool, input slots, and SSA registers, plus the fused superinstruction
+/// plan built from it at Finish time, which is what executes. Immutable
+/// after Finish; Run is const and thread-safe (each worker brings its own
+/// VScratch).
 class VProgram {
  public:
   VProgram() = default;
@@ -154,18 +139,15 @@ class VProgram {
   const std::vector<double>& consts() const { return consts_; }
   int result_reg() const { return result_reg_; }
 
-  /// Evaluates all instructions over lanes [0, n), writing the result
-  /// register to out[0..n). cols must provide num_slots() entries.
-  /// Dispatches to the fused tier when scratch->simd() is set and the
-  /// fusion pass produced a plan, else runs the per-opcode bytecode loops.
+  /// Evaluates the program over lanes [0, n) through its fused plan,
+  /// writing the result to out[0..n). cols must provide num_slots()
+  /// entries. Only finished programs (VProgramBuilder::Finish) run.
   void Run(const VColumn* cols, int n, VScratch* scratch, double* out) const;
 
   /// Fused gate: evaluates the program as a predicate over lanes [0, n)
   /// and writes the passing lane indices (result != 0, xor `negate`) to
   /// sel_out[0..return) in ascending order, without materializing the 0/1
-  /// value vector. sel_out must hold n entries. Falls back to Run + a
-  /// compare pass on the bytecode tier — selections are bit-identical
-  /// either way.
+  /// value vector. sel_out must hold n entries.
   int RunGate(const VColumn* cols, int n, VScratch* scratch, bool negate,
               uint32_t* sel_out) const;
 
@@ -177,8 +159,6 @@ class VProgram {
 
  private:
   friend class VProgramBuilder;
-  void RunBytecode(const VColumn* cols, int n, VScratch* scratch,
-                   double* out) const;
   std::vector<VInstr> code_;
   std::vector<uint16_t> args_;
   std::vector<double> consts_;
@@ -215,8 +195,8 @@ class VProgramBuilder {
   void Materialize(int reg);
 };
 
-/// Per-worker state of the compiled event-shape path: VM registers plus a
-/// stack-scoped pool of index and value buffers used for lane frames,
+/// Per-worker state of the compiled event-shape path: VM strip storage plus
+/// a stack-scoped pool of index and value buffers used for lane frames,
 /// selection vectors, and driver outputs. Everything keeps its capacity
 /// across row groups — after warm-up the compiled path performs no heap
 /// allocation per row group (micro_kernels asserts this).

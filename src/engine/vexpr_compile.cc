@@ -1,5 +1,5 @@
-// Lowers Expr trees (via their Shape() reflection) into VProgram bytecode
-// plus a small set of batched drivers — aggregates, combination searches,
+// Lowers Expr trees (via their Shape() reflection) into VPrograms plus a
+// small set of batched drivers — aggregates, combination searches,
 // stage predicates, histogram fills — that together replicate the
 // tree-walking interpreter bit for bit, including its ops accounting
 // (Table 2): +1 per event base access, +1 per aggregate element visited
@@ -78,7 +78,7 @@ bool ContainsCombination(const Expr* e) {
 
 struct AggNode;
 
-/// A whole-column input computed outside the bytecode program: either a
+/// A whole-column input computed outside the VM program: either a
 /// batched aggregate or a per-lane interpreter walk of one subtree.
 struct Producer {
   std::unique_ptr<AggNode> agg;

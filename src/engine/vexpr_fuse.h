@@ -10,7 +10,7 @@
 
 namespace hepq::engine {
 
-// The fusion pass: the third expression-execution tier.
+// The fusion pass: how the simd expression-execution tier runs a VProgram.
 //
 // A finished VProgram is a straight-line SSA instruction list (control
 // flow — aggregates, combination searches, short-circuit residue — never
@@ -20,9 +20,9 @@ namespace hepq::engine {
 // cut into blocks of kVexprBlockLanes lanes and ALL micro-ops run over
 // one block before moving to the next, with every temporary held in a
 // small cacheline-aligned block buffer (VScratch::Block) that stays in
-// registers/L1. Compared to the bytecode tier this removes the
-// full-batch store+reload round trip each opcode pays, and shrinks the
-// instruction stream via three rewrites:
+// registers/L1. Compared to running the instruction list one opcode at a
+// time over the whole batch, this removes a full-batch store+reload round
+// trip per opcode, and shrinks the instruction stream via four rewrites:
 //
 //   1. load fusion — kConst/kLoad instructions stop materializing
 //      full-batch register buffers; constants become immediates and slot
@@ -61,7 +61,7 @@ namespace hepq::engine {
 inline constexpr int kVexprBlockLanes = 64;
 
 /// Fused micro-op kinds. Operand order is load-bearing: reg-reg forms
-/// mirror the bytecode loops exactly, imm forms keep the immediate on
+/// mirror the source VOps exactly, imm forms keep the immediate on
 /// the side the constant occupied (R* = immediate on the left).
 enum class MOp : uint8_t {
   kSplat,  // d = imm (constant the peephole could not absorb)

@@ -1,7 +1,9 @@
 // Strip-mined execution of fused expression plans (the simd tier).
 //
 // Bit-identity contract: every micro-op body below performs the exact IEEE
-// operation sequence of the corresponding bytecode loop in vexpr.cc —
+// operation sequence of the corresponding VOpApply case in vexpr.cc (the
+// constant folder's scalar reference, which mirrors the interpreter's
+// switch in expr.cc) —
 // same operand order, same comparison forms, same out-of-line helper
 // calls — and the structure-of-arrays Cartesian kernels inline the
 // operation sequences of MassOfSum2/3 and PtOfSum3 from core/physics.cc
@@ -9,8 +11,8 @@
 // with -ffp-contract=off (see the CMakeLists), so no build mode can
 // contract a*b+c into an FMA here while the helper keeps separate
 // rounding, or vice versa. Do not reassociate, hoist, or "simplify" any
-// arithmetic in this file without re-running the three-tier agreement
-// matrix in vexpr_test.
+// arithmetic in this file without re-running the interpret-vs-simd
+// agreement matrix in vexpr_test.
 //
 // The full-strip bodies run with a constant trip count (kVexprBlockLanes)
 // over 64-byte-aligned temporaries, which is what lets the compiler
@@ -83,7 +85,8 @@ void LoadStripCol(const VColumn& col, int base, int w, double* d) {
 // for operation from physics.cc (this TU and that one are both compiled
 // with -ffp-contract=off, so they round identically). Replicating them
 // here removes an out-of-line call per lane from the strip loops; the
-// three-tier agreement matrix in vexpr_test pins them to the originals.
+// interpret-vs-simd agreement matrix in vexpr_test pins them to the
+// originals.
 inline double DeltaPhiLane(double phi1, double phi2) {
   double d = phi1 - phi2;
   if (!std::isfinite(d)) return std::numeric_limits<double>::quiet_NaN();
@@ -388,7 +391,7 @@ void VFusedPlan::ExecStrip(const VColumn* cols, int base, int w,
       // from core/fourvector.h operation for operation (componentwise
       // left-associated sums, m2 = e*e - (px*px + py*py + pz*pz), the
       // m2 > 0 clamp before sqrt) so the inlined, vectorized form rounds
-      // identically to the out-of-line helper the other tiers call.
+      // identically to the out-of-line helper the interpreter calls.
       case MOp::kMassOfSum2:
         for (int k = 0; k < 8; ++k) p[k] = t + ia[k] * kW;
         HEPQ_FUSED_LANES({
@@ -560,9 +563,9 @@ int VFusedPlan::RunGate(const VColumn* cols, int n, VScratch* scratch,
   for (int base = 0; base < n; base += kW) {
     const int w = std::min(kW, n - base);
     ExecStrip(cols, base, w, t);
-    // Per-strip compaction in ascending lane order — the selection the
-    // bytecode fallback (Run + compare pass) produces, minus the 0/1
-    // value-vector round trip.
+    // Per-strip compaction in ascending lane order — the selection Run
+    // plus a `!= 0` compare pass produces, minus the 0/1 value-vector
+    // round trip.
     for (int i = 0; i < w; ++i) {
       if ((res[i] != 0.0) != negate) {
         sel_out[count++] = static_cast<uint32_t>(base + i);

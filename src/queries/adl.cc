@@ -24,31 +24,6 @@ const char* EngineKindName(EngineKind kind) {
   return "unknown";
 }
 
-const char* VexprTierName(VexprTier tier) {
-  switch (tier) {
-    case VexprTier::kInterpret:
-      return "interpret";
-    case VexprTier::kBytecode:
-      return "bytecode";
-    case VexprTier::kSimd:
-      return "simd";
-  }
-  return "unknown";
-}
-
-bool ParseVexprTier(const std::string& name, VexprTier* out) {
-  if (name == "interpret") {
-    *out = VexprTier::kInterpret;
-  } else if (name == "bytecode") {
-    *out = VexprTier::kBytecode;
-  } else if (name == "simd") {
-    *out = VexprTier::kSimd;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::vector<HistogramSpec> AdlHistogramSpecs(int q) {
   switch (q) {
     case 1:

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/histogram.h"
+#include "engine/expr.h"
 #include "fileio/reader.h"
 
 namespace hepq::queries {
@@ -55,23 +56,6 @@ struct QueryRunOutput {
   bool from_result_cache = false;
 };
 
-/// Expression-execution tier for the BigQuery/Presto plan shapes — the
-/// ablation ladder interpreter → bytecode VM → fused simd kernels.
-/// Histograms are bit-identical across all three tiers on every query;
-/// only the cost model differs. Ignored by kRdf and kDoc, which have no
-/// expression trees.
-enum class VexprTier {
-  kInterpret,
-  kBytecode,
-  kSimd,
-};
-
-/// Stable lowercase tier name ("interpret" / "bytecode" / "simd").
-const char* VexprTierName(VexprTier tier);
-/// Parses a tier name; returns false (leaving `out` untouched) on any
-/// other string.
-bool ParseVexprTier(const std::string& name, VexprTier* out);
-
 struct RunOptions {
   /// Reader behaviour is forced per engine (pushdown on for BigQuery/RDF,
   /// off for Presto shape, full scans for Doc); checksum validation and
@@ -80,19 +64,10 @@ struct RunOptions {
   /// results are bit-identical for any thread count.
   int num_threads = 1;
   bool validate_checksums = true;
-  /// Expression tier for the BigQuery/Presto plan shapes (the
-  /// `--vexpr-tier` flag). `interpret_expressions` below, when set, wins
-  /// and forces kInterpret.
-  VexprTier vexpr_tier = VexprTier::kSimd;
-  /// Deprecated alias (pre-tier boolean): forces the tree-walking
-  /// interpreter regardless of `vexpr_tier`. Kept for existing callers of
-  /// the interpreted-vs-compiled ablation; new code should set
-  /// `vexpr_tier = VexprTier::kInterpret` instead.
-  bool interpret_expressions = false;
-  /// The tier after applying the deprecated alias.
-  VexprTier effective_vexpr_tier() const {
-    return interpret_expressions ? VexprTier::kInterpret : vexpr_tier;
-  }
+  /// Expression-execution tier for the BigQuery/Presto plan shapes (the
+  /// `--vexpr-tier` flag). Histograms are bit-identical on both tiers;
+  /// ignored by kRdf and kDoc, which have no expression trees.
+  engine::ExprTier expr_tier = engine::ExprTier::kSimd;
   /// Zone-map predicate pushdown: each frontend extracts the sargable
   /// residue of its own filters and the reader prunes row groups and pages
   /// whose min/max statistics cannot satisfy it. Histograms are

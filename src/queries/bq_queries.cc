@@ -191,7 +191,7 @@ Result<QueryRunOutput> RunAdlQueryBq(int q, const std::string& path,
                                      const RunOptions& options) {
   engine::EventQuery query("");
   HEPQ_ASSIGN_OR_RETURN(query, BuildAdlEventQuery(q));
-  query.set_expr_exec(ExprExecFor(options.effective_vexpr_tier()));
+  query.set_expr_tier(options.expr_tier);
   ReaderOptions reader_options;
   reader_options.struct_projection_pushdown = true;
   reader_options.validate_checksums = options.validate_checksums;

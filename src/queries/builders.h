@@ -9,13 +9,6 @@
 
 namespace hepq::queries {
 
-/// Maps the public tier knob onto the engine's execution mode.
-inline engine::ExprExec ExprExecFor(VexprTier tier) {
-  if (tier == VexprTier::kInterpret) return engine::ExprExec::kInterpreted;
-  if (tier == VexprTier::kBytecode) return engine::ExprExec::kBytecode;
-  return engine::ExprExec::kSimd;
-}
-
 /// Builds ADL query `q` as a per-event expression plan (the BigQuery
 /// shape: nested subqueries / array expressions inside the scan). Also
 /// used by the Presto runner for the queries whose idiomatic Presto

@@ -159,7 +159,7 @@ Result<QueryRunOutput> RunAdlQueryPresto(int q, const std::string& path,
   QueryRunOutput out;
   auto flat_result = BuildAdlFlatPipeline(q);
   if (flat_result.ok()) {
-    flat_result->set_expr_exec(ExprExecFor(options.effective_vexpr_tier()));
+    flat_result->set_expr_tier(options.expr_tier);
     engine::FlatQueryResult result;
     HEPQ_ASSIGN_OR_RETURN(
         result,
@@ -177,7 +177,7 @@ Result<QueryRunOutput> RunAdlQueryPresto(int q, const std::string& path,
   }
   engine::EventQuery query("");
   HEPQ_ASSIGN_OR_RETURN(query, BuildAdlEventQuery(q));
-  query.set_expr_exec(ExprExecFor(options.effective_vexpr_tier()));
+  query.set_expr_tier(options.expr_tier);
   engine::EventQueryResult result;
   HEPQ_ASSIGN_OR_RETURN(
       result, query.Execute(path, reader_options, options.num_threads));

@@ -1,8 +1,8 @@
-// Tests for the vectorized expression bytecode (engine/vexpr): builder
+// Tests for the vectorized expression programs (engine/vexpr): builder
 // unit tests, a seeded randomized cross-check of the compiled kernel
 // against the tree-walking interpreter (bit-identical values AND ops
 // counters), and golden agreement of all 8 ADL queries across both plan
-// shapes, both execution modes, and thread counts.
+// shapes, both expression tiers, and thread counts.
 
 #include <cmath>
 #include <cstdint>
@@ -367,22 +367,16 @@ TEST(CompiledKernelTest, RandomTreesMatchInterpreterBitForBit) {
       interp_ops += ctx.ops;
     }
 
-    // Both VM tiers: bytecode loops and the fused strip kernels.
-    for (const bool simd : {false, true}) {
-      SCOPED_TRACE(simd ? "simd" : "bytecode");
-      scratch.vm.set_simd(simd);
-      uint64_t compiled_ops = 0;
-      ASSERT_TRUE(kernel
-                      ->Eval(bindings, rows, &scratch, compiled.data(),
-                             &compiled_ops)
-                      .ok());
-      for (int64_t row = 0; row < rows; ++row) {
-        EXPECT_EQ(Bits(compiled[static_cast<size_t>(row)]),
-                  Bits(expected[static_cast<size_t>(row)]))
-            << "row " << row;
-      }
-      EXPECT_EQ(compiled_ops, interp_ops);
+    uint64_t compiled_ops = 0;
+    ASSERT_TRUE(
+        kernel->Eval(bindings, rows, &scratch, compiled.data(), &compiled_ops)
+            .ok());
+    for (int64_t row = 0; row < rows; ++row) {
+      EXPECT_EQ(Bits(compiled[static_cast<size_t>(row)]),
+                Bits(expected[static_cast<size_t>(row)]))
+          << "row " << row;
     }
+    EXPECT_EQ(compiled_ops, interp_ops);
   }
 }
 
@@ -478,7 +472,7 @@ TEST(CompiledKernelTest, AdversarialNanInfAgreeAcrossAllTiers) {
   // Regression companion to the float-ordering audit: NaN payloads,
   // non-finite aggregate identities, NaN-asymmetric min/max operand
   // orders, and always-false NaN comparisons must come out bit-identical
-  // from the interpreter, the bytecode loops, and the fused kernels.
+  // from the interpreter and the fused kernels.
   const RecordBatchPtr batch = AdversarialBatch();
   const BatchBindings bindings =
       BatchBindings::Bind(*batch,
@@ -527,28 +521,24 @@ TEST(CompiledKernelTest, AdversarialNanInfAgreeAcrossAllTiers) {
     SCOPED_TRACE(tree->ToString());
     auto kernel = CompiledExprKernel::Compile(tree);
     ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
-    for (const bool simd : {false, true}) {
-      SCOPED_TRACE(simd ? "simd" : "bytecode");
-      scratch.vm.set_simd(simd);
-      uint64_t ops = 0;
-      ASSERT_TRUE(
-          kernel->Eval(bindings, rows, &scratch, compiled.data(), &ops).ok());
-      for (int64_t row = 0; row < rows; ++row) {
-        EvalContext ctx;
-        ctx.bindings = &bindings;
-        ctx.row = static_cast<uint32_t>(row);
-        EXPECT_EQ(Bits(compiled[static_cast<size_t>(row)]),
-                  Bits(tree->Eval(&ctx)))
-            << "row " << row;
-      }
+    uint64_t ops = 0;
+    ASSERT_TRUE(
+        kernel->Eval(bindings, rows, &scratch, compiled.data(), &ops).ok());
+    for (int64_t row = 0; row < rows; ++row) {
+      EvalContext ctx;
+      ctx.bindings = &bindings;
+      ctx.row = static_cast<uint32_t>(row);
+      EXPECT_EQ(Bits(compiled[static_cast<size_t>(row)]),
+                Bits(tree->Eval(&ctx)))
+          << "row " << row;
     }
   }
 }
 
 TEST(CompiledKernelTest, GateMatchesEvalPlusCompactionAcrossDensities) {
   // The fused gate (evaluate + compact in one strip pass) must select
-  // exactly the lanes an Eval + `!= 0.0` compaction selects, on both VM
-  // tiers, from all-pass through sparse to empty selections.
+  // exactly the lanes an Eval + `!= 0.0` compaction selects, from
+  // all-pass through sparse to empty selections.
   std::mt19937 data_rng(11);
   const RecordBatchPtr batch = RandomBatch(&data_rng, 96);
   const BatchBindings bindings =
@@ -565,29 +555,23 @@ TEST(CompiledKernelTest, GateMatchesEvalPlusCompactionAcrossDensities) {
     VexprScratch scratch;
     std::vector<double> values(static_cast<size_t>(rows));
     std::vector<uint32_t> expect_sel, gate_sel(static_cast<size_t>(rows));
-    for (const bool simd : {false, true}) {
-      SCOPED_TRACE(simd ? "simd" : "bytecode");
-      scratch.vm.set_simd(simd);
-      uint64_t eval_ops = 0;
-      ASSERT_TRUE(
-          kernel->Eval(bindings, rows, &scratch, values.data(), &eval_ops)
-              .ok());
-      expect_sel.clear();
-      for (int64_t row = 0; row < rows; ++row) {
-        if (values[static_cast<size_t>(row)] != 0.0) {
-          expect_sel.push_back(static_cast<uint32_t>(row));
-        }
+    uint64_t eval_ops = 0;
+    ASSERT_TRUE(
+        kernel->Eval(bindings, rows, &scratch, values.data(), &eval_ops).ok());
+    for (int64_t row = 0; row < rows; ++row) {
+      if (values[static_cast<size_t>(row)] != 0.0) {
+        expect_sel.push_back(static_cast<uint32_t>(row));
       }
-      uint64_t gate_ops = 0;
-      const auto count =
-          kernel->Gate(bindings, rows, &scratch, gate_sel.data(), &gate_ops);
-      ASSERT_TRUE(count.ok()) << count.status().ToString();
-      ASSERT_EQ(static_cast<size_t>(*count), expect_sel.size());
-      for (size_t i = 0; i < expect_sel.size(); ++i) {
-        EXPECT_EQ(gate_sel[i], expect_sel[i]) << "position " << i;
-      }
-      EXPECT_EQ(gate_ops, eval_ops);
     }
+    uint64_t gate_ops = 0;
+    const auto count =
+        kernel->Gate(bindings, rows, &scratch, gate_sel.data(), &gate_ops);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    ASSERT_EQ(static_cast<size_t>(*count), expect_sel.size());
+    for (size_t i = 0; i < expect_sel.size(); ++i) {
+      EXPECT_EQ(gate_sel[i], expect_sel[i]) << "position " << i;
+    }
+    EXPECT_EQ(gate_ops, eval_ops);
   }
 }
 
@@ -601,9 +585,25 @@ TEST(BindingsTest, NonPrimitiveLeafRejectedAtBindWithTypeName) {
   EXPECT_NE(bound.status().ToString().find("primitive"), std::string::npos);
 }
 
+TEST(ExprTierTest, NamesRoundTripAndUnknownNamesAreRejected) {
+  for (const ExprTier tier : {ExprTier::kInterpret, ExprTier::kSimd}) {
+    ExprTier parsed = tier == ExprTier::kSimd ? ExprTier::kInterpret
+                                              : ExprTier::kSimd;
+    ASSERT_TRUE(ParseExprTier(ExprTierName(tier), &parsed));
+    EXPECT_EQ(parsed, tier);
+  }
+  // A tier name that does not exist is an error, never a silent fallback
+  // to some other tier (the flag parsers exit on it).
+  ExprTier untouched = ExprTier::kInterpret;
+  EXPECT_FALSE(ParseExprTier("bytecode", &untouched));
+  EXPECT_FALSE(ParseExprTier("SIMD", &untouched));
+  EXPECT_EQ(untouched, ExprTier::kInterpret);
+  EXPECT_EQ(queries::RunOptions{}.expr_tier, ExprTier::kSimd);
+}
+
 // ---------------------------------------------------------------------------
-// Golden agreement: 8 queries x both plan shapes x all three execution
-// tiers x {1, 4} threads, all bit-identical.
+// Golden agreement: 8 queries x both plan shapes x both execution tiers x
+// {1, 4} threads, all bit-identical.
 // ---------------------------------------------------------------------------
 
 const std::string& GoldenDataset() {
@@ -632,27 +632,25 @@ class CompiledInterpretedGolden : public ::testing::TestWithParam<int> {};
 TEST_P(CompiledInterpretedGolden, BitIdenticalAcrossExecModeAndThreads) {
   const int q = GetParam();
   using queries::EngineKind;
-  using queries::VexprTier;
   for (EngineKind engine :
        {EngineKind::kBigQueryShape, EngineKind::kPrestoShape}) {
     queries::RunOptions ref_options;
-    ref_options.vexpr_tier = VexprTier::kInterpret;
+    ref_options.expr_tier = ExprTier::kInterpret;
     const auto reference =
         queries::RunAdlQuery(engine, q, GoldenDataset(), ref_options);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (const VexprTier tier :
-         {VexprTier::kInterpret, VexprTier::kBytecode, VexprTier::kSimd}) {
+    for (const ExprTier tier : {ExprTier::kInterpret, ExprTier::kSimd}) {
       for (const int threads : {1, 4}) {
-        if (tier == VexprTier::kInterpret && threads == 1)
+        if (tier == ExprTier::kInterpret && threads == 1)
           continue;  // the reference run
         queries::RunOptions options;
-        options.vexpr_tier = tier;
+        options.expr_tier = tier;
         options.num_threads = threads;
         const auto run =
             queries::RunAdlQuery(engine, q, GoldenDataset(), options);
         ASSERT_TRUE(run.ok()) << run.status().ToString();
         SCOPED_TRACE(std::string(queries::EngineKindName(engine)) + " " +
-                     queries::VexprTierName(tier) + " threads " +
+                     ExprTierName(tier) + " threads " +
                      std::to_string(threads));
         EXPECT_EQ(run->events_processed, reference->events_processed);
         EXPECT_EQ(run->ops, reference->ops);  // Table 2 counter fidelity

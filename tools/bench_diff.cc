@@ -51,7 +51,7 @@ bool LoadMeasurements(const JsonValue& bench, TierCosts* costs) {
   return true;
 }
 
-/// "bytecode_over_simd" -> ("bytecode", "simd"); false when the metric
+/// "interpret_over_simd" -> ("interpret", "simd"); false when the metric
 /// name does not follow the <tierA>_over_<tierB> convention.
 bool SplitRatioMetric(const std::string& metric, std::string* numerator,
                       std::string* denominator) {

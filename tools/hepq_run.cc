@@ -2,7 +2,7 @@
 // resulting histogram plus execution statistics.
 //
 // Usage: hepq_run <query 1..8> [engine] [events] [--threads=N]
-//                 [--vexpr-tier=interpret|bytecode|simd]
+//                 [--vexpr-tier=interpret|simd]
 //                 [--no-pushdown] [--no-late-mat]
 //                 [--profile[=report.json]] [--trace=trace.json]
 //   engine: rdf (default) | bigquery | presto | doc | all | explain
@@ -10,9 +10,8 @@
 //   --threads=N: scan row groups with N workers of the shared runtime
 //     (results are bit-identical for any N; default 1)
 //   --vexpr-tier=T: expression-execution tier for the bigquery/presto
-//     plan shapes — interpret (tree walk), bytecode (PR 3 VM), or simd
-//     (fused batch kernels, the default); histograms are bit-identical
-//     across tiers. Replaces the old --interpret-expressions boolean.
+//     plan shapes — interpret (tree walk) or simd (fused batch kernels,
+//     the default); histograms are bit-identical across tiers.
 //   --no-pushdown: disable zone-map predicate pushdown (group/page
 //     pruning); histograms are bit-identical either way
 //   --no-late-mat: disable late materialization (decode every projected
@@ -368,7 +367,7 @@ void RunScatteredOne(const char* self, EngineKind engine,
     argv.push_back("--data=" + data);
     argv.push_back("--threads=" + std::to_string(options.num_threads));
     argv.push_back(std::string("--vexpr-tier=") +
-                   hepq::queries::VexprTierName(options.vexpr_tier));
+                   hepq::engine::ExprTierName(options.expr_tier));
     if (!options.scan_pushdown) argv.push_back("--no-pushdown");
     if (!options.late_materialization) argv.push_back("--no-late-mat");
     if (want_reports) argv.push_back("--worker-report");
@@ -458,10 +457,8 @@ int main(int argc, char** argv) {
       continue;
     }
     if (std::strncmp(argv[i], "--vexpr-tier=", 13) == 0) {
-      if (!hepq::queries::ParseVexprTier(argv[i] + 13,
-                                         &options.vexpr_tier)) {
-        std::fprintf(stderr,
-                     "--vexpr-tier must be interpret, bytecode, or simd\n");
+      if (!hepq::engine::ParseExprTier(argv[i] + 13, &options.expr_tier)) {
+        std::fprintf(stderr, "--vexpr-tier must be interpret or simd\n");
         return 2;
       }
       continue;
@@ -537,7 +534,7 @@ int main(int argc, char** argv) {
   if (argc < 2 && !queries_all) {
     std::fprintf(stderr, "usage: %s <query 1..8> [rdf|bigquery|presto|doc|all]"
                          " [events] [--threads=N]"
-                         " [--vexpr-tier=interpret|bytecode|simd]"
+                         " [--vexpr-tier=interpret|simd]"
                          " [--no-pushdown]"
                          " [--no-late-mat] [--profile[=report.json]]"
                          " [--trace=trace.json] [--data=path.laq]"
