@@ -333,8 +333,8 @@ BENCHMARK(BM_DecodeRowGroupScratch)->Arg(1)->Arg(0);
 /// The shared execution runtime end to end: scan Jet.pt over all row
 /// groups with --threads workers (default 1; per-worker readers and
 /// scratch, LPT order, deterministic merge elided since the benchmark
-/// only counts rows). On the 1-core bench host values > 1 measure
-/// scheduling overhead, not speedup.
+/// only counts rows). On the 4-core bench host values up to 4 measure
+/// speedup; larger values measure scheduling overhead.
 void BM_ParallelScanRowGroups(benchmark::State& state) {
   const std::string& path = AblationDataset(Codec::kLz);
   const std::vector<std::string> projection = {"Jet.pt"};

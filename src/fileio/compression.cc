@@ -91,8 +91,16 @@ void LzCompress(const uint8_t* input, size_t n, std::vector<uint8_t>* out) {
 
 Status LzDecompress(const uint8_t* input, size_t n, size_t expected,
                     std::vector<uint8_t>* out) {
-  out->clear();
-  out->reserve(expected);
+  // `out` is sized once and written through `dst`; `produced <= expected`
+  // is an invariant, checked before every copy, so no write leaves it.
+  out->resize(expected);
+  uint8_t* const dst = out->data();
+  size_t produced = 0;
+  // On failure `out` keeps exactly the bytes decoded before the bad field.
+  auto fail = [&](const char* message) {
+    out->resize(produced);
+    return Status::Corruption(message);
+  };
   size_t pos = 0;
   while (pos < n) {
     const uint8_t token = input[pos++];
@@ -100,21 +108,22 @@ Status LzDecompress(const uint8_t* input, size_t n, size_t expected,
     if (literal_len == 15) {
       uint8_t b;
       do {
-        if (pos >= n) return Status::Corruption("lz: truncated literal len");
+        if (pos >= n) return fail("lz: truncated literal len");
         b = input[pos++];
         literal_len += b;
       } while (b == 255);
     }
     if (pos + literal_len > n) {
-      return Status::Corruption("lz: literal run past end");
+      return fail("lz: literal run past end");
     }
-    if (literal_len > expected - out->size()) {
-      return Status::Corruption("lz: output exceeds expected size");
+    if (literal_len > expected - produced) {
+      return fail("lz: output exceeds expected size");
     }
-    out->insert(out->end(), input + pos, input + pos + literal_len);
+    std::memcpy(dst + produced, input + pos, literal_len);
+    produced += literal_len;
     pos += literal_len;
     if (pos >= n) break;  // final sequence carries no match
-    if (pos + 2 > n) return Status::Corruption("lz: truncated offset");
+    if (pos + 2 > n) return fail("lz: truncated offset");
     const size_t offset = static_cast<size_t>(input[pos]) |
                           (static_cast<size_t>(input[pos + 1]) << 8);
     pos += 2;
@@ -122,30 +131,33 @@ Status LzDecompress(const uint8_t* input, size_t n, size_t expected,
     if (match_code == 15) {
       uint8_t b;
       do {
-        if (pos >= n) return Status::Corruption("lz: truncated match len");
+        if (pos >= n) return fail("lz: truncated match len");
         b = input[pos++];
         match_code += b;
       } while (b == 255);
     }
     const size_t match_len = match_code + kMinMatch;
-    if (offset == 0 || offset > out->size()) {
-      return Status::Corruption("lz: invalid match offset");
+    if (offset == 0 || offset > produced) {
+      return fail("lz: invalid match offset");
     }
-    // A crafted stream of overlapping matches can otherwise balloon the
-    // output to many times `expected` before the final size check; cap
-    // every expansion up front. `out->size() <= expected` is an invariant,
-    // so the subtraction cannot underflow.
-    if (match_len > expected - out->size()) {
-      return Status::Corruption("lz: output exceeds expected size");
+    // `out` holds exactly `expected` bytes, so every expansion is capped up
+    // front: a crafted run of overlapping matches must not write past it.
+    if (match_len > expected - produced) {
+      return fail("lz: output exceeds expected size");
     }
-    // Byte-by-byte copy: matches may overlap their own output.
-    size_t src = out->size() - offset;
-    for (size_t i = 0; i < match_len; ++i) {
-      out->push_back((*out)[src + i]);
+    uint8_t* const to = dst + produced;
+    const uint8_t* const from = to - offset;
+    if (offset >= match_len) {
+      std::memcpy(to, from, match_len);
+    } else {
+      // The match overlaps its own output: copy forward byte by byte so
+      // each byte reads one already written.
+      for (size_t i = 0; i < match_len; ++i) to[i] = from[i];
     }
+    produced += match_len;
   }
-  if (out->size() != expected) {
-    return Status::Corruption("lz: decompressed size mismatch");
+  if (produced != expected) {
+    return fail("lz: decompressed size mismatch");
   }
   return Status::OK();
 }

@@ -416,6 +416,18 @@ void RunScatteredOne(const char* self, EngineKind engine,
   }
 }
 
+void PrintUsage(const char* self) {
+  std::fprintf(stderr, "usage: %s <query 1..8> [rdf|bigquery|presto|doc|all]"
+                       " [events] [--threads=N]"
+                       " [--vexpr-tier=interpret|simd]"
+                       " [--no-pushdown]"
+                       " [--no-late-mat] [--profile[=report.json]]"
+                       " [--trace=trace.json] [--data=path.laq]"
+                       " [--cache[=BYTES]] [--queries=all] [--repeat=N]"
+                       " [--metrics[=path]]\n",
+               self);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -527,20 +539,18 @@ int main(int argc, char** argv) {
       worker_report = true;
       continue;
     }
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      // A mistyped ablation flag must not silently run the defaults.
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      PrintUsage(argv[0]);
+      return 2;
+    }
     argv[kept++] = argv[i];
   }
   argc = kept;
   if (metrics.enabled) hepq::obs::metrics::SetMetricsEnabled(true);
   if (argc < 2 && !queries_all) {
-    std::fprintf(stderr, "usage: %s <query 1..8> [rdf|bigquery|presto|doc|all]"
-                         " [events] [--threads=N]"
-                         " [--vexpr-tier=interpret|simd]"
-                         " [--no-pushdown]"
-                         " [--no-late-mat] [--profile[=report.json]]"
-                         " [--trace=trace.json] [--data=path.laq]"
-                         " [--cache[=BYTES]] [--queries=all] [--repeat=N]"
-                         " [--metrics[=path]]\n",
-                 argv[0]);
+    PrintUsage(argv[0]);
     return 2;
   }
   int q = 0;
