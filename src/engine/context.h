@@ -41,6 +41,39 @@ struct MemberAccessor {
         return std::numeric_limits<double>::quiet_NaN();
     }
   }
+
+  /// out[k] = Get(first + k) for k < n, with the type switch hoisted out
+  /// of the loop so each case is one contiguous converting copy.
+  void GetRange(uint32_t first, size_t n, double* out) const {
+    switch (type) {
+      case TypeId::kFloat32:
+        ConvertRange(static_cast<const float*>(data) + first, n, out);
+        return;
+      case TypeId::kFloat64:
+        ConvertRange(static_cast<const double*>(data) + first, n, out);
+        return;
+      case TypeId::kInt32:
+        ConvertRange(static_cast<const int32_t*>(data) + first, n, out);
+        return;
+      case TypeId::kInt64:
+        ConvertRange(static_cast<const int64_t*>(data) + first, n, out);
+        return;
+      case TypeId::kBool:
+        ConvertRange(static_cast<const uint8_t*>(data) + first, n, out);
+        return;
+      default:
+        for (size_t k = 0; k < n; ++k) {
+          out[k] = Get(first + static_cast<uint32_t>(k));
+        }
+        return;
+    }
+  }
+
+ private:
+  template <typename T>
+  static void ConvertRange(const T* src, size_t n, double* out) {
+    for (size_t k = 0; k < n; ++k) out[k] = static_cast<double>(src[k]);
+  }
 };
 
 /// A particle list column bound to a batch: shared offsets plus one

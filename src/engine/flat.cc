@@ -253,7 +253,9 @@ class EventAggregator {
   /// Selection-vector form: consumes rows sel[0..n) (all rows when `sel`
   /// is null). Visiting the same surviving rows in the same ascending
   /// order as the compacting path keeps group insertion order — and hence
-  /// the merged output — bit-identical.
+  /// the merged output — bit-identical. An event's rows arrive as one
+  /// contiguous run (possibly split across chunks), so the hash lookup
+  /// only happens when the key changes.
   void Consume(const FlatBatch& batch, int event_col, const uint32_t* sel,
                size_t n) {
     const auto& event_ids =
@@ -261,13 +263,17 @@ class EventAggregator {
     for (size_t lane = 0; lane < n; ++lane) {
       const size_t row = sel != nullptr ? sel[lane] : lane;
       const int64_t key = static_cast<int64_t>(event_ids[row]);
-      auto [it, inserted] = groups_.try_emplace(key, states_.size());
-      if (inserted) {
-        keys_.push_back(key);
-        states_.resize(states_.size() + static_cast<size_t>(state_width_));
-        InitState(&states_[it->second]);
+      if (key != last_key_) {
+        auto [it, inserted] = groups_.try_emplace(key, states_.size());
+        if (inserted) {
+          keys_.push_back(key);
+          states_.resize(states_.size() + static_cast<size_t>(state_width_));
+          InitState(&states_[it->second]);
+        }
+        last_key_ = key;
+        last_state_ = it->second;
       }
-      double* state = &states_[it->second];
+      double* state = &states_[last_state_];
       for (size_t a = 0; a < specs_.size(); ++a) {
         double* s = state + state_offsets_[a];
         const FlatAggSpec& spec = specs_[a];
@@ -357,6 +363,8 @@ class EventAggregator {
   std::unordered_map<int64_t, size_t> groups_;  // key -> state offset
   std::vector<int64_t> keys_;                   // insertion order
   std::vector<double> states_;
+  int64_t last_key_ = -1;  // event ids are >= 0
+  size_t last_state_ = 0;  // state offset of last_key_
   std::vector<int> input_cols_;
   std::vector<int> key_cols_;
 };
@@ -662,19 +670,30 @@ std::string FlatPipeline::Explain() const {
   return out;
 }
 
+namespace {
+
+/// One worker's state, reused across its row groups: the VM scratch and
+/// the flat chunk, whose columns are sized to kChunkRows on first use.
+struct FlatWorkerScratch {
+  VexprScratch vexpr;
+  FlatBatch chunk;
+};
+
+}  // namespace
+
 struct FlatPipeline::ScanSource {
   int num_threads = 1;
   const exec::DatasetLayout* layout = nullptr;
   std::function<Result<LaqReader*>(int worker, int file)> reader;
   std::function<ScratchBuffers*(int worker)> scratch;
-  std::function<VexprScratch*(int worker)> vexpr;
+  std::function<FlatWorkerScratch*(int worker)> worker_scratch;
   std::function<ScanStats()> scan_stats;
 };
 
 Result<FlatQueryResult> FlatPipeline::Execute(LaqReader* reader) const {
   reader->ResetScanStats();
   ScratchBuffers scratch;
-  VexprScratch vexpr_scratch;
+  FlatWorkerScratch worker_scratch;
   const exec::DatasetLayout layout =
       exec::MakeSingleFileLayout("<open reader>", reader->metadata());
   ScanSource source;
@@ -682,7 +701,7 @@ Result<FlatQueryResult> FlatPipeline::Execute(LaqReader* reader) const {
   source.layout = &layout;
   source.reader = [reader](int, int) -> Result<LaqReader*> { return reader; };
   source.scratch = [&scratch](int) { return &scratch; };
-  source.vexpr = [&vexpr_scratch](int) { return &vexpr_scratch; };
+  source.worker_scratch = [&worker_scratch](int) { return &worker_scratch; };
   source.scan_stats = [reader]() { return reader->scan_stats(); };
   return ExecuteImpl(&source);
 }
@@ -702,10 +721,10 @@ Result<FlatQueryResult> FlatPipeline::Execute(const std::string& path,
     return readers.reader(worker, file);
   };
   source.scratch = [&readers](int worker) { return readers.scratch(worker); };
-  source.vexpr = [&readers](int worker) -> VexprScratch* {
+  source.worker_scratch = [&readers](int worker) -> FlatWorkerScratch* {
     std::shared_ptr<void>& slot = readers.engine_scratch(worker);
-    if (slot == nullptr) slot = std::make_shared<VexprScratch>();
-    return static_cast<VexprScratch*>(slot.get());
+    if (slot == nullptr) slot = std::make_shared<FlatWorkerScratch>();
+    return static_cast<FlatWorkerScratch*>(slot.get());
   };
   source.scan_stats = [&readers] { return readers.TotalScanStats(); };
   return ExecuteImpl(&source);
@@ -867,8 +886,16 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
         HEPQ_ASSIGN_OR_RETURN(
             bindings, BatchBindings::Bind(*batch, list_decls, scalar_decls));
         GroupPartial& p = partials[static_cast<size_t>(g)];
-        FlatBatch chunk = layout;
-        VexprScratch* vs = compiled ? source->vexpr(worker) : nullptr;
+        FlatWorkerScratch* ws = source->worker_scratch(worker);
+        // The worker's chunk columns are sized to capacity once per run;
+        // rows past num_rows are stale and never read.
+        FlatBatch& chunk = ws->chunk;
+        if (chunk.columns.empty()) {
+          chunk = layout;
+          for (auto& column : chunk.columns) column.resize(kChunkRows);
+        }
+        chunk.num_rows = 0;
+        VexprScratch* vs = compiled ? &ws->vexpr : nullptr;
 
         auto flush_interpreted = [&]() -> Status {
           if (chunk.num_rows == 0) return Status::OK();
@@ -880,7 +907,6 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
           for (const Step& step : steps_) {
             if (!step.is_filter) {
               auto& out = chunk.columns[live_columns];
-              out.resize(chunk.num_rows);
               for (size_t row = 0; row < chunk.num_rows; ++row) {
                 out[row] = step.expr->Eval(chunk, row);
               }
@@ -898,9 +924,6 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
               ++kept;
             }
             chunk.num_rows = kept;
-            for (size_t c = 0; c < live_columns; ++c) {
-              chunk.columns[c].resize(kept);
-            }
           }
           if (grouped) {
             p.aggregator.Consume(chunk, /*event_col=*/0);
@@ -911,7 +934,7 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
               }
             }
           }
-          chunk.Clear();
+          chunk.num_rows = 0;
           return Status::OK();
         };
 
@@ -952,7 +975,6 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
               // value at its row position; dead rows stay unwritten (and
               // unread).
               auto& out = chunk.columns[live_columns];
-              out.resize(chunk.num_rows);
               if (sel_ptr != nullptr) {
                 for (size_t i = 0; i < live; ++i) out[sel_ptr[i]] = (*vals)[i];
               } else {
@@ -999,7 +1021,7 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
               }
             }
           }
-          chunk.Clear();
+          chunk.num_rows = 0;
           return Status::OK();
         };
 
@@ -1012,51 +1034,91 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
           loop_span.set_worker(worker);
           loop_span.set_group(g);
         }
+        // Full Cartesian product of the unnest lists, exactly like chained
+        // CROSS JOIN UNNEST; symmetric dedup (idx1 < idx2) happens in
+        // WHERE. An odometer walks the outer lists; for each position of
+        // theirs the innermost list is one contiguous run of elements,
+        // written column-at-a-time: event-constant and outer-alias columns
+        // are fills, the inner ordinal an iota, each inner member one
+        // converting copy. A run is cut wherever the chunk fills up.
+        const size_t n_unnests = unnests_.size();
+        std::vector<const ListBinding*> lists(n_unnests);
+        for (size_t u = 0; u < n_unnests; ++u) {
+          lists[u] = &bindings.list(static_cast<int>(u));
+        }
+        std::vector<double*> cols(base_columns);
+        for (size_t c = 0; c < base_columns; ++c) {
+          cols[c] = chunk.columns[c].data();
+        }
+        std::vector<uint32_t> begin(n_unnests), end(n_unnests),
+            cursor(n_unnests);
+        // Writes rows [at, at + n) with the inner list (if any) at
+        // elements [first, first + n).
+        auto write_run = [&](uint32_t row, double event_id, uint32_t first,
+                             size_t n) {
+          const size_t at = chunk.num_rows;
+          size_t c = 0;
+          std::fill_n(cols[c++] + at, n, event_id);
+          for (size_t u = 0; u < n_unnests; ++u) {
+            const std::vector<MemberAccessor>& members = lists[u]->members;
+            if (u + 1 < n_unnests) {
+              const uint32_t i = cursor[u];
+              std::fill_n(cols[c++] + at, n,
+                          static_cast<double>(i - begin[u]));
+              for (const MemberAccessor& m : members) {
+                std::fill_n(cols[c++] + at, n, m.Get(i));
+              }
+              continue;
+            }
+            double* idx = cols[c++] + at;
+            for (size_t k = 0; k < n; ++k) {
+              idx[k] = static_cast<double>(first - begin[u] + k);
+            }
+            for (const MemberAccessor& m : members) {
+              m.GetRange(first, n, cols[c++] + at);
+            }
+          }
+          for (size_t s = 0; s < keep_scalars_.size(); ++s) {
+            std::fill_n(cols[c++] + at, n,
+                        bindings.scalar(static_cast<int>(s)).Get(row));
+          }
+          chunk.num_rows += n;
+          p.rows_materialized += n;
+          p.cells_materialized += n * base_columns;
+        };
+
         const int64_t rows = batch->num_rows();
-        std::vector<uint32_t> cursor(unnests_.size());
-        for (int64_t row = 0; row < rows; ++row) {
+        for (int64_t r = 0; r < rows; ++r) {
+          const uint32_t row = static_cast<uint32_t>(r);
           const double event_id =
-              static_cast<double>(event_base[static_cast<size_t>(g)] + row);
-          // Full Cartesian product of the unnest lists, exactly like
-          // chained CROSS JOIN UNNEST; symmetric dedup (idx1 < idx2)
-          // happens in WHERE.
-          std::function<Status(size_t)> emit = [&](size_t depth) -> Status {
-            if (depth == unnests_.size()) {
-              size_t c = 0;
-              chunk.columns[c++].push_back(event_id);
-              for (size_t u = 0; u < unnests_.size(); ++u) {
-                const ListBinding& list = bindings.list(static_cast<int>(u));
-                const uint32_t i = cursor[u];
-                chunk.columns[c++].push_back(static_cast<double>(
-                    i - list.begin(static_cast<uint32_t>(row))));
-                for (size_t m = 0; m < unnests_[u].members.size(); ++m) {
-                  chunk.columns[c++].push_back(list.members[m].Get(i));
-                }
-              }
-              for (size_t s = 0; s < keep_scalars_.size(); ++s) {
-                chunk.columns[c++].push_back(
-                    bindings.scalar(static_cast<int>(s))
-                        .Get(static_cast<uint32_t>(row)));
-              }
-              ++chunk.num_rows;
-              ++p.rows_materialized;
-              p.cells_materialized += base_columns;
-              if (chunk.num_rows >= kChunkRows) {
+              static_cast<double>(event_base[static_cast<size_t>(g)] + r);
+          bool empty = false;
+          for (size_t u = 0; u < n_unnests; ++u) {
+            begin[u] = cursor[u] = lists[u]->begin(row);
+            end[u] = lists[u]->end(row);
+            empty = empty || begin[u] == end[u];
+          }
+          if (empty) continue;
+          const uint32_t inner_begin = n_unnests > 0 ? begin.back() : 0;
+          const uint32_t inner_end = n_unnests > 0 ? end.back() : 1;
+          while (true) {
+            for (uint32_t i = inner_begin; i < inner_end;) {
+              const size_t n = std::min<size_t>(inner_end - i,
+                                                kChunkRows - chunk.num_rows);
+              write_run(row, event_id, i, n);
+              i += static_cast<uint32_t>(n);
+              if (chunk.num_rows == kChunkRows) {
                 HEPQ_RETURN_NOT_OK(flush_chunk());
               }
-              return Status::OK();
             }
-            const ListBinding& list =
-                bindings.list(static_cast<int>(depth));
-            const uint32_t begin = list.begin(static_cast<uint32_t>(row));
-            const uint32_t end = list.end(static_cast<uint32_t>(row));
-            for (uint32_t i = begin; i < end; ++i) {
-              cursor[depth] = i;
-              HEPQ_RETURN_NOT_OK(emit(depth + 1));
+            // Advance the outer lists' odometer; done when it wraps.
+            size_t u = n_unnests > 0 ? n_unnests - 1 : 0;
+            while (u > 0 && ++cursor[u - 1] == end[u - 1]) {
+              cursor[u - 1] = begin[u - 1];
+              --u;
             }
-            return Status::OK();
-          };
-          HEPQ_RETURN_NOT_OK(emit(0));
+            if (u == 0) break;
+          }
         }
         HEPQ_RETURN_NOT_OK(flush_chunk());
         p.events = rows;

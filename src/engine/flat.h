@@ -16,7 +16,9 @@ class VProgramBuilder;
 /// A fully materialized flat (NF1) batch: named all-double columns. This is
 /// what CROSS JOIN UNNEST produces in the Presto/Athena plan shape — every
 /// event-level attribute is duplicated per emitted particle row, which is
-/// exactly the cost the paper attributes to that shape.
+/// exactly the cost the paper attributes to that shape. Rows [0, num_rows)
+/// are live; a column may be longer (the pipeline's chunk keeps its
+/// columns at capacity) and entries past num_rows are never read.
 struct FlatBatch {
   std::vector<std::string> names;
   std::vector<std::vector<double>> columns;

@@ -7,8 +7,9 @@
 // same operand order, same comparison forms, same out-of-line helper
 // calls — and the structure-of-arrays Cartesian kernels inline the
 // operation sequences of MassOfSum2/3 and PtOfSum3 from core/physics.cc
-// verbatim. This file, physics.cc, and fourvector.cc are all compiled
-// with -ffp-contract=off (see the CMakeLists), so no build mode can
+// verbatim, as kSumPt3 does for the px/py half of ToPxPyPzE in
+// core/fourvector.cc. This file, physics.cc, and fourvector.cc are all
+// compiled with -ffp-contract=off (see the CMakeLists), so no build mode can
 // contract a*b+c into an FMA here while the helper keeps separate
 // rounding, or vice versa. Do not reassociate, hoist, or "simplify" any
 // arithmetic in this file without re-running the interpret-vs-simd
@@ -378,12 +379,19 @@ void VFusedPlan::ExecStrip(const VColumn* cols, int base, int w,
         }
         break;
       case MOp::kSumPt3:
+        // AddPtEtaPhiM3(...).pt reduced to what pt reads: ToPxPyPzE's
+        // px = pt*cos(phi) and py = pt*sin(phi), operator+'s left-
+        // associated sums, Pt()'s hypot. eta and mass only feed pz and e,
+        // and the trijet's eta/phi/mass are never computed.
         for (int k = 0; k < 12; ++k) p[k] = t + ia[k] * kW;
         for (int i = 0; i < w; ++i) {
-          d[i] = AddPtEtaPhiM3({p[0][i], p[1][i], p[2][i], p[3][i]},
-                               {p[4][i], p[5][i], p[6][i], p[7][i]},
-                               {p[8][i], p[9][i], p[10][i], p[11][i]})
-                     .pt;
+          const double px = (p[0][i] * std::cos(p[2][i]) +
+                             p[4][i] * std::cos(p[6][i])) +
+                            p[8][i] * std::cos(p[10][i]);
+          const double py = (p[0][i] * std::sin(p[2][i]) +
+                             p[4][i] * std::sin(p[6][i])) +
+                            p[8][i] * std::sin(p[10][i]);
+          d[i] = std::hypot(px, py);
         }
         break;
       // Structure-of-arrays Cartesian kernels. Args are (px, py, pz, e)

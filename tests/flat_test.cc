@@ -1,3 +1,7 @@
+#include <cstdint>
+#include <cstring>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "columnar/builder.h"
@@ -169,6 +173,348 @@ TEST(FlatPipelineTest, ProjectionCoversUnnestsAndScalars) {
   pipeline.AddKeepScalar("MET.pt");
   EXPECT_EQ(pipeline.Projection(),
             (std::vector<std::string>{"Jet.pt", "Jet.eta", "MET.pt"}));
+}
+
+// ---------------------------------------------------------------------------
+// Unnest emitter edge cases. The emitter writes each run of the innermost
+// list column-at-a-time and cuts runs at chunk flushes (32768 rows); these
+// tests pin the materialized row/cell counts, compare every flat column with
+// a brute-force nested-loop oracle filled in the same row order, and check
+// that both expression tiers agree bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Per-event list lengths of the edge-case file. Event 0 has 40 jets, so a
+/// Jet x Jet x Jet product emits 64000 rows and one inner run straddles the
+/// first chunk flush; events 1-3 have an empty list in the first, middle and
+/// last position of a Jet x Muon x Electron product.
+constexpr uint32_t kJets[] = {40, 0, 2, 3, 2, 1};
+constexpr uint32_t kMuons[] = {2, 1, 0, 1, 3, 1};
+constexpr uint32_t kElectrons[] = {1, 1, 2, 0, 2, 1};
+constexpr int kEdgeEvents = 6;
+
+/// Member values, as functions of (event, element) so the oracle can
+/// recompute them. Jet carries float32 / int32 / bool members, Electron a
+/// float64 one; MET.pt is a float64 event scalar.
+float JetPt(int e, uint32_t k) { return 10.0f + 0.25f * k + e; }
+int32_t JetId(int e, uint32_t k) { return static_cast<int32_t>(k % 7) - 3 + e; }
+uint8_t JetGood(int, uint32_t k) { return k % 3 == 0 ? 1 : 0; }
+float MuonPt(int e, uint32_t k) { return 5.5f + k + 0.125f * e; }
+double ElectronPt(int e, uint32_t k) { return 7.0 + 1.0 / (k + 3) + e; }
+double MetPt(int e) { return 100.0 + 0.5 * e; }
+
+std::vector<uint32_t> Offsets(const uint32_t* lengths) {
+  std::vector<uint32_t> offsets{0};
+  for (int e = 0; e < kEdgeEvents; ++e) {
+    offsets.push_back(offsets.back() + lengths[e]);
+  }
+  return offsets;
+}
+
+const std::string& EdgeFile() {
+  static const auto& path = *new std::string([] {
+    const std::vector<Field> jet_fields = {{"pt", DataType::Float32()},
+                                           {"id", DataType::Int32()},
+                                           {"good", DataType::Bool()}};
+    const std::vector<Field> muon_fields = {{"pt", DataType::Float32()}};
+    const std::vector<Field> ele_fields = {{"pt", DataType::Float64()}};
+    auto schema = std::make_shared<Schema>(std::vector<Field>{
+        {"MET", DataType::Struct({{"pt", DataType::Float64()}})},
+        {"Jet", DataType::List(DataType::Struct(jet_fields))},
+        {"Muon", DataType::List(DataType::Struct(muon_fields))},
+        {"Electron", DataType::List(DataType::Struct(ele_fields))},
+    });
+    std::vector<double> met;
+    std::vector<float> jpt, mpt;
+    std::vector<int32_t> jid;
+    std::vector<uint8_t> jgood;
+    std::vector<double> ept;
+    for (int e = 0; e < kEdgeEvents; ++e) {
+      met.push_back(MetPt(e));
+      for (uint32_t k = 0; k < kJets[e]; ++k) {
+        jpt.push_back(JetPt(e, k));
+        jid.push_back(JetId(e, k));
+        jgood.push_back(JetGood(e, k));
+      }
+      for (uint32_t k = 0; k < kMuons[e]; ++k) mpt.push_back(MuonPt(e, k));
+      for (uint32_t k = 0; k < kElectrons[e]; ++k) {
+        ept.push_back(ElectronPt(e, k));
+      }
+    }
+    auto met_col = StructArray::Make({{"pt", DataType::Float64()}},
+                                     {MakeFloat64Array(std::move(met))})
+                       .ValueOrDie();
+    auto jets = MakeListOfStructArray(jet_fields, Offsets(kJets),
+                                      {MakeFloat32Array(std::move(jpt)),
+                                       MakeInt32Array(std::move(jid)),
+                                       MakeBoolArray(std::move(jgood))})
+                    .ValueOrDie();
+    auto muons = MakeListOfStructArray(muon_fields, Offsets(kMuons),
+                                       {MakeFloat32Array(std::move(mpt))})
+                     .ValueOrDie();
+    auto electrons =
+        MakeListOfStructArray(ele_fields, Offsets(kElectrons),
+                              {MakeFloat64Array(std::move(ept))})
+            .ValueOrDie();
+    auto batch =
+        RecordBatch::Make(schema, {met_col, jets, muons, electrons})
+            .ValueOrDie();
+    const std::string file = ::testing::TempDir() + "/flat_edges.laq";
+    WriteLaqFile(file, schema, {RecordBatchPtr(batch)}).Check();
+    return file;
+  }());
+  return path;
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+void ExpectSameParts(const Histogram1D& got, const Histogram1D& want) {
+  SCOPED_TRACE(want.spec().name);
+  const HistogramParts g = got.ToParts();
+  const HistogramParts w = want.ToParts();
+  EXPECT_EQ(g.num_entries, w.num_entries);
+  EXPECT_EQ(Bits(g.sum_w), Bits(w.sum_w));
+  EXPECT_EQ(Bits(g.sum_wx), Bits(w.sum_wx));
+  EXPECT_EQ(Bits(g.sum_wx2), Bits(w.sum_wx2));
+  EXPECT_EQ(Bits(g.underflow), Bits(w.underflow));
+  EXPECT_EQ(Bits(g.overflow), Bits(w.overflow));
+  EXPECT_EQ(g.bins, w.bins);
+}
+
+/// Runs `pipeline` on the edge-case file under both expression tiers,
+/// checks they agree bit for bit, and returns the simd result.
+FlatQueryResult RunBothTiers(FlatPipeline* pipeline) {
+  auto reader = LaqReader::Open(EdgeFile()).ValueOrDie();
+  pipeline->set_expr_tier(ExprTier::kInterpret);
+  const FlatQueryResult interpreted =
+      pipeline->Execute(reader.get()).ValueOrDie();
+  pipeline->set_expr_tier(ExprTier::kSimd);
+  FlatQueryResult compiled = pipeline->Execute(reader.get()).ValueOrDie();
+  EXPECT_EQ(compiled.rows_materialized, interpreted.rows_materialized);
+  EXPECT_EQ(compiled.cells_materialized, interpreted.cells_materialized);
+  EXPECT_EQ(compiled.groups, interpreted.groups);
+  EXPECT_EQ(compiled.histograms.size(), interpreted.histograms.size());
+  for (size_t h = 0; h < compiled.histograms.size(); ++h) {
+    ExpectSameParts(compiled.histograms[h], interpreted.histograms[h]);
+  }
+  return compiled;
+}
+
+/// A histogram over one flat column; the pipeline and the oracle fill the
+/// same spec, so a misplaced or misconverted column shows up in the moments.
+struct ColumnFill {
+  std::string column;
+  HistogramSpec spec;
+};
+
+TEST(FlatEmitterTest, RunSplitAcrossChunkFlushMatchesOracle) {
+  FlatPipeline pipeline("jet3");
+  for (const char* alias : {"a", "b", "c"}) {
+    pipeline.AddUnnest(UnnestList{"Jet", {"pt", "id", "good"}, alias});
+  }
+  const std::vector<ColumnFill> fills = {
+      {"__event", {"event", "", 8, 0, 8}},
+      {"a.idx", {"a.idx", "", 50, 0, 50}},
+      {"a.pt", {"a.pt", "", 40, 0, 40}},
+      {"b.idx", {"b.idx", "", 50, 0, 50}},
+      {"b.id", {"b.id", "", 20, -10, 10}},
+      {"c.idx", {"c.idx", "", 50, 0, 50}},
+      {"c.pt", {"c.pt", "", 40, 0, 40}},
+      {"c.id", {"c.id", "", 20, -10, 10}},
+      {"c.good", {"c.good", "", 2, 0, 2}},
+  };
+  for (const ColumnFill& f : fills) {
+    pipeline.AddHistogram(f.spec, FlatCol(f.column));
+  }
+  // A fingerprint of the three ordinals: exact in doubles, unique per row.
+  pipeline.AddHistogram(
+      {"ord", "", 100, 0, 64000},
+      FlatBin(BinOp::kAdd, FlatCol("a.idx"),
+              FlatBin(BinOp::kAdd,
+                      FlatBin(BinOp::kMul, FlatCol("b.idx"), FlatLit(40.0)),
+                      FlatBin(BinOp::kMul, FlatCol("c.idx"),
+                              FlatLit(1600.0)))));
+  const FlatQueryResult result = RunBothTiers(&pipeline);
+
+  // 40^3 + 0 + 2^3 + 3^3 + 2^3 + 1^3 rows; 1 + 3 * (1 + 3) base columns.
+  EXPECT_EQ(result.rows_materialized, 64044u);
+  EXPECT_EQ(result.cells_materialized, 64044u * 13u);
+  EXPECT_EQ(result.events_processed, kEdgeEvents);
+
+  std::vector<Histogram1D> want;
+  for (const ColumnFill& f : fills) want.emplace_back(f.spec);
+  want.emplace_back(result.histograms.back().spec());
+  for (int e = 0; e < kEdgeEvents; ++e) {
+    const uint32_t n = kJets[e];
+    for (uint32_t i = 0; i < n; ++i) {
+      for (uint32_t j = 0; j < n; ++j) {
+        for (uint32_t k = 0; k < n; ++k) {
+          const double row[] = {static_cast<double>(e),
+                                static_cast<double>(i),
+                                JetPt(e, i),
+                                static_cast<double>(j),
+                                static_cast<double>(JetId(e, j)),
+                                static_cast<double>(k),
+                                JetPt(e, k),
+                                static_cast<double>(JetId(e, k)),
+                                static_cast<double>(JetGood(e, k))};
+          for (size_t f = 0; f < fills.size(); ++f) want[f].Fill(row[f]);
+          want.back().Fill(i + (j * 40.0 + k * 1600.0));
+        }
+      }
+    }
+  }
+  ASSERT_EQ(result.histograms.size(), want.size());
+  for (size_t h = 0; h < want.size(); ++h) {
+    ExpectSameParts(result.histograms[h], want[h]);
+  }
+}
+
+TEST(FlatEmitterTest, GroupByEventSpansChunkFlushes) {
+  // Q6's shape: the i<j<k restriction in WHERE, GROUP BY event over the
+  // survivors. Event 0's 9880 surviving rows come from a 64000-row product
+  // that crosses two chunk flushes, so one group is fed by three chunks.
+  FlatPipeline pipeline("trijet");
+  for (const char* alias : {"a", "b", "c"}) {
+    pipeline.AddUnnest(UnnestList{"Jet", {"pt", "id"}, alias});
+  }
+  pipeline.AddKeepScalar("MET.pt");
+  pipeline.AddFilter(FlatAnd(FlatLt(FlatCol("a.idx"), FlatCol("b.idx")),
+                             FlatLt(FlatCol("b.idx"), FlatCol("c.idx"))));
+  pipeline.AddProject("sum_pt",
+                      FlatBin(BinOp::kAdd,
+                              FlatBin(BinOp::kAdd, FlatCol("a.pt"),
+                                      FlatCol("b.pt")),
+                              FlatCol("c.pt")));
+  pipeline.AddAggregate(FlatAggSpec{FlatAggKind::kCount, "", "", "n"});
+  pipeline.AddAggregate(FlatAggSpec{FlatAggKind::kSum, "sum_pt", "", "s"});
+  pipeline.AddAggregate(
+      FlatAggSpec{FlatAggKind::kMinBy, "c.id", "sum_pt", "id_at_min"});
+  pipeline.AddAggregate(FlatAggSpec{FlatAggKind::kFirst, "MET.pt", "", "met"});
+  pipeline.AddHistogram({"n", "", 100, 0, 10000}, FlatCol("n"));
+  pipeline.AddHistogram({"s", "", 100, 0, 1e6}, FlatCol("s"));
+  pipeline.AddHistogram({"id", "", 20, -10, 10}, FlatCol("id_at_min"));
+  pipeline.AddHistogram({"met", "", 10, 100, 105}, FlatCol("met"));
+  const FlatQueryResult result = RunBothTiers(&pipeline);
+
+  // 1 + 3 * (1 + 2) + 1 base columns.
+  EXPECT_EQ(result.rows_materialized, 64044u);
+  EXPECT_EQ(result.cells_materialized, 64044u * 11u);
+  // Events with at least three jets: 0 and 3.
+  EXPECT_EQ(result.groups, 2);
+
+  Histogram1D n(result.histograms[0].spec());
+  Histogram1D s(result.histograms[1].spec());
+  Histogram1D id(result.histograms[2].spec());
+  Histogram1D met(result.histograms[3].spec());
+  for (int e = 0; e < kEdgeEvents; ++e) {
+    double count = 0.0, sum = 0.0, best = 0.0;
+    double best_key = std::numeric_limits<double>::infinity();
+    const uint32_t jets = kJets[e];
+    for (uint32_t i = 0; i < jets; ++i) {
+      for (uint32_t j = i + 1; j < jets; ++j) {
+        for (uint32_t k = j + 1; k < jets; ++k) {
+          const double key =
+              (static_cast<double>(JetPt(e, i)) + JetPt(e, j)) + JetPt(e, k);
+          count += 1.0;
+          sum += key;
+          if (key < best_key) {
+            best_key = key;
+            best = JetId(e, k);
+          }
+        }
+      }
+    }
+    if (count == 0.0) continue;
+    n.Fill(count);
+    s.Fill(sum);
+    id.Fill(best);
+    met.Fill(MetPt(e));
+  }
+  EXPECT_EQ(result.histograms[0].mean(), (9880.0 + 1.0) / 2.0);
+  ExpectSameParts(result.histograms[0], n);
+  ExpectSameParts(result.histograms[1], s);
+  ExpectSameParts(result.histograms[2], id);
+  ExpectSameParts(result.histograms[3], met);
+}
+
+TEST(FlatEmitterTest, EmptyListInAnyUnnestPositionEmitsNothing) {
+  FlatPipeline pipeline("mixed");
+  pipeline.AddUnnest(UnnestList{"Jet", {"pt", "good"}, "j"});
+  pipeline.AddUnnest(UnnestList{"Muon", {"pt"}, "m"});
+  pipeline.AddUnnest(UnnestList{"Electron", {"pt"}, "e"});
+  pipeline.AddKeepScalar("MET.pt");
+  const std::vector<ColumnFill> fills = {
+      {"__event", {"event", "", 8, 0, 8}},
+      {"j.idx", {"j.idx", "", 50, 0, 50}},
+      {"j.pt", {"j.pt", "", 40, 0, 40}},
+      {"j.good", {"j.good", "", 2, 0, 2}},
+      {"m.idx", {"m.idx", "", 4, 0, 4}},
+      {"m.pt", {"m.pt", "", 20, 0, 20}},
+      {"e.idx", {"e.idx", "", 4, 0, 4}},
+      {"e.pt", {"e.pt", "", 20, 0, 20}},
+      {"MET.pt", {"met", "", 10, 100, 105}},
+  };
+  for (const ColumnFill& f : fills) {
+    pipeline.AddHistogram(f.spec, FlatCol(f.column));
+  }
+  const FlatQueryResult result = RunBothTiers(&pipeline);
+
+  // Events 1, 2 and 3 have an empty Jet, Muon and Electron list
+  // respectively and emit nothing: 40*2*1 + 2*3*2 + 1*1*1 rows over
+  // 1 + (1 + 2) + (1 + 1) + (1 + 1) + 1 = 9 base columns.
+  EXPECT_EQ(result.rows_materialized, 93u);
+  EXPECT_EQ(result.cells_materialized, 93u * 9u);
+
+  std::vector<Histogram1D> want;
+  for (const ColumnFill& f : fills) want.emplace_back(f.spec);
+  for (int e = 0; e < kEdgeEvents; ++e) {
+    for (uint32_t j = 0; j < kJets[e]; ++j) {
+      for (uint32_t m = 0; m < kMuons[e]; ++m) {
+        for (uint32_t x = 0; x < kElectrons[e]; ++x) {
+          const double row[] = {static_cast<double>(e),
+                                static_cast<double>(j),
+                                JetPt(e, j),
+                                static_cast<double>(JetGood(e, j)),
+                                static_cast<double>(m),
+                                MuonPt(e, m),
+                                static_cast<double>(x),
+                                ElectronPt(e, x),
+                                MetPt(e)};
+          for (size_t f = 0; f < fills.size(); ++f) want[f].Fill(row[f]);
+        }
+      }
+    }
+  }
+  for (size_t h = 0; h < want.size(); ++h) {
+    ExpectSameParts(result.histograms[h], want[h]);
+  }
+}
+
+TEST(FlatEmitterTest, ZeroUnnestEmitsOneRowPerEvent) {
+  FlatPipeline pipeline("events");
+  pipeline.AddKeepScalar("MET.pt");
+  pipeline.AddFilter(FlatGt(FlatCol("MET.pt"), FlatLit(100.75)));
+  pipeline.AddHistogram({"met", "", 10, 100, 105}, FlatCol("MET.pt"));
+  pipeline.AddHistogram({"event", "", 8, 0, 8}, FlatCol("__event"));
+  const FlatQueryResult result = RunBothTiers(&pipeline);
+
+  // One row per event over {__event, MET.pt}, empty particle lists or not.
+  EXPECT_EQ(result.rows_materialized, 6u);
+  EXPECT_EQ(result.cells_materialized, 12u);
+  Histogram1D met(result.histograms[0].spec());
+  Histogram1D event(result.histograms[1].spec());
+  for (int e = 0; e < kEdgeEvents; ++e) {
+    if (!(MetPt(e) > 100.75)) continue;
+    met.Fill(MetPt(e));
+    event.Fill(e);
+  }
+  EXPECT_EQ(result.histograms[0].num_entries(), 4u);
+  ExpectSameParts(result.histograms[0], met);
+  ExpectSameParts(result.histograms[1], event);
 }
 
 }  // namespace

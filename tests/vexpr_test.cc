@@ -156,6 +156,78 @@ TEST(PhysicsTest, DeltaPhiIsTotalOnNonFiniteInput) {
   EXPECT_TRUE(std::isnan(DeltaPhi(std::nan(""), 0.0)));
 }
 
+TEST(VProgramTest, SumPt3KernelMatchesAddPtEtaPhiM3Pt) {
+  // The simd sum_pt3 kernel computes only hypot of the summed px/py; it
+  // must stay bit-equal to the full AddPtEtaPhiM3(...).pt on adversarial
+  // lanes (NaN, +-inf, -0.0, pt = 0, |eta| > 700 where sinh overflows,
+  // phi = +-pi) and at widths around the 64-lane strip.
+  VProgramBuilder b;
+  std::vector<int> args;
+  for (int s = 0; s < 12; ++s) args.push_back(b.Load(s));
+  const VProgram p = b.Finish(b.Op(VOp::kSumPt3, args));
+  ASSERT_NE(p.fused(), nullptr);
+  ASSERT_NE(p.fused()->ToString().find("sum_pt3"), std::string::npos)
+      << p.fused()->ToString();
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             inf,
+                             -inf,
+                             -0.0,
+                             0.0,
+                             710.0,
+                             -800.0,
+                             M_PI,
+                             -M_PI};
+  constexpr int kSpecials = sizeof(specials) / sizeof(specials[0]);
+  std::mt19937 rng(20120601);
+  std::uniform_real_distribution<double> pt(0.0, 200.0);
+  std::uniform_real_distribution<double> eta(-5.0, 5.0);
+  std::uniform_real_distribution<double> phi(-M_PI, M_PI);
+  std::uniform_real_distribution<double> mass(0.0, 30.0);
+  for (const int width : {1, 63, 64, 65, 200}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    // columns[k] is slot k: (pt, eta, phi, mass) of particles 1, 2, 3.
+    std::vector<std::vector<double>> columns(12,
+                                             std::vector<double>(width));
+    for (int i = 0; i < width; ++i) {
+      for (int k = 0; k < 12; ++k) {
+        double v;
+        switch (k % 4) {
+          case 0: v = pt(rng); break;
+          case 1: v = eta(rng); break;
+          case 2: v = phi(rng); break;
+          default: v = mass(rng); break;
+        }
+        // A third of the fields, spread over every slot and lane, take a
+        // special value instead.
+        if ((i * 12 + k) % 3 == 0) v = specials[(i * 7 + k) % kSpecials];
+        columns[static_cast<size_t>(k)][static_cast<size_t>(i)] = v;
+      }
+    }
+    std::vector<VColumn> cols(12);
+    for (size_t k = 0; k < cols.size(); ++k) {
+      cols[k].type = TypeId::kFloat64;
+      cols[k].data = columns[k].data();
+    }
+    VScratch scratch;
+    std::vector<double> out(static_cast<size_t>(width));
+    p.Run(cols.data(), width, &scratch, out.data());
+    for (int i = 0; i < width; ++i) {
+      const auto at = [&](int k) {
+        return columns[static_cast<size_t>(k)][static_cast<size_t>(i)];
+      };
+      const double want = AddPtEtaPhiM3({at(0), at(1), at(2), at(3)},
+                                        {at(4), at(5), at(6), at(7)},
+                                        {at(8), at(9), at(10), at(11)})
+                              .pt;
+      EXPECT_EQ(Bits(out[static_cast<size_t>(i)]), Bits(want))
+          << "lane " << i << ": " << out[static_cast<size_t>(i)] << " vs "
+          << want;
+    }
+  }
+}
+
 TEST(VProgramTest, RunsGathersAndSplats) {
   VProgramBuilder b;
   const int r = b.Op(VOp::kAdd, {b.Load(0), b.Const(1.5)});

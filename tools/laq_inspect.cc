@@ -3,7 +3,10 @@
 // maps. The moral equivalent of parquet-tools for this repository's format.
 //
 // Usage: laq_inspect <file.laq | dataset-dir> [--chunks] [--pages] [--json]
-//                    [--cache-stats]
+//                    [--cache-stats] [--metrics]
+//
+// Any other argument prints "unknown flag: <arg>" plus the usage line and
+// exits 2.
 //
 // --json replaces the human-readable dump with a machine-readable layout
 // summary (per-leaf pages/prunable-fraction/encoding) for CI gating.
@@ -167,14 +170,18 @@ int InspectDirectory(const std::string& dir, bool json, bool cache_stats) {
   return 0;
 }
 
+void PrintUsage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <file.laq | dataset-dir> [--chunks] [--pages]"
+               " [--json] [--cache-stats] [--metrics]\n",
+               argv0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <file.laq | dataset-dir> [--chunks] [--pages]"
-                 " [--json] [--cache-stats] [--metrics]\n",
-                 argv[0]);
+    PrintUsage(argv[0]);
     return 2;
   }
   const std::string path = argv[1];
@@ -184,16 +191,23 @@ int main(int argc, char** argv) {
   bool cache_stats = false;
   MetricsDumpAtExit metrics_dump;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--chunks") == 0) show_chunks = true;
-    if (std::strcmp(argv[i], "--pages") == 0) {
+    if (std::strcmp(argv[i], "--chunks") == 0) {
+      show_chunks = true;
+    } else if (std::strcmp(argv[i], "--pages") == 0) {
       show_chunks = true;
       show_pages = true;
-    }
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-    if (std::strcmp(argv[i], "--cache-stats") == 0) cache_stats = true;
-    if (std::strcmp(argv[i], "--metrics") == 0) {
+    } else if (std::strcmp(argv[i], "--json") == 0) {
+      json = true;
+    } else if (std::strcmp(argv[i], "--cache-stats") == 0) {
+      cache_stats = true;
+    } else if (std::strcmp(argv[i], "--metrics") == 0) {
       hepq::obs::metrics::SetMetricsEnabled(true);
       metrics_dump.enabled = true;
+    } else {
+      // A typo must not print the default view and exit 0.
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      PrintUsage(argv[0]);
+      return 2;
     }
   }
 
