@@ -101,11 +101,6 @@ CacheCounters FooterCache::counters() const {
   return c;
 }
 
-void FooterCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-}
-
 FooterCache& FooterCache::Process() {
   static FooterCache* instance = new FooterCache();  // never destroyed
   return *instance;
@@ -199,15 +194,6 @@ CacheCounters ChunkCache::counters() const {
   return c;
 }
 
-void ChunkCache::Clear() {
-  for (Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.lru.clear();
-    stripe.index.clear();
-    stripe.bytes = 0;
-  }
-}
-
 // ---------------------------------------------------------------- Result
 
 ResultCache::ResultCache(size_t max_entries)
@@ -260,12 +246,6 @@ CacheCounters ResultCache::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   c.entries = lru_.size();
   return c;
-}
-
-void ResultCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
 }
 
 // --------------------------------------------------------------- Version

@@ -108,7 +108,6 @@ class FooterCache {
       std::shared_ptr<const FileMetadata> metadata);
 
   CacheCounters counters() const;
-  void Clear();
 
   /// The process-wide instance every LaqReader::Open consults.
   static FooterCache& Process();
@@ -157,7 +156,6 @@ class ChunkCache {
 
   uint64_t budget_bytes() const { return options_.decoded_budget_bytes; }
   CacheCounters counters() const;
-  void Clear();
 
  private:
   struct Node {
@@ -219,7 +217,6 @@ class ResultCache {
   void Insert(const std::string& key, CachedResult value);
 
   CacheCounters counters() const;
-  void Clear();
 
  private:
   struct Node {

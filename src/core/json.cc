@@ -212,4 +212,26 @@ Result<JsonValue> ParseJsonFile(const std::string& path) {
   return parsed;
 }
 
+void AppendJsonString(std::string* out, std::string_view s) {
+  out->push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\t': *out += "\\t"; break;
+      case '\r': *out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
 }  // namespace hepq::json

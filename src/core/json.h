@@ -2,6 +2,7 @@
 #define HEPQUERY_CORE_JSON_H_
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -89,6 +90,11 @@ Result<JsonValue> ParseJson(const std::string& text);
 
 /// ParseJson over a file's entire contents.
 Result<JsonValue> ParseJsonFile(const std::string& path);
+
+/// Appends `s` as a quoted JSON string literal (quote, backslash and
+/// control characters escaped) — the one string writer behind every JSON
+/// document the repo emits.
+void AppendJsonString(std::string* out, std::string_view s);
 
 }  // namespace hepq::json
 

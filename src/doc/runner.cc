@@ -558,47 +558,6 @@ Result<RecordBatchPtr> ReadGroup(LaqReader* reader, const DocQuery& query,
 
 }  // namespace
 
-Result<DocQueryResult> RunDocQuery(LaqReader* reader, const DocQuery& query) {
-  obs::ScopedSpan run_span("run", obs::Stage::kRun);
-  EnsureDocFunctionsRegistered();
-  DocQueryResult result = EmptyResult(query);
-  reader->ResetScanStats();
-  Stopwatch wall;
-  const double cpu0 = ProcessCpuSeconds();
-
-  const ScanPredicateSet preds = ExtractDocScanPredicates(query);
-  std::vector<DocQueryResult> partials(
-      static_cast<size_t>(reader->num_row_groups()));
-  for (DocQueryResult& p : partials) p = EmptyResult(query);
-  ScratchBuffers scratch;
-  HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
-      /*num_threads=*/1, exec::MakeRowGroupTasks(reader->metadata()),
-      [&](int /*worker*/, int g) -> Status {
-        RecordBatchPtr batch;
-        HEPQ_ASSIGN_OR_RETURN(batch,
-                              ReadGroup(reader, query, preds, g, &scratch));
-        if (batch == nullptr) {
-          // Zone maps proved no event in this group can pass the guard:
-          // everything counts as processed-but-unselected.
-          partials[static_cast<size_t>(g)].events_processed +=
-              reader->metadata().row_groups[static_cast<size_t>(g)].num_rows;
-          return Status::OK();
-        }
-        return RunBatch(query, *batch, &partials[static_cast<size_t>(g)]);
-      }));
-  {
-    obs::ScopedSpan merge_span("merge", obs::Stage::kMerge);
-    for (const DocQueryResult& p : partials) {
-      HEPQ_RETURN_NOT_OK(MergeResult(&result, p));
-    }
-  }
-
-  result.wall_seconds = wall.Seconds();
-  result.cpu_seconds = ProcessCpuSeconds() - cpu0;
-  result.scan = reader->scan_stats();
-  return result;
-}
-
 Result<DocQueryResult> RunDocQuery(const std::string& path,
                                    ReaderOptions reader_options,
                                    int num_threads, const DocQuery& query) {

@@ -38,14 +38,10 @@ struct DocQueryResult {
 /// Executes a DocQuery the way Rumble executes JSONiq over Parquet in the
 /// paper's setup: the scan reads the *entire* file (no projection
 /// pushdown), every event is boxed into an item tree, and a tree-walking
-/// interpreter evaluates the query per event. Single-threaded, but routed
-/// through the shared row-group runtime (per-group partials merged in
-/// group order, pooled decode buffers).
-Result<DocQueryResult> RunDocQuery(LaqReader* reader, const DocQuery& query);
-
-/// Parallel execution: scans `path` with up to `num_threads` workers of
-/// the shared pool, each with its own reader and scratch buffers. Results
-/// are bit-identical to the single-threaded overload.
+/// interpreter evaluates the query per event. `path` is scanned through
+/// the shared row-group runtime with up to `num_threads` workers, each
+/// with its own reader and scratch buffers; per-group partials merge in
+/// group order, so results are bit-identical for any thread count.
 Result<DocQueryResult> RunDocQuery(const std::string& path,
                                    ReaderOptions reader_options,
                                    int num_threads, const DocQuery& query);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "core/stopwatch.h"
@@ -134,46 +133,6 @@ void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out) {
     return;
   }
   out->push_back(e);
-}
-
-/// `x op lit` as a closed conservative range on x. kNe carries no range
-/// information; the arithmetic/logic ops are not comparisons.
-bool CmpToRange(BinOp op, double lit, double* lo, double* hi) {
-  const double inf = std::numeric_limits<double>::infinity();
-  switch (op) {
-    case BinOp::kGt:
-    case BinOp::kGe:
-      *lo = lit;
-      *hi = inf;
-      return true;
-    case BinOp::kLt:
-    case BinOp::kLe:
-      *lo = -inf;
-      *hi = lit;
-      return true;
-    case BinOp::kEq:
-      *lo = lit;
-      *hi = lit;
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Rewrites `lit op x` as `x op' lit`.
-BinOp MirrorCmp(BinOp op) {
-  switch (op) {
-    case BinOp::kLt:
-      return BinOp::kGt;
-    case BinOp::kLe:
-      return BinOp::kGe;
-    case BinOp::kGt:
-      return BinOp::kLt;
-    case BinOp::kGe:
-      return BinOp::kLe;
-    default:
-      return op;
-  }
 }
 
 /// Decomposes a conjunct of the form `var cmp literal` (either operand

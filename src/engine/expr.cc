@@ -530,6 +530,43 @@ class AnyCombinationExpr final : public CombinationExprBase {
 
 }  // namespace
 
+bool CmpToRange(BinOp op, double lit, double* lo, double* hi) {
+  const double inf = std::numeric_limits<double>::infinity();
+  switch (op) {
+    case BinOp::kGt:
+    case BinOp::kGe:
+      *lo = lit;
+      *hi = inf;
+      return true;
+    case BinOp::kLt:
+    case BinOp::kLe:
+      *lo = -inf;
+      *hi = lit;
+      return true;
+    case BinOp::kEq:
+      *lo = lit;
+      *hi = lit;
+      return true;
+    default:
+      return false;
+  }
+}
+
+BinOp MirrorCmp(BinOp op) {
+  switch (op) {
+    case BinOp::kLt:
+      return BinOp::kGt;
+    case BinOp::kLe:
+      return BinOp::kGe;
+    case BinOp::kGt:
+      return BinOp::kLt;
+    case BinOp::kGe:
+      return BinOp::kLe;
+    default:
+      return op;
+  }
+}
+
 ExprPtr Lit(double value) { return std::make_shared<LitExpr>(value); }
 
 ExprPtr ScalarRef(int scalar_slot) {

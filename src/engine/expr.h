@@ -41,6 +41,13 @@ enum class Fn {
   kTransverseMass,  // (pt1, phi1, pt2, phi2)
 };
 
+/// `x op lit` as a closed conservative range on x — the zone-map bound a
+/// pushed-down comparison implies. kNe carries no range information; the
+/// arithmetic/logic ops are not comparisons (both return false).
+bool CmpToRange(BinOp op, double lit, double* lo, double* hi);
+/// Rewrites `lit op x` as `x op' lit`.
+BinOp MirrorCmp(BinOp op);
+
 enum class AggKind { kCount, kSum, kMin, kMax, kAny };
 
 /// One loop level of a combination search.

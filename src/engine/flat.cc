@@ -444,44 +444,6 @@ void SplitFlatConjuncts(const FlatExpr* e,
   out->push_back(e);
 }
 
-/// `x op lit` as a closed conservative range on x (kNe carries nothing).
-bool FlatCmpToRange(BinOp op, double lit, double* lo, double* hi) {
-  const double inf = std::numeric_limits<double>::infinity();
-  switch (op) {
-    case BinOp::kGt:
-    case BinOp::kGe:
-      *lo = lit;
-      *hi = inf;
-      return true;
-    case BinOp::kLt:
-    case BinOp::kLe:
-      *lo = -inf;
-      *hi = lit;
-      return true;
-    case BinOp::kEq:
-      *lo = lit;
-      *hi = lit;
-      return true;
-    default:
-      return false;
-  }
-}
-
-BinOp MirrorFlatCmp(BinOp op) {
-  switch (op) {
-    case BinOp::kLt:
-      return BinOp::kGt;
-    case BinOp::kLe:
-      return BinOp::kGe;
-    case BinOp::kGt:
-      return BinOp::kLt;
-    case BinOp::kGe:
-      return BinOp::kLe;
-    default:
-      return op;
-  }
-}
-
 /// Decomposes `var cmp literal` (either operand order), normalizing the
 /// comparison to have the variable on the left.
 const FlatExpr* MatchFlatCmpWithLit(const FlatShape& s, BinOp* op,
@@ -495,7 +457,7 @@ const FlatExpr* MatchFlatCmpWithLit(const FlatShape& s, BinOp* op,
     return s.lhs;
   }
   if (lhs.kind == FlatShape::Kind::kLit) {
-    *op = MirrorFlatCmp(s.bin_op);
+    *op = MirrorCmp(s.bin_op);
     *lit = lhs.lit;
     return s.rhs;
   }
@@ -582,7 +544,7 @@ ScanPredicateSet FlatPipeline::ScanPredicates() const {
     const FlatShape v = var->Shape();
     if (v.kind != FlatShape::Kind::kCol) continue;
     double lo, hi;
-    if (!FlatCmpToRange(op, lit, &lo, &hi)) continue;
+    if (!CmpToRange(op, lit, &lo, &hi)) continue;
     bool matched = false;
     for (const std::string& scalar : keep_scalars_) {
       if (v.col == scalar) {

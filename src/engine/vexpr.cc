@@ -78,31 +78,6 @@ VOp VOpFor(Fn fn) {
   return VOp::kAbs;
 }
 
-int VOpArity(VOp op) {
-  switch (op) {
-    case VOp::kConst:
-    case VOp::kLoad:
-      return 0;
-    case VOp::kAbs:
-    case VOp::kSqrt:
-    case VOp::kNot:
-      return 1;
-    case VOp::kDeltaR:
-    case VOp::kTransverseMass:
-      return 4;
-    case VOp::kInvMass2:
-    case VOp::kMassOfSum2:
-      return 8;
-    case VOp::kInvMass3:
-    case VOp::kSumPt3:
-    case VOp::kMassOfSum3:
-    case VOp::kPtOfSum3:
-      return 12;
-    default:
-      return 2;
-  }
-}
-
 double VOpApply(VOp op, const double* v) {
   switch (op) {
     case VOp::kAdd: return v[0] + v[1];

@@ -79,8 +79,6 @@ enum class VOp : uint8_t {
 const char* VOpName(VOp op);
 VOp VOpFor(BinOp op);
 VOp VOpFor(Fn fn);
-/// Number of argument registers `op` consumes (0 for kConst / kLoad).
-int VOpArity(VOp op);
 /// Applies `op` to one lane of arguments — the exact scalar semantics the
 /// fused kernels implement, shared with the constant folder so folded and
 /// evaluated results are bit-identical.

@@ -79,12 +79,6 @@ Status ByteReader::GetBytes(void* out, size_t n) {
   return Status::OK();
 }
 
-Status ByteReader::Skip(size_t n) {
-  if (remaining() < n) return Status::Corruption("skip past end");
-  pos_ += n;
-  return Status::OK();
-}
-
 void PutFixed32(std::vector<uint8_t>* out, uint32_t v) {
   const size_t n = out->size();
   out->resize(n + 4);

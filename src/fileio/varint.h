@@ -32,7 +32,6 @@ class ByteReader {
   Status GetDouble(double* out);
   Status GetString(std::string* out);
   Status GetBytes(void* out, size_t n);
-  Status Skip(size_t n);
 
  private:
   const uint8_t* data_;

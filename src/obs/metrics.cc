@@ -1,10 +1,11 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <mutex>
+
+#include "core/json.h"
 
 namespace hepq::obs::metrics {
 
@@ -85,26 +86,6 @@ T& FindOrCreate(std::vector<std::unique_ptr<T>>* entries, const char* name) {
   }
   entries->push_back(std::make_unique<T>(name));
   return *entries->back();
-}
-
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 /// Metric name with any inline label set stripped — what Prometheus TYPE
@@ -262,7 +243,7 @@ std::string MetricSamplesJsonArray(const std::vector<MetricSample>& samples) {
     if (!first) out.push_back(',');
     first = false;
     out += "{\"name\":";
-    AppendJsonString(&out, sample.name);
+    json::AppendJsonString(&out, sample.name);
     out += ",\"kind\":\"";
     out += KindName(sample.kind);
     out += "\"";

@@ -5,33 +5,13 @@
 #include <cstdio>
 #include <cstring>
 
+#include "core/json.h"
+
 namespace hepq::obs {
 
 namespace {
 
 // ---- minimal JSON writer -------------------------------------------------
-
-void AppendEscaped(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 void AppendDouble(std::string* out, double v) {
   if (!std::isfinite(v)) {
@@ -59,14 +39,16 @@ class JsonScope {
   }
   std::string* Key(const char* key) {
     Sep();
-    AppendEscaped(out_, key);
+    json::AppendJsonString(out_, key);
     out_->push_back(':');
     return out_;
   }
   void Int(const char* key, int64_t v) { *Key(key) += std::to_string(v); }
   void UInt(const char* key, uint64_t v) { *Key(key) += std::to_string(v); }
   void Num(const char* key, double v) { AppendDouble(Key(key), v); }
-  void Str(const char* key, std::string_view v) { AppendEscaped(Key(key), v); }
+  void Str(const char* key, std::string_view v) {
+    json::AppendJsonString(Key(key), v);
+  }
   void Bool(const char* key, bool v) { *Key(key) += v ? "true" : "false"; }
 
  private:
@@ -135,6 +117,31 @@ std::string FormatBytes(uint64_t bytes) {
   return buf;
 }
 
+/// One span as a Chrome trace "complete" event, timestamps relative to
+/// `epoch` — shared by the single- and multi-process trace writers.
+void AppendSpanEvent(std::string* out, const SpanRecord& span, int64_t epoch,
+                     int pid) {
+  *out += "{\"name\":";
+  json::AppendJsonString(out, span.name);
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                ",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
+                "\"pid\":%d,\"tid\":%d,\"args\":{",
+                StageName(span.stage),
+                static_cast<double>(span.start_ns - epoch) / 1e3,
+                static_cast<double>(span.duration_ns()) / 1e3, pid,
+                span.thread_index);
+  *out += buf;
+  std::snprintf(buf, sizeof(buf),
+                "\"worker\":%d,\"group\":%d,\"slot\":%d,\"leaf\":%d,"
+                "\"bytes\":%llu,\"queue_us\":%.3f,\"cpu_us\":%.3f}}",
+                span.worker, span.group, span.slot, span.leaf,
+                static_cast<unsigned long long>(span.bytes),
+                static_cast<double>(span.queue_ns) / 1e3,
+                static_cast<double>(span.cpu_ns) / 1e3);
+  *out += buf;
+}
+
 }  // namespace
 
 double RunReport::cpu_ns_per_event() const {
@@ -197,21 +204,40 @@ double RunReport::vexpr_fused_coverage() const {
   return static_cast<double>(fused) / static_cast<double>(retired);
 }
 
+SessionCapture CaptureSession(const TraceSession& session) {
+  SessionCapture capture;
+  capture.start_ns = session.start_ns();
+  capture.stop_ns = session.stop_ns();
+  capture.spans = session.MergedSpans();
+  capture.counters = session.MergedCounters();
+  capture.metrics = metrics::SnapshotMetrics();
+  return capture;
+}
+
 RunReport BuildRunReport(const TraceSession& session, const RunInfo& info,
+                         const ScanStats& scan, size_t max_timeline_entries,
+                         size_t max_stragglers) {
+  return BuildRunReport(CaptureSession(session), info, scan,
+                        max_timeline_entries, max_stragglers);
+}
+
+RunReport BuildRunReport(const SessionCapture& capture, const RunInfo& info,
                          const ScanStats& scan, size_t max_timeline_entries,
                          size_t max_stragglers) {
   RunReport report;
   report.info = info;
   report.scan = scan;
-  report.window_ns = session.stop_ns() - session.start_ns();
+  report.window_ns = capture.stop_ns - capture.start_ns;
 
-  const std::vector<SpanRecord> merged = session.MergedSpans();
+  const std::vector<SpanRecord>& merged = capture.spans;
 
-  // Regroup by thread (already each in end order after a stable pass over
-  // seq, since MergedSpans sorts by start — rebuild end order per thread).
-  const int num_threads = session.num_threads();
-  std::vector<std::vector<SpanRecord>> per_thread(
-      static_cast<size_t>(std::max(num_threads, 1)));
+  // Regroup by thread and restore each thread's end order (seq), which
+  // the start-ordered merge interleaved.
+  size_t num_threads = 1;
+  for (const SpanRecord& span : merged) {
+    num_threads = std::max<size_t>(num_threads, span.thread_index + 1u);
+  }
+  std::vector<std::vector<SpanRecord>> per_thread(num_threads);
   for (const SpanRecord& span : merged) {
     per_thread[span.thread_index].push_back(span);
   }
@@ -241,11 +267,10 @@ RunReport BuildRunReport(const TraceSession& session, const RunInfo& info,
     if (stage.count > 0) report.stages.push_back(stage);
   }
 
-  // Root span + top-level coverage.
+  // Root spans (one per query run; a scatter worker runs one per shard)
+  // + top-level coverage.
   for (const SpanRecord& span : merged) {
-    if (span.stage == Stage::kRun && span.duration_ns() > report.run_span_ns) {
-      report.run_span_ns = span.duration_ns();
-    }
+    if (span.stage == Stage::kRun) report.run_span_ns += span.duration_ns();
   }
   // "Top level" for coverage purposes means depth 1 when a run root
   // exists (children of the root), else depth 0.
@@ -255,8 +280,8 @@ RunReport BuildRunReport(const TraceSession& session, const RunInfo& info,
   }
 
   // Worker summaries from row-group spans.
-  int64_t window_start = session.start_ns();
-  int64_t window_end = session.stop_ns();
+  const int64_t window_start = capture.start_ns;
+  int64_t window_end = capture.stop_ns;
   if (window_end <= window_start) {
     // Session still active when the report was built: fall back to the
     // span extent.
@@ -268,20 +293,31 @@ RunReport BuildRunReport(const TraceSession& session, const RunInfo& info,
   // Keyed by the runtime worker id the scheduler stamped on each span —
   // not the trace thread index, whose numbering depends on which thread
   // happened to register its buffer first. Untagged spans land on w0.
+  auto worker_of = [](const SpanRecord* span) {
+    return std::max(static_cast<int>(span->worker), 0);
+  };
   std::vector<const SpanRecord*> row_group_spans;
-  int max_worker = 0;
   for (const SpanRecord& span : merged) {
-    if (span.stage != Stage::kRowGroup) continue;
-    row_group_spans.push_back(&span);
-    max_worker = std::max(max_worker, static_cast<int>(span.worker));
+    if (span.stage == Stage::kRowGroup) row_group_spans.push_back(&span);
   }
-  for (int w = 0; w <= max_worker; ++w) {
+  // Grouped by worker id; each worker's spans keep the merged order (the
+  // pointers all index `merged`, so address order is merged order).
+  std::vector<const SpanRecord*> by_worker = row_group_spans;
+  std::sort(by_worker.begin(), by_worker.end(),
+            [&](const SpanRecord* a, const SpanRecord* b) {
+              if (worker_of(a) != worker_of(b)) {
+                return worker_of(a) < worker_of(b);
+              }
+              return a < b;
+            });
+  for (auto begin = by_worker.begin(); begin != by_worker.end();) {
     WorkerSummary worker;
-    worker.worker = w;
-    std::vector<const SpanRecord*> groups;
-    for (const SpanRecord* span : row_group_spans) {
-      if (std::max(static_cast<int>(span->worker), 0) != w) continue;
-      groups.push_back(span);
+    worker.worker = worker_of(*begin);
+    auto end = begin;
+    while (end != by_worker.end() && worker_of(*end) == worker.worker) ++end;
+    std::vector<const SpanRecord*> groups(begin, end);
+    begin = end;
+    for (const SpanRecord* span : groups) {
       worker.busy_ns += span->duration_ns();
       ++worker.row_groups;
       if (span->queue_ns > worker.max_queue_ns) {
@@ -289,7 +325,6 @@ RunReport BuildRunReport(const TraceSession& session, const RunInfo& info,
         worker.max_queue_group = span->group;
       }
     }
-    if (groups.empty()) continue;
     worker.idle_ns = std::max<int64_t>(window - worker.busy_ns, 0);
     worker.busy_fraction =
         window > 0 ? static_cast<double>(worker.busy_ns) /
@@ -332,7 +367,7 @@ RunReport BuildRunReport(const TraceSession& session, const RunInfo& info,
     report.stragglers.push_back(straggler);
   }
 
-  for (const CounterRecord& counter : session.MergedCounters()) {
+  for (const CounterRecord& counter : capture.counters) {
     report.counters.push_back(CounterSummary{counter.name, counter.stage,
                                              counter.ns, counter.count,
                                              counter.bytes});
@@ -344,7 +379,7 @@ RunReport BuildRunReport(const TraceSession& session, const RunInfo& info,
   report.cost_inputs.row_groups =
       static_cast<int>(std::max<size_t>(row_groups.size(), 1));
   report.cost_inputs.events = info.events_processed;
-  report.metrics = metrics::SnapshotMetrics();
+  report.metrics = capture.metrics;
   return report;
 }
 
@@ -437,7 +472,7 @@ std::string ReportToJson(const RunReport& report) {
     {
       JsonScope warnings(root.Key("warnings"), '[', ']');
       for (const std::string& warning : report.warnings) {
-        AppendEscaped(warnings.Sep(), warning);
+        json::AppendJsonString(warnings.Sep(), warning);
       }
     }
     *root.Key("metrics") += metrics::MetricSamplesJsonArray(report.metrics);
@@ -660,49 +695,10 @@ std::string ChromeTraceJson(const TraceSession& session) {
   for (const SpanRecord& span : spans) {
     if (!first) out += ",";
     first = false;
-    char buf[256];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,"
-        "\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{",
-        span.name, StageName(span.stage),
-        static_cast<double>(span.start_ns - epoch) / 1e3,
-        static_cast<double>(span.duration_ns()) / 1e3, span.thread_index);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "\"worker\":%d,\"group\":%d,\"slot\":%d,\"leaf\":%d,"
-                  "\"bytes\":%llu,\"queue_us\":%.3f,\"cpu_us\":%.3f}}",
-                  span.worker, span.group, span.slot, span.leaf,
-                  static_cast<unsigned long long>(span.bytes),
-                  static_cast<double>(span.queue_ns) / 1e3,
-                  static_cast<double>(span.cpu_ns) / 1e3);
-    out += buf;
+    AppendSpanEvent(&out, span, epoch, /*pid=*/1);
   }
   out += "]}\n";
   return out;
-}
-
-const char* ProcessReport::InternName(const std::string& name) {
-  for (const auto& owned : name_pool) {
-    if (*owned == name) return owned->c_str();
-  }
-  name_pool.push_back(std::make_unique<std::string>(name));
-  return name_pool.back()->c_str();
-}
-
-ProcessReport BuildProcessReport(const TraceSession& session,
-                                 const RunInfo& info, const ScanStats& scan,
-                                 int shard_begin, int shard_end) {
-  ProcessReport process;
-  process.shard_begin = shard_begin;
-  process.shard_end = shard_end;
-  process.session_start_ns = session.start_ns();
-  process.session_stop_ns = session.stop_ns();
-  process.report = BuildRunReport(session, info, scan);
-  // Span names are string literals here (the in-process case); the wire
-  // decoder reroutes them through name_pool instead.
-  process.spans = session.MergedSpans();
-  return process;
 }
 
 RunReport MergeProcessReports(const RunInfo& info, const ScanStats& merged_scan,
@@ -733,16 +729,21 @@ RunReport MergeProcessReports(const RunInfo& info, const ScanStats& merged_scan,
       merged.processes.push_back(summary);
       continue;
     }
-    const RunReport& r = process.report;
-    summary.threads = r.info.threads;
-    summary.events = r.info.events_processed;
-    summary.wall_seconds = r.info.wall_seconds;
-    summary.cpu_seconds = r.info.cpu_seconds;
-    summary.storage_bytes = r.scan.storage_bytes;
-    summary.decoded_bytes = r.scan.decoded_bytes;
-    summary.cache_bytes_served = r.scan.cache_bytes_served;
+    summary.threads = info.threads;
+    summary.events = process.events;
+    summary.wall_seconds = process.wall_seconds;
+    summary.cpu_seconds = process.cpu_seconds;
+    summary.storage_bytes = process.scan.storage_bytes;
+    summary.decoded_bytes = process.scan.decoded_bytes;
+    summary.cache_bytes_served = process.scan.cache_bytes_served;
     merged.processes.push_back(summary);
 
+    RunInfo worker_info = info;
+    worker_info.events_processed = process.events;
+    worker_info.wall_seconds = process.wall_seconds;
+    worker_info.cpu_seconds = process.cpu_seconds;
+    const RunReport r =
+        BuildRunReport(process.capture, worker_info, process.scan);
     // Traced durations sum across processes: the merged report answers
     // "how much traced work happened", not "how long did the wall run"
     // (that is info.wall_seconds, the coordinator's own measurement).
@@ -828,11 +829,11 @@ std::string MultiProcessChromeTraceJson(
   size_t total_spans = 0;
   for (const ProcessReport& process : reports) {
     if (!process.received) continue;
-    if (!have_epoch || process.session_start_ns < epoch) {
-      epoch = process.session_start_ns;
+    if (!have_epoch || process.capture.start_ns < epoch) {
+      epoch = process.capture.start_ns;
       have_epoch = true;
     }
-    total_spans += process.spans.size();
+    total_spans += process.capture.spans.size();
   }
   std::string out;
   out.reserve(total_spans * 128 + 512);
@@ -851,7 +852,7 @@ std::string MultiProcessChromeTraceJson(
                   pid, p, process.shard_begin, process.shard_end);
     out += buf;
     int num_threads = 0;
-    for (const SpanRecord& span : process.spans) {
+    for (const SpanRecord& span : process.capture.spans) {
       num_threads = std::max(num_threads,
                              static_cast<int>(span.thread_index) + 1);
     }
@@ -863,25 +864,9 @@ std::string MultiProcessChromeTraceJson(
                     pid, t, p, t);
       out += buf;
     }
-    for (const SpanRecord& span : process.spans) {
+    for (const SpanRecord& span : process.capture.spans) {
       out += ",";
-      std::snprintf(
-          buf, sizeof(buf),
-          "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,"
-          "\"dur\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{",
-          span.name, StageName(span.stage),
-          static_cast<double>(span.start_ns - epoch) / 1e3,
-          static_cast<double>(span.duration_ns()) / 1e3, pid,
-          span.thread_index);
-      out += buf;
-      std::snprintf(buf, sizeof(buf),
-                    "\"worker\":%d,\"group\":%d,\"slot\":%d,\"leaf\":%d,"
-                    "\"bytes\":%llu,\"queue_us\":%.3f,\"cpu_us\":%.3f}}",
-                    span.worker, span.group, span.slot, span.leaf,
-                    static_cast<unsigned long long>(span.bytes),
-                    static_cast<double>(span.queue_ns) / 1e3,
-                    static_cast<double>(span.cpu_ns) / 1e3);
-      out += buf;
+      AppendSpanEvent(&out, span, epoch, pid);
     }
   }
   out += "]}\n";

@@ -116,7 +116,7 @@ struct RunReport {
   RunInfo info;
   ScanStats scan;  ///< bit-copied from the engine result
 
-  int64_t run_span_ns = 0;    ///< duration of the root `run` span (0 if none)
+  int64_t run_span_ns = 0;    ///< summed duration of the root `run` spans
   int64_t total_span_ns = 0;  ///< sum of top-level span durations
   int64_t window_ns = 0;      ///< session start→stop window
 
@@ -177,59 +177,75 @@ struct RunReport {
   double vexpr_fused_coverage() const;
 };
 
-/// Builds a report from a stopped session. `max_timeline_entries` caps
-/// each worker's timeline (0 = unlimited); `max_stragglers` caps the
+/// The raw facts a RunReport is built from, besides the engine's own
+/// totals: one stopped session's window, every span, every counter, and
+/// the metrics registry snapshot taken with them. A scatter worker ships
+/// exactly this in its kReport frame; the coordinator builds the worker's
+/// RunReport from it with the same BuildRunReport the in-process path
+/// uses. Move-only: decoded span/counter names live in `name_pool`.
+struct SessionCapture {
+  /// Session window in CLOCK_MONOTONIC ns. The clock is machine-wide, so
+  /// timestamps from co-located worker processes share an epoch and the
+  /// stitched trace aligns without clock translation.
+  int64_t start_ns = 0;
+  int64_t stop_ns = 0;
+  std::vector<SpanRecord> spans;        ///< TraceSession::MergedSpans order
+  std::vector<CounterRecord> counters;  ///< TraceSession::MergedCounters
+  std::vector<metrics::MetricSample> metrics;
+  /// Owns the names of decoded records (a live capture points at the
+  /// instrument sites' string literals instead).
+  std::vector<std::unique_ptr<std::string>> name_pool;
+};
+
+/// Captures a stopped session plus a metrics registry snapshot.
+SessionCapture CaptureSession(const TraceSession& session);
+
+/// Builds a report from captured session facts. `max_timeline_entries`
+/// caps each worker's timeline (0 = unlimited); `max_stragglers` caps the
 /// straggler list.
+RunReport BuildRunReport(const SessionCapture& capture, const RunInfo& info,
+                         const ScanStats& scan,
+                         size_t max_timeline_entries = 512,
+                         size_t max_stragglers = 5);
+
+/// BuildRunReport over CaptureSession(session).
 RunReport BuildRunReport(const TraceSession& session, const RunInfo& info,
                          const ScanStats& scan,
                          size_t max_timeline_entries = 512,
                          size_t max_stragglers = 5);
 
-// ---- cross-process reports (the scatter kReport frame body) --------------
+// ---- cross-process reports (scatter workers) -------------------------------
 
-/// One worker process's complete observability payload: its aggregated
-/// RunReport over its shard range, plus the raw spans so the coordinator
-/// can stitch every process into one Chrome trace. Move-only: decoded
-/// span names live in `name_pool` (stable heap storage).
+/// What the coordinator knows about one scatter worker process: its shard
+/// range, its totals (its fragments summed in shard order, as the worker
+/// itself would sum them), and its captured session when its kReport
+/// frame arrived.
 struct ProcessReport {
   int shard_begin = 0;  ///< global shard range [begin, end) this covers
   int shard_end = 0;
-  /// False for a placeholder standing in for a worker whose kReport frame
-  /// was lost; such entries carry only the shard range.
+  /// False when the worker's kReport frame was lost; `capture` is then
+  /// empty and only the shard range is meaningful.
   bool received = true;
-  /// Session window in CLOCK_MONOTONIC ns. The clock is machine-wide, so
-  /// timestamps from co-located worker processes share an epoch and the
-  /// stitched trace aligns without clock translation.
-  int64_t session_start_ns = 0;
-  int64_t session_stop_ns = 0;
-  RunReport report;
-  /// All spans of the worker's session, merge-ordered. After wire decode,
-  /// `name` pointers point into `name_pool`.
-  std::vector<SpanRecord> spans;
-  std::vector<std::unique_ptr<std::string>> name_pool;
-
-  /// Interns `name` in the pool (dedup by value) and returns a pointer
-  /// valid for this ProcessReport's lifetime.
-  const char* InternName(const std::string& name);
+  int64_t events = 0;
+  double wall_seconds = 0.0;  ///< sum over the worker's shards
+  double cpu_seconds = 0.0;
+  ScanStats scan;
+  SessionCapture capture;
 };
 
-/// Builds the kReport payload body for one worker: BuildRunReport over the
-/// worker's whole session plus the raw span list. `info`/`scan` are the
-/// worker's own aggregated totals over shards [shard_begin, shard_end).
-ProcessReport BuildProcessReport(const TraceSession& session,
-                                 const RunInfo& info, const ScanStats& scan,
-                                 int shard_begin, int shard_end);
-
 /// Deterministically merges per-worker reports (shard order — the order
-/// the coordinator spawned them) into one cross-process RunReport:
-/// workers/stragglers renumbered `proc:slot`, stages and counters summed,
-/// span times summed across processes, one ProcessSummary per worker, and
-/// a metrics section merged from every process plus the coordinator's own
-/// registry. `info` and `merged_scan` come from the coordinator's merged
-/// QueryRunOutput, so the report's headline totals are exactly what the
-/// run printed; per-process scan totals sum to them bit-exactly (integer
-/// sums of the same per-shard counters). A not-received entry yields a
-/// `partial` report with a deterministic warning keyed by shard range.
+/// the coordinator spawned them) into one cross-process RunReport. Each
+/// received worker's RunReport is built with BuildRunReport from its
+/// capture, its totals, and `info`'s query/engine/threads; those reports
+/// then merge: workers/stragglers renumbered `proc:slot`, stages and
+/// counters summed, span times summed across processes, one
+/// ProcessSummary per worker, and a metrics section merged from every
+/// process plus the coordinator's own registry. `info` and `merged_scan`
+/// come from the coordinator's merged QueryRunOutput, so the report's
+/// headline totals are exactly what the run printed; per-process scan
+/// totals sum to them bit-exactly (integer sums of the same per-shard
+/// counters). A not-received entry yields a `partial` report with a
+/// deterministic warning keyed by shard range.
 RunReport MergeProcessReports(const RunInfo& info, const ScanStats& merged_scan,
                               const std::vector<ProcessReport>& reports,
                               size_t max_stragglers = 5);

@@ -1,6 +1,7 @@
 #include "scatter/ipc.h"
 
 #include <cstring>
+#include <memory>
 
 #include "fileio/crc32.h"
 #include "obs/metrics.h"
@@ -104,6 +105,23 @@ class WireReader {
   size_t pos_ = 0;
 };
 
+Status GetI32(WireReader* in, int32_t* v) {
+  uint32_t u;
+  HEPQ_RETURN_NOT_OK(in->GetU32(&u));
+  *v = static_cast<int32_t>(u);
+  return Status::OK();
+}
+
+Status GetStage(WireReader* in, obs::Stage* stage) {
+  uint32_t raw;
+  HEPQ_RETURN_NOT_OK(in->GetU32(&raw));
+  if (raw >= static_cast<uint32_t>(obs::kNumStages)) {
+    return Status::Corruption("scatter report names an unknown stage");
+  }
+  *stage = static_cast<obs::Stage>(raw);
+  return Status::OK();
+}
+
 constexpr size_t kHeaderSize = 4 + 4 + 4 + 8;  // magic version type len
 
 void PutScanStats(std::vector<uint8_t>* out, const ScanStats& scan) {
@@ -158,9 +176,8 @@ Status GetScanStats(WireReader* in, ScanStats* scan) {
   HEPQ_RETURN_NOT_OK(in->GetU64(&scan->cache_bytes_served));
   uint32_t num_leaves;
   HEPQ_RETURN_NOT_OK(in->GetU32(&num_leaves));
-  scan->leaves.resize(num_leaves);
   for (uint32_t i = 0; i < num_leaves; ++i) {
-    LeafScanStats& leaf = scan->leaves[i];
+    LeafScanStats& leaf = scan->leaves.emplace_back();
     HEPQ_RETURN_NOT_OK(in->GetString(&leaf.path));
     HEPQ_RETURN_NOT_OK(in->GetU64(&leaf.storage_bytes));
     HEPQ_RETURN_NOT_OK(in->GetU64(&leaf.decoded_bytes));
@@ -168,6 +185,36 @@ Status GetScanStats(WireReader* in, ScanStats* scan) {
     HEPQ_RETURN_NOT_OK(in->GetU64(&leaf.pages_read));
     HEPQ_RETURN_NOT_OK(in->GetU64(&leaf.pages_pruned));
     HEPQ_RETURN_NOT_OK(in->GetU64(&leaf.cache_bytes_served));
+  }
+  return Status::OK();
+}
+
+/// The range checks DecodeReportPayload documents: timestamps are
+/// non-negative (so any difference of two fits in int64), and the
+/// magnitudes of the capture's ns-valued amounts add up to less than
+/// kMaxCaptureNs.
+Status CheckCaptureRanges(const obs::SessionCapture& capture) {
+  int64_t total = 0;
+  auto add = [&](int64_t v) {
+    if (v <= -kMaxCaptureNs || v >= kMaxCaptureNs) return false;
+    total += v < 0 ? -v : v;
+    return total < kMaxCaptureNs;
+  };
+  bool ok = capture.start_ns >= 0 && capture.stop_ns >= 0;
+  for (const obs::SpanRecord& span : capture.spans) {
+    ok = ok && span.start_ns >= 0 && span.end_ns >= span.start_ns &&
+         add(span.duration_ns()) && add(span.cpu_ns) && add(span.queue_ns);
+  }
+  for (const obs::CounterRecord& counter : capture.counters) {
+    ok = ok && add(counter.ns);
+  }
+  for (const obs::metrics::MetricSample& sample : capture.metrics) {
+    ok = ok && add(sample.value) && add(sample.sum_ns);
+  }
+  if (!ok) {
+    return Status::Corruption(
+        "scatter report carries a negative timestamp, a span ending before "
+        "it starts, or durations beyond the capture bound");
   }
   return Status::OK();
 }
@@ -206,7 +253,6 @@ Result<bool> TryParseFrame(const uint8_t* data, size_t size, Frame* frame,
   }
   const uint32_t type = ReadU32(data + 8);
   if (type != static_cast<uint32_t>(FrameType::kFragment) &&
-      type != static_cast<uint32_t>(FrameType::kDone) &&
       type != static_cast<uint32_t>(FrameType::kError) &&
       type != static_cast<uint32_t>(FrameType::kReport)) {
     return Status::Corruption("unknown scatter frame type " +
@@ -281,7 +327,6 @@ Result<ShardFragment> DecodeFragmentPayload(
   HEPQ_RETURN_NOT_OK(GetScanStats(&in, &o.scan));
   uint32_t num_histos;
   HEPQ_RETURN_NOT_OK(in.GetU32(&num_histos));
-  o.histograms.reserve(num_histos);
   for (uint32_t h = 0; h < num_histos; ++h) {
     HistogramParts parts;
     HEPQ_RETURN_NOT_OK(in.GetString(&parts.spec.name));
@@ -293,9 +338,14 @@ Result<ShardFragment> DecodeFragmentPayload(
     HEPQ_RETURN_NOT_OK(in.GetF64(&parts.spec.hi));
     uint32_t bin_count;
     HEPQ_RETURN_NOT_OK(in.GetU32(&bin_count));
-    parts.bins.resize(bin_count);
+    if (bin_count != num_bins) {
+      // FromParts would first size a histogram by the untrusted num_bins.
+      return Status::Corruption(
+          "scatter fragment histogram declares " + std::to_string(num_bins) +
+          " bins but carries " + std::to_string(bin_count));
+    }
     for (uint32_t b = 0; b < bin_count; ++b) {
-      HEPQ_RETURN_NOT_OK(in.GetF64(&parts.bins[b]));
+      HEPQ_RETURN_NOT_OK(in.GetF64(&parts.bins.emplace_back()));
     }
     HEPQ_RETURN_NOT_OK(in.GetF64(&parts.underflow));
     HEPQ_RETURN_NOT_OK(in.GetF64(&parts.overflow));
@@ -330,136 +380,29 @@ Status DecodeErrorPayload(const std::vector<uint8_t>& payload,
   return in.GetString(message);
 }
 
-std::vector<uint8_t> EncodeDonePayload(int num_fragments) {
-  std::vector<uint8_t> out;
-  PutU32(&out, static_cast<uint32_t>(num_fragments));
-  return out;
-}
-
-Status DecodeDonePayload(const std::vector<uint8_t>& payload,
-                         int* num_fragments) {
-  WireReader in(payload.data(), payload.size());
-  uint32_t n;
-  HEPQ_RETURN_NOT_OK(in.GetU32(&n));
-  *num_fragments = static_cast<int>(n);
-  return Status::OK();
-}
-
-namespace {
-
-void PutI32(std::vector<uint8_t>* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-Status GetI32(WireReader* in, int32_t* v) {
-  uint32_t u;
-  HEPQ_RETURN_NOT_OK(in->GetU32(&u));
-  *v = static_cast<int32_t>(u);
-  return Status::OK();
-}
-
-Status GetStage(WireReader* in, obs::Stage* stage) {
-  uint32_t raw;
-  HEPQ_RETURN_NOT_OK(in->GetU32(&raw));
-  if (raw >= static_cast<uint32_t>(obs::kNumStages)) {
-    return Status::Corruption("scatter report names an unknown stage");
-  }
-  *stage = static_cast<obs::Stage>(raw);
-  return Status::OK();
-}
-
-}  // namespace
-
-std::vector<uint8_t> EncodeReportPayload(const obs::ProcessReport& report) {
-  std::vector<uint8_t> out;
-  const obs::RunReport& r = report.report;
-  PutU32(&out, static_cast<uint32_t>(report.shard_begin));
-  PutU32(&out, static_cast<uint32_t>(report.shard_end));
-  PutI64(&out, report.session_start_ns);
-  PutI64(&out, report.session_stop_ns);
-  PutString(&out, r.info.query);
-  PutString(&out, r.info.engine);
-  PutU32(&out, static_cast<uint32_t>(r.info.threads));
-  PutI64(&out, r.info.events_processed);
-  PutF64(&out, r.info.wall_seconds);
-  PutF64(&out, r.info.cpu_seconds);
-  PutScanStats(&out, r.scan);
-  PutI64(&out, r.run_span_ns);
-  PutI64(&out, r.total_span_ns);
-  PutI64(&out, r.window_ns);
-  PutU32(&out, static_cast<uint32_t>(r.stages.size()));
-  for (const obs::StageSummary& stage : r.stages) {
-    PutU32(&out, static_cast<uint32_t>(stage.stage));
-    PutI64(&out, stage.wall_ns);
-    PutI64(&out, stage.cpu_ns);
-    PutU64(&out, stage.bytes);
-    PutU64(&out, stage.count);
-  }
-  PutU32(&out, static_cast<uint32_t>(r.workers.size()));
-  for (const obs::WorkerSummary& worker : r.workers) {
-    PutI32(&out, worker.worker);
-    PutI64(&out, worker.busy_ns);
-    PutI64(&out, worker.idle_ns);
-    PutF64(&out, worker.busy_fraction);
-    PutI64(&out, worker.row_groups);
-    PutI64(&out, worker.max_queue_ns);
-    PutI32(&out, worker.max_queue_group);
-    PutU32(&out, worker.timeline_truncated ? 1 : 0);
-    PutU32(&out, static_cast<uint32_t>(worker.timeline.size()));
-    for (const auto& entry : worker.timeline) {
-      PutI32(&out, entry.group);
-      PutI32(&out, entry.slot);
-      PutI64(&out, entry.start_ns);
-      PutI64(&out, entry.dur_ns);
-      PutI64(&out, entry.queue_ns);
-      PutU64(&out, entry.bytes);
-    }
-  }
-  PutU32(&out, static_cast<uint32_t>(r.stragglers.size()));
-  for (const obs::Straggler& straggler : r.stragglers) {
-    PutI32(&out, straggler.group);
-    PutI32(&out, straggler.worker);
-    PutI32(&out, straggler.slot);
-    PutI64(&out, straggler.wall_ns);
-    PutU64(&out, straggler.bytes);
-  }
-  PutU32(&out, static_cast<uint32_t>(r.counters.size()));
-  for (const obs::CounterSummary& counter : r.counters) {
-    PutString(&out, counter.name);
-    PutU32(&out, static_cast<uint32_t>(counter.stage));
-    PutI64(&out, counter.ns);
-    PutU64(&out, counter.count);
-    PutU64(&out, counter.bytes);
-  }
-  PutU32(&out, static_cast<uint32_t>(r.metrics.size()));
-  for (const obs::metrics::MetricSample& sample : r.metrics) {
-    PutString(&out, sample.name);
-    PutU32(&out, static_cast<uint32_t>(sample.kind));
-    PutI64(&out, sample.value);
-    PutU32(&out, static_cast<uint32_t>(sample.buckets.size()));
-    for (uint64_t bucket : sample.buckets) PutU64(&out, bucket);
-    PutU64(&out, sample.observations);
-    PutI64(&out, sample.sum_ns);
-  }
-  // Span name table + spans. Distinct span names are few (one literal per
-  // instrument site), so the table keeps the frame compact.
+std::vector<uint8_t> EncodeReportPayload(const obs::SessionCapture& capture) {
   std::vector<const char*> names;
-  std::vector<uint32_t> name_index(report.spans.size());
-  for (size_t i = 0; i < report.spans.size(); ++i) {
-    const char* name = report.spans[i].name;
+  auto name_index = [&names](const char* name) {
     uint32_t index = 0;
-    for (; index < names.size(); ++index) {
-      if (std::strcmp(names[index], name) == 0) break;
+    while (index < names.size() && std::strcmp(names[index], name) != 0) {
+      ++index;
     }
     if (index == names.size()) names.push_back(name);
-    name_index[i] = index;
+    return index;
+  };
+  for (const obs::SpanRecord& span : capture.spans) name_index(span.name);
+  for (const obs::CounterRecord& counter : capture.counters) {
+    name_index(counter.name);
   }
+
+  std::vector<uint8_t> out;
+  PutI64(&out, capture.start_ns);
+  PutI64(&out, capture.stop_ns);
   PutU32(&out, static_cast<uint32_t>(names.size()));
   for (const char* name : names) PutString(&out, name);
-  PutU32(&out, static_cast<uint32_t>(report.spans.size()));
-  for (size_t i = 0; i < report.spans.size(); ++i) {
-    const obs::SpanRecord& span = report.spans[i];
-    PutU32(&out, name_index[i]);
+  PutU32(&out, static_cast<uint32_t>(capture.spans.size()));
+  for (const obs::SpanRecord& span : capture.spans) {
+    PutU32(&out, name_index(span.name));
     PutU32(&out, static_cast<uint32_t>(span.stage));
     PutU32(&out, span.depth);
     PutU32(&out, span.thread_index);
@@ -469,98 +412,89 @@ std::vector<uint8_t> EncodeReportPayload(const obs::ProcessReport& report) {
     PutI64(&out, span.cpu_ns);
     PutI64(&out, span.queue_ns);
     PutU64(&out, span.bytes);
-    PutI32(&out, span.worker);
-    PutI32(&out, span.group);
-    PutI32(&out, span.slot);
-    PutI32(&out, span.leaf);
+    PutU32(&out, static_cast<uint32_t>(span.worker));
+    PutU32(&out, static_cast<uint32_t>(span.group));
+    PutU32(&out, static_cast<uint32_t>(span.slot));
+    PutU32(&out, static_cast<uint32_t>(span.leaf));
+  }
+  PutU32(&out, static_cast<uint32_t>(capture.counters.size()));
+  for (const obs::CounterRecord& counter : capture.counters) {
+    PutU32(&out, name_index(counter.name));
+    PutU32(&out, static_cast<uint32_t>(counter.stage));
+    PutI64(&out, counter.ns);
+    PutU64(&out, counter.count);
+    PutU64(&out, counter.bytes);
+  }
+  PutU32(&out, static_cast<uint32_t>(capture.metrics.size()));
+  for (const obs::metrics::MetricSample& sample : capture.metrics) {
+    PutString(&out, sample.name);
+    PutU32(&out, static_cast<uint32_t>(sample.kind));
+    PutI64(&out, sample.value);
+    PutU32(&out, static_cast<uint32_t>(sample.buckets.size()));
+    for (uint64_t bucket : sample.buckets) PutU64(&out, bucket);
+    PutU64(&out, sample.observations);
+    PutI64(&out, sample.sum_ns);
   }
   return out;
 }
 
-Result<obs::ProcessReport> DecodeReportPayload(
+Result<obs::SessionCapture> DecodeReportPayload(
     const std::vector<uint8_t>& payload) {
   WireReader in(payload.data(), payload.size());
-  obs::ProcessReport report;
-  obs::RunReport& r = report.report;
-  uint32_t shard_begin, shard_end;
-  HEPQ_RETURN_NOT_OK(in.GetU32(&shard_begin));
-  HEPQ_RETURN_NOT_OK(in.GetU32(&shard_end));
-  report.shard_begin = static_cast<int>(shard_begin);
-  report.shard_end = static_cast<int>(shard_end);
-  HEPQ_RETURN_NOT_OK(in.GetI64(&report.session_start_ns));
-  HEPQ_RETURN_NOT_OK(in.GetI64(&report.session_stop_ns));
-  HEPQ_RETURN_NOT_OK(in.GetString(&r.info.query));
-  HEPQ_RETURN_NOT_OK(in.GetString(&r.info.engine));
-  uint32_t threads;
-  HEPQ_RETURN_NOT_OK(in.GetU32(&threads));
-  r.info.threads = static_cast<int>(threads);
-  HEPQ_RETURN_NOT_OK(in.GetI64(&r.info.events_processed));
-  HEPQ_RETURN_NOT_OK(in.GetF64(&r.info.wall_seconds));
-  HEPQ_RETURN_NOT_OK(in.GetF64(&r.info.cpu_seconds));
-  HEPQ_RETURN_NOT_OK(GetScanStats(&in, &r.scan));
-  HEPQ_RETURN_NOT_OK(in.GetI64(&r.run_span_ns));
-  HEPQ_RETURN_NOT_OK(in.GetI64(&r.total_span_ns));
-  HEPQ_RETURN_NOT_OK(in.GetI64(&r.window_ns));
-  uint32_t num_stages;
-  HEPQ_RETURN_NOT_OK(in.GetU32(&num_stages));
-  for (uint32_t i = 0; i < num_stages; ++i) {
-    obs::StageSummary stage;
-    HEPQ_RETURN_NOT_OK(GetStage(&in, &stage.stage));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&stage.wall_ns));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&stage.cpu_ns));
-    HEPQ_RETURN_NOT_OK(in.GetU64(&stage.bytes));
-    HEPQ_RETURN_NOT_OK(in.GetU64(&stage.count));
-    r.stages.push_back(stage);
+  obs::SessionCapture capture;
+  HEPQ_RETURN_NOT_OK(in.GetI64(&capture.start_ns));
+  HEPQ_RETURN_NOT_OK(in.GetI64(&capture.stop_ns));
+  uint32_t num_names;
+  HEPQ_RETURN_NOT_OK(in.GetU32(&num_names));
+  std::vector<const char*> names;
+  for (uint32_t i = 0; i < num_names; ++i) {
+    auto name = std::make_unique<std::string>();
+    HEPQ_RETURN_NOT_OK(in.GetString(name.get()));
+    names.push_back(name->c_str());
+    capture.name_pool.push_back(std::move(name));
   }
-  uint32_t num_workers;
-  HEPQ_RETURN_NOT_OK(in.GetU32(&num_workers));
-  for (uint32_t i = 0; i < num_workers; ++i) {
-    obs::WorkerSummary worker;
-    HEPQ_RETURN_NOT_OK(GetI32(&in, &worker.worker));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&worker.busy_ns));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&worker.idle_ns));
-    HEPQ_RETURN_NOT_OK(in.GetF64(&worker.busy_fraction));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&worker.row_groups));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&worker.max_queue_ns));
-    HEPQ_RETURN_NOT_OK(GetI32(&in, &worker.max_queue_group));
-    uint32_t truncated;
-    HEPQ_RETURN_NOT_OK(in.GetU32(&truncated));
-    worker.timeline_truncated = truncated != 0;
-    uint32_t num_entries;
-    HEPQ_RETURN_NOT_OK(in.GetU32(&num_entries));
-    for (uint32_t e = 0; e < num_entries; ++e) {
-      obs::WorkerSummary::TimelineEntry entry;
-      HEPQ_RETURN_NOT_OK(GetI32(&in, &entry.group));
-      HEPQ_RETURN_NOT_OK(GetI32(&in, &entry.slot));
-      HEPQ_RETURN_NOT_OK(in.GetI64(&entry.start_ns));
-      HEPQ_RETURN_NOT_OK(in.GetI64(&entry.dur_ns));
-      HEPQ_RETURN_NOT_OK(in.GetI64(&entry.queue_ns));
-      HEPQ_RETURN_NOT_OK(in.GetU64(&entry.bytes));
-      worker.timeline.push_back(entry);
+  auto get_name = [&](const char** name) {
+    uint32_t index;
+    HEPQ_RETURN_NOT_OK(in.GetU32(&index));
+    if (index >= names.size()) {
+      return Status::Corruption("scatter report names a bad name index");
     }
-    r.workers.push_back(std::move(worker));
-  }
-  uint32_t num_stragglers;
-  HEPQ_RETURN_NOT_OK(in.GetU32(&num_stragglers));
-  for (uint32_t i = 0; i < num_stragglers; ++i) {
-    obs::Straggler straggler;
-    HEPQ_RETURN_NOT_OK(GetI32(&in, &straggler.group));
-    HEPQ_RETURN_NOT_OK(GetI32(&in, &straggler.worker));
-    HEPQ_RETURN_NOT_OK(GetI32(&in, &straggler.slot));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&straggler.wall_ns));
-    HEPQ_RETURN_NOT_OK(in.GetU64(&straggler.bytes));
-    r.stragglers.push_back(straggler);
+    *name = names[index];
+    return Status::OK();
+  };
+  uint32_t num_spans;
+  HEPQ_RETURN_NOT_OK(in.GetU32(&num_spans));
+  for (uint32_t i = 0; i < num_spans; ++i) {
+    obs::SpanRecord span;
+    HEPQ_RETURN_NOT_OK(get_name(&span.name));
+    HEPQ_RETURN_NOT_OK(GetStage(&in, &span.stage));
+    uint32_t depth, thread_index;
+    HEPQ_RETURN_NOT_OK(in.GetU32(&depth));
+    span.depth = static_cast<uint8_t>(depth);
+    HEPQ_RETURN_NOT_OK(in.GetU32(&thread_index));
+    span.thread_index = static_cast<uint16_t>(thread_index);
+    HEPQ_RETURN_NOT_OK(in.GetU32(&span.seq));
+    HEPQ_RETURN_NOT_OK(in.GetI64(&span.start_ns));
+    HEPQ_RETURN_NOT_OK(in.GetI64(&span.end_ns));
+    HEPQ_RETURN_NOT_OK(in.GetI64(&span.cpu_ns));
+    HEPQ_RETURN_NOT_OK(in.GetI64(&span.queue_ns));
+    HEPQ_RETURN_NOT_OK(in.GetU64(&span.bytes));
+    HEPQ_RETURN_NOT_OK(GetI32(&in, &span.worker));
+    HEPQ_RETURN_NOT_OK(GetI32(&in, &span.group));
+    HEPQ_RETURN_NOT_OK(GetI32(&in, &span.slot));
+    HEPQ_RETURN_NOT_OK(GetI32(&in, &span.leaf));
+    capture.spans.push_back(span);
   }
   uint32_t num_counters;
   HEPQ_RETURN_NOT_OK(in.GetU32(&num_counters));
   for (uint32_t i = 0; i < num_counters; ++i) {
-    obs::CounterSummary counter;
-    HEPQ_RETURN_NOT_OK(in.GetString(&counter.name));
+    obs::CounterRecord counter;
+    HEPQ_RETURN_NOT_OK(get_name(&counter.name));
     HEPQ_RETURN_NOT_OK(GetStage(&in, &counter.stage));
     HEPQ_RETURN_NOT_OK(in.GetI64(&counter.ns));
     HEPQ_RETURN_NOT_OK(in.GetU64(&counter.count));
     HEPQ_RETURN_NOT_OK(in.GetU64(&counter.bytes));
-    r.counters.push_back(std::move(counter));
+    capture.counters.push_back(counter);
   }
   uint32_t num_metrics;
   HEPQ_RETURN_NOT_OK(in.GetU32(&num_metrics));
@@ -583,48 +517,13 @@ Result<obs::ProcessReport> DecodeReportPayload(
     }
     HEPQ_RETURN_NOT_OK(in.GetU64(&sample.observations));
     HEPQ_RETURN_NOT_OK(in.GetI64(&sample.sum_ns));
-    r.metrics.push_back(std::move(sample));
-  }
-  uint32_t num_names;
-  HEPQ_RETURN_NOT_OK(in.GetU32(&num_names));
-  std::vector<const char*> names;
-  for (uint32_t i = 0; i < num_names; ++i) {
-    std::string name;
-    HEPQ_RETURN_NOT_OK(in.GetString(&name));
-    names.push_back(report.InternName(name));
-  }
-  uint32_t num_spans;
-  HEPQ_RETURN_NOT_OK(in.GetU32(&num_spans));
-  for (uint32_t i = 0; i < num_spans; ++i) {
-    obs::SpanRecord span;
-    uint32_t name_index;
-    HEPQ_RETURN_NOT_OK(in.GetU32(&name_index));
-    if (name_index >= names.size()) {
-      return Status::Corruption("scatter report span names a bad name index");
-    }
-    span.name = names[name_index];
-    HEPQ_RETURN_NOT_OK(GetStage(&in, &span.stage));
-    uint32_t depth, thread_index;
-    HEPQ_RETURN_NOT_OK(in.GetU32(&depth));
-    span.depth = static_cast<uint8_t>(depth);
-    HEPQ_RETURN_NOT_OK(in.GetU32(&thread_index));
-    span.thread_index = static_cast<uint16_t>(thread_index);
-    HEPQ_RETURN_NOT_OK(in.GetU32(&span.seq));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&span.start_ns));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&span.end_ns));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&span.cpu_ns));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&span.queue_ns));
-    HEPQ_RETURN_NOT_OK(in.GetU64(&span.bytes));
-    HEPQ_RETURN_NOT_OK(GetI32(&in, &span.worker));
-    HEPQ_RETURN_NOT_OK(GetI32(&in, &span.group));
-    HEPQ_RETURN_NOT_OK(GetI32(&in, &span.slot));
-    HEPQ_RETURN_NOT_OK(GetI32(&in, &span.leaf));
-    report.spans.push_back(span);
+    capture.metrics.push_back(std::move(sample));
   }
   if (!in.exhausted()) {
     return Status::Corruption("scatter report payload has trailing bytes");
   }
-  return report;
+  HEPQ_RETURN_NOT_OK(CheckCaptureRanges(capture));
+  return capture;
 }
 
 }  // namespace hepq::scatter

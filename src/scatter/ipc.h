@@ -24,32 +24,44 @@ namespace hepq::scatter {
 //
 // A healthy worker emits one kFragment frame per shard file of its range,
 // in shard order, then (when the coordinator asked for one) a kReport
-// frame carrying its full RunReport + raw spans, then one kDone frame. A
-// worker that fails on shard k emits a kError frame naming k and exits; a
-// crashed worker just stops mid-stream. The coordinator turns either into
-// a deterministic error keyed by shard index (never by worker id), so the
-// report is identical for any worker count. A lost or corrupt kReport
-// frame is never fatal: every fragment precedes it, so the histograms
-// still merge and only the merged RunReport is marked partial.
+// frame carrying its captured trace session, and exits; end of stream
+// ends it. A worker that fails on shard k emits a kError frame naming k
+// and exits; a crashed worker just stops mid-stream. The coordinator turns
+// either into a deterministic error keyed by shard index (never by worker
+// id), so the report is identical for any worker count. A lost or corrupt
+// kReport frame is never fatal: every fragment precedes it, so the
+// histograms still merge and only the merged RunReport is marked partial.
+//
+// kReport carries facts only the worker has — its session window, spans,
+// counters and metrics snapshot. The coordinator builds the worker's
+// RunReport itself (obs::MergeProcessReports) from those facts and the
+// totals of the worker's fragments, which it already holds.
+//
+// Decoders append each element as it is read and never size a container
+// from a count, so a forged count yields Corruption once the payload runs
+// out rather than an allocation failure. A decoded capture's timestamps
+// and durations are range-checked too (DecodeReportPayload), because the
+// coordinator does int64 arithmetic on them.
 
 inline constexpr uint32_t kFrameMagic = 0x48515346;  // "FSQH" on disk (LE)
 /// v2: kReport frames; fragment ScanStats carry the cache-hierarchy
 /// counters (footer/chunk hits+misses, cache_bytes_served, per-leaf
 /// cache_bytes_served) so cross-process cache totals reconcile too.
-inline constexpr uint32_t kFrameVersion = 2;
+/// v3: kReport carries the captured session instead of a built RunReport;
+/// the end-of-stream kDone frame is gone.
+inline constexpr uint32_t kFrameVersion = 3;
 /// Hard payload bound (1 GiB): a malformed length prefix must not make the
 /// coordinator try to buffer arbitrary garbage.
 inline constexpr uint64_t kMaxFramePayload = 1ull << 30;
 
 enum class FrameType : uint32_t {
   kFragment = 1,
-  kDone = 2,
   kError = 3,
   kReport = 4,
 };
 
 struct Frame {
-  FrameType type = FrameType::kDone;
+  FrameType type = FrameType::kFragment;
   std::vector<uint8_t> payload;
 };
 
@@ -85,21 +97,29 @@ std::vector<uint8_t> EncodeErrorPayload(int file_index,
 Status DecodeErrorPayload(const std::vector<uint8_t>& payload,
                           int* file_index, std::string* message);
 
-/// kDone payload: the number of fragments the worker emitted.
-std::vector<uint8_t> EncodeDonePayload(int num_fragments);
-Status DecodeDonePayload(const std::vector<uint8_t>& payload,
-                         int* num_fragments);
+/// 2^53 ns, 104 days of traced time: the bound on one decoded capture's
+/// summed ns-valued fields. BuildRunReport sums subsets of them and
+/// MergeProcessReports adds one capture per worker, so int64 cannot
+/// overflow below 1024 workers.
+inline constexpr int64_t kMaxCaptureNs = int64_t{1} << 53;
 
-/// kReport payload: the worker's full observability state — its
-/// aggregated RunReport (stages, workers, stragglers, counters, metrics
-/// snapshot) plus every raw span (names interned in a payload-local
-/// string table), so the coordinator can both merge the reports and
-/// stitch all processes into one Chrome trace. Doubles travel as raw
-/// IEEE-754 bits like fragments; the decoded report round-trips exactly.
-std::vector<uint8_t> EncodeReportPayload(const obs::ProcessReport& report);
-/// Inverse of EncodeReportPayload. Decoded span names point into the
-/// returned report's name_pool.
-Result<obs::ProcessReport> DecodeReportPayload(
+/// kReport payload: a worker's captured session —
+///
+///   session_start_ns(i64) session_stop_ns(i64)
+///   name table: count(u32), then each name as a string
+///   spans: count(u32), then each SpanRecord with its name as a table index
+///   counters: count(u32), then each CounterRecord, name as a table index
+///   metrics: count(u32), then each MetricSample
+///
+/// Span and counter names share the payload-local table (one literal per
+/// instrument site, so it stays tiny).
+std::vector<uint8_t> EncodeReportPayload(const obs::SessionCapture& capture);
+/// Inverse of EncodeReportPayload. Decoded span and counter names point
+/// into the returned capture's name_pool. Corruption unless every
+/// timestamp is non-negative, no span ends before it starts, and the
+/// magnitudes of the capture's span durations, cpu and queue times,
+/// counter times and metric values total less than kMaxCaptureNs.
+Result<obs::SessionCapture> DecodeReportPayload(
     const std::vector<uint8_t>& payload);
 
 }  // namespace hepq::scatter

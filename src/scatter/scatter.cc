@@ -77,7 +77,6 @@ Status RunWorker(
         run,
     int fd, const std::function<std::vector<uint8_t>()>& report_payload) {
   const FaultSpec fault = ParseFault();
-  int emitted = 0;
   for (int shard = range.begin; shard < range.end; ++shard) {
     if (fault.shard == shard) {
       if (fault.kind == FaultSpec::Kind::kKillBefore) {
@@ -116,21 +115,16 @@ Status RunWorker(
       }
     }
     HEPQ_RETURN_NOT_OK(WriteAll(fd, frame.data(), frame.size()));
-    ++emitted;
   }
-  if (report_payload != nullptr) {
-    std::vector<uint8_t> frame =
-        EncodeFrame(FrameType::kReport, report_payload());
-    if (fault.kind == FaultSpec::Kind::kBadReport && frame.size() > 24) {
-      // Flip one payload byte so the frame CRC fails at the coordinator —
-      // the lost-report degradation path, with the histograms intact.
-      frame[24] ^= 0xff;
-    }
-    HEPQ_RETURN_NOT_OK(WriteAll(fd, frame.data(), frame.size()));
+  if (report_payload == nullptr) return Status::OK();
+  std::vector<uint8_t> frame =
+      EncodeFrame(FrameType::kReport, report_payload());
+  if (fault.kind == FaultSpec::Kind::kBadReport && frame.size() > 24) {
+    // Flip one payload byte so the frame CRC fails at the coordinator —
+    // the lost-report degradation path, with the histograms intact.
+    frame[24] ^= 0xff;
   }
-  const std::vector<uint8_t> done =
-      EncodeFrame(FrameType::kDone, EncodeDonePayload(emitted));
-  return WriteAll(fd, done.data(), done.size());
+  return WriteAll(fd, frame.data(), frame.size());
 }
 
 WorkerStream ParseWorkerStream(const uint8_t* data, size_t size) {
@@ -176,13 +170,11 @@ WorkerStream ParseWorkerStream(const uint8_t* data, size_t size) {
       case FrameType::kReport: {
         // A report that fails to decode (future schema drift) is dropped,
         // not fatal: observability frames must never doom the result.
-        Result<obs::ProcessReport> report = DecodeReportPayload(frame.payload);
+        Result<obs::SessionCapture> report =
+            DecodeReportPayload(frame.payload);
         if (report.ok()) stream.reports.push_back(std::move(*report));
         break;
       }
-      case FrameType::kDone:
-        stream.done = true;
-        break;
     }
   }
   return stream;
@@ -396,19 +388,27 @@ Result<queries::QueryRunOutput> RunScattered(
     streams.push_back(std::move(stream));
   }
   if (reports != nullptr) {
-    // One slot per spawned worker, in shard order; a worker that sent no
-    // decodable kReport leaves a placeholder carrying only its range, so
-    // the merged report can say exactly which shards lost attribution.
+    // One slot per spawned worker, in shard order. Its totals are its
+    // fragments summed in shard order — exactly what the worker itself
+    // would sum, so wall_seconds is a sum here, not MergeShardOutputs'
+    // max. A worker that sent no decodable kReport is marked not
+    // received, so the merged report can say which shards lost
+    // attribution.
     reports->clear();
     for (WorkerStream& stream : streams) {
-      if (!stream.reports.empty()) {
-        reports->push_back(std::move(stream.reports.front()));
+      obs::ProcessReport& process = reports->emplace_back();
+      process.shard_begin = stream.range.begin;
+      process.shard_end = stream.range.end;
+      for (const ShardFragment& fragment : stream.fragments) {
+        process.events += fragment.output.events_processed;
+        process.wall_seconds += fragment.output.wall_seconds;
+        process.cpu_seconds += fragment.output.cpu_seconds;
+        process.scan.Add(fragment.output.scan);
+      }
+      process.received = !stream.reports.empty();
+      if (process.received) {
+        process.capture = std::move(stream.reports.front());
       } else {
-        obs::ProcessReport placeholder;
-        placeholder.shard_begin = stream.range.begin;
-        placeholder.shard_end = stream.range.end;
-        placeholder.received = false;
-        reports->push_back(std::move(placeholder));
         reports_missing.Add(1);
       }
     }

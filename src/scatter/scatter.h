@@ -34,11 +34,10 @@ ShardRange ShardRangeFor(int num_files, int num_workers, int worker);
 
 /// Runs the worker half: `run` once per shard in `range` (paths from
 /// `files`, the dataset's sorted shard list), writing one kFragment frame
-/// per shard and a final kDone frame to `fd`. When `report_payload` is
-/// set it is invoked after the last shard (the caller stops its trace
-/// session and builds the kReport body there) and the returned bytes go
-/// out as one kReport frame between the fragments and kDone. A shard
-/// failure writes a kError frame naming the shard and stops. For
+/// per shard to `fd`. When `report_payload` is set it is invoked after the
+/// last shard (the caller stops its trace session and encodes the capture
+/// there) and the returned bytes go out as one final kReport frame. A
+/// shard failure writes a kError frame naming the shard and stops. For
 /// fault-path tests the HEPQ_SCATTER_FAULT environment variable injects
 /// failures:
 ///   "kill_before:K"  exit(1) without a frame when shard K is reached
@@ -61,12 +60,11 @@ struct WorkerStream {
   std::vector<ShardFragment> fragments;
   /// Decoded kReport frames (at most one from a healthy worker). A
   /// kReport whose payload fails to decode is dropped, not fatal: the
-  /// fragments around it still merge and the coordinator reports the
+  /// fragments before it still merge and the coordinator reports the
   /// worker as sending no report.
-  std::vector<obs::ProcessReport> reports;
+  std::vector<obs::SessionCapture> reports;
   /// Explicit kError frames (failing shard index + message).
   std::vector<std::pair<int, std::string>> errors;
-  bool done = false;
   /// First malformed-frame error, if the stream broke mid-frame.
   Status parse_error = Status::OK();
 };
@@ -101,9 +99,10 @@ Result<queries::QueryRunOutput> MergeShardOutputs(
 /// spawned. `files` is the dataset's sorted shard list.
 ///
 /// When `reports` is non-null it receives one ProcessReport per spawned
-/// worker, in shard order; a worker whose kReport frame never arrived (or
-/// failed to decode) yields a placeholder with `received = false` and its
-/// shard range, so the merged RunReport can degrade deterministically.
+/// worker, in shard order: its shard range, its fragments' totals summed
+/// in shard order, and its decoded session capture. A worker whose kReport
+/// frame never arrived (or failed to decode) has `received = false`, so
+/// the merged RunReport can degrade deterministically.
 Result<queries::QueryRunOutput> RunScattered(
     const std::vector<std::string>& files, int num_workers,
     const std::function<std::vector<std::string>(ShardRange)>& make_argv,

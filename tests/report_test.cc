@@ -193,6 +193,33 @@ TEST(ReportTableTest, ProfileTableShowsStagesWorkersAndLeaves) {
   EXPECT_NE(table.find("MET.pt"), std::string::npos);  // per-leaf row
 }
 
+// A scatter coordinator builds reports from captures it decoded off the
+// wire, so worker ids need not be small or dense: each distinct id (any
+// negative one counts as w0) yields one summary, with no work per unused
+// id in between.
+TEST(ReportWorkersTest, SparseWorkerIdsYieldOneSummaryEach) {
+  SessionCapture capture;
+  capture.start_ns = 0;
+  capture.stop_ns = 1000;
+  for (int32_t worker : {2147483647, -5, 0, 2147483647}) {
+    SpanRecord span;
+    span.name = "row_group";
+    span.stage = Stage::kRowGroup;
+    span.start_ns = 100 * static_cast<int64_t>(capture.spans.size());
+    span.end_ns = span.start_ns + 50;
+    span.worker = worker;
+    span.seq = static_cast<uint32_t>(capture.spans.size());
+    capture.spans.push_back(span);
+  }
+  const RunReport report = BuildRunReport(capture, RunInfo{}, ScanStats{});
+  ASSERT_EQ(report.workers.size(), 2u);
+  EXPECT_EQ(report.workers[0].worker, 0);
+  EXPECT_EQ(report.workers[0].row_groups, 2);
+  EXPECT_EQ(report.workers[1].worker, 2147483647);
+  EXPECT_EQ(report.workers[1].row_groups, 2);
+  EXPECT_EQ(report.workers[1].busy_ns, 100);
+}
+
 TEST(ScanStatsTest, AddMergesLeavesAcrossReaders) {
   // Per-leaf stats merge by path — the laq_inspect-style breakdown
   // surfaces from N per-worker readers exactly as from one.

@@ -1,8 +1,10 @@
 // Tests for the multi-process scatter/gather layer: shard-range
 // partitioning, sharded-generation determinism, the IPC frame protocol
-// (bit-exact doubles, malformed-frame detection), deterministic fault
-// attribution in the gather, and the core contract — a scattered merge is
-// bit-identical to the in-process dataset run.
+// (bit-exact doubles, malformed-frame detection, mutated payloads that
+// must decode or fail cleanly), deterministic fault attribution in the
+// gather, and the core contracts — a scattered merge is bit-identical to
+// the in-process dataset run, and a worker's RunReport built from its
+// kReport capture equals the one built in-process.
 
 #include <unistd.h>
 
@@ -17,6 +19,7 @@
 
 #include "datagen/dataset.h"
 #include "fileio/dataset_reader.h"
+#include "obs/report.h"
 #include "queries/adl.h"
 #include "scatter/ipc.h"
 #include "scatter/scatter.h"
@@ -202,7 +205,7 @@ TEST(ScatterIpcTest, MalformedFramesAreErrors) {
   auto version_result = TryParseFrame(bad_version.data(),
                                       bad_version.size(), &frame, &consumed);
   ASSERT_FALSE(version_result.ok());
-  EXPECT_NE(version_result.status().message().find("version 42, expected 2"),
+  EXPECT_NE(version_result.status().message().find("version 42, expected 3"),
             std::string::npos);
 
   std::vector<uint8_t> bad_crc = good;
@@ -213,32 +216,23 @@ TEST(ScatterIpcTest, MalformedFramesAreErrors) {
   EXPECT_NE(crc_result.status().message().find("CRC"), std::string::npos);
 }
 
-/// Serializes `fragments` (+ optional done frame) as one worker's stream.
-std::vector<uint8_t> StreamOf(const std::vector<ShardFragment>& fragments,
-                              bool done) {
+/// Serializes `fragments` as one worker's stream.
+std::vector<uint8_t> StreamOf(const std::vector<ShardFragment>& fragments) {
   std::vector<uint8_t> bytes;
   for (const ShardFragment& fragment : fragments) {
     const std::vector<uint8_t> frame =
         EncodeFrame(FrameType::kFragment, EncodeFragmentPayload(fragment));
     bytes.insert(bytes.end(), frame.begin(), frame.end());
   }
-  if (done) {
-    const std::vector<uint8_t> frame = EncodeFrame(
-        FrameType::kDone, scatter::EncodeDonePayload(
-                              static_cast<int>(fragments.size())));
-    bytes.insert(bytes.end(), frame.begin(), frame.end());
-  }
   return bytes;
 }
 
 TEST(ScatterGatherTest, TruncatedStreamKeepsWholeFragments) {
-  std::vector<uint8_t> bytes = StreamOf({MakeFragment(0), MakeFragment(1)},
-                                        /*done=*/false);
+  std::vector<uint8_t> bytes = StreamOf({MakeFragment(0), MakeFragment(1)});
   bytes.resize(bytes.size() - 7);  // break the second fragment's frame
   const WorkerStream stream = ParseWorkerStream(bytes.data(), bytes.size());
   ASSERT_EQ(stream.fragments.size(), 1u);
   EXPECT_EQ(stream.fragments[0].file_index, 0);
-  EXPECT_FALSE(stream.done);
   ASSERT_FALSE(stream.parse_error.ok());
   EXPECT_NE(stream.parse_error.message().find("ends mid-frame"),
             std::string::npos);
@@ -257,8 +251,7 @@ TEST(ScatterGatherTest, MissingShardErrorIndependentOfWorkerCount) {
       for (int s = range.begin; s < range.end && s < 2; ++s) {
         fragments.push_back(MakeFragment(s));
       }
-      const std::vector<uint8_t> bytes =
-          StreamOf(fragments, /*done=*/range.end <= 2);
+      const std::vector<uint8_t> bytes = StreamOf(fragments);
       WorkerStream stream = ParseWorkerStream(bytes.data(), bytes.size());
       stream.range = range;
       streams.push_back(std::move(stream));
@@ -281,13 +274,11 @@ TEST(ScatterGatherTest, ParseErrorAttributedToWorkersOwnRange) {
   // Worker 0 owns shards [0,2) and completes; worker 1 owns [2,4) and its
   // stream breaks before any fragment. The error must name shard 2, not
   // shard 0.
-  std::vector<uint8_t> ok_bytes =
-      StreamOf({MakeFragment(0), MakeFragment(1)}, /*done=*/true);
+  std::vector<uint8_t> ok_bytes = StreamOf({MakeFragment(0), MakeFragment(1)});
   WorkerStream ok_stream =
       ParseWorkerStream(ok_bytes.data(), ok_bytes.size());
   ok_stream.range = {0, 2};
-  std::vector<uint8_t> broken_bytes =
-      StreamOf({MakeFragment(2)}, /*done=*/false);
+  std::vector<uint8_t> broken_bytes = StreamOf({MakeFragment(2)});
   broken_bytes.resize(broken_bytes.size() / 2);
   WorkerStream broken_stream =
       ParseWorkerStream(broken_bytes.data(), broken_bytes.size());
@@ -305,8 +296,7 @@ TEST(ScatterGatherTest, ParseErrorAttributedToWorkersOwnRange) {
 TEST(ScatterGatherTest, DuplicateFragmentIsCorruption) {
   const std::vector<std::string> files = {"fa", "fb"};
   std::vector<uint8_t> bytes =
-      StreamOf({MakeFragment(0), MakeFragment(0), MakeFragment(1)},
-               /*done=*/true);
+      StreamOf({MakeFragment(0), MakeFragment(0), MakeFragment(1)});
   WorkerStream stream = ParseWorkerStream(bytes.data(), bytes.size());
   stream.range = {0, 2};
   std::vector<WorkerStream> streams;
@@ -317,7 +307,7 @@ TEST(ScatterGatherTest, DuplicateFragmentIsCorruption) {
   EXPECT_NE(status.message().find("duplicate"), std::string::npos);
 }
 
-TEST(ScatterWorkerTest, EmitsFragmentPerShardThenDone) {
+TEST(ScatterWorkerTest, EmitsFragmentPerShard) {
   const std::vector<std::string> files = {"fa", "fb", "fc"};
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
@@ -342,7 +332,6 @@ TEST(ScatterWorkerTest, EmitsFragmentPerShardThenDone) {
   ::close(fds[0]);
   const WorkerStream stream = ParseWorkerStream(bytes.data(), total);
   ASSERT_TRUE(stream.parse_error.ok()) << stream.parse_error.message();
-  EXPECT_TRUE(stream.done);
   ASSERT_EQ(stream.fragments.size(), 2u);
   EXPECT_EQ(stream.fragments[0].file_index, 1);
   EXPECT_EQ(stream.fragments[1].file_index, 2);
@@ -441,96 +430,87 @@ TEST_F(ScatterMergeTest, MergedShardFragmentsMatchDatasetRun) {
   }
 }
 
+/// Writes `value` little-endian at `offset` of `bytes`.
+void PokeU32(std::vector<uint8_t>* bytes, size_t offset, uint32_t value) {
+  for (size_t i = 0; i < 4; ++i) {
+    (*bytes)[offset + i] = static_cast<uint8_t>(value >> (8 * i));
+  }
+}
+
+uint32_t PeekU32(const std::vector<uint8_t>& bytes, size_t offset) {
+  uint32_t value = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    value |= static_cast<uint32_t>(bytes[offset + i]) << (8 * i);
+  }
+  return value;
+}
+
+/// Frames `payload`, parses the frame back (the CRC is valid, so only the
+/// payload decoder stands between forged bytes and the coordinator), and
+/// returns the parsed payload.
+std::vector<uint8_t> Reframed(FrameType type,
+                              const std::vector<uint8_t>& payload) {
+  const std::vector<uint8_t> wire = EncodeFrame(type, payload);
+  Frame frame;
+  size_t consumed = 0;
+  auto complete = TryParseFrame(wire.data(), wire.size(), &frame, &consumed);
+  EXPECT_TRUE(complete.ok() && *complete);
+  return frame.payload;
+}
+
+// A count the rest of the payload cannot hold used to size an allocation
+// directly (std::bad_alloc escaped and terminated the coordinator). Each
+// forged count must now be a Corruption error.
+TEST(ScatterIpcTest, ForgedFragmentCountsAreCorruption) {
+  const std::vector<uint8_t> payload = EncodeFragmentPayload(MakeFragment(0));
+  // file_index(4) events/wall/cpu/ops(4x8) 18 ScanStats counters(18x8),
+  // num_leaves (no leaves), num_histos, then histogram "h"/"title":
+  // name(4+1) title(4+5) num_bins(4) lo(8) hi(8), then its bin count.
+  // A forged num_bins must not size the histogram either.
+  const size_t num_leaves = 4 + 4 * 8 + 18 * 8;
+  const size_t num_histos = num_leaves + 4;
+  const size_t bin_count = num_histos + 4 + (4 + 1) + (4 + 5) + 4 + 8 + 8;
+  ASSERT_EQ(PeekU32(payload, num_leaves), 0u);
+  ASSERT_EQ(PeekU32(payload, num_histos), 1u);
+  ASSERT_EQ(PeekU32(payload, bin_count), 4u);
+  for (size_t offset : {num_leaves, num_histos, bin_count, bin_count - 20}) {
+    SCOPED_TRACE("count at offset " + std::to_string(offset));
+    std::vector<uint8_t> forged = payload;
+    PokeU32(&forged, offset, 0xffffffffu);
+    auto decoded =
+        DecodeFragmentPayload(Reframed(FrameType::kFragment, forged));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+        << decoded.status().ToString();
+  }
+}
+
 // ---------------------------------------------------------------------------
-// kReport frames: the observability side-channel. The contract is twofold —
-// a healthy report round-trips exactly (raw IEEE-754 doubles, interned
-// span names), and a lost/corrupt/truncated report degrades the merged
-// RunReport without ever dooming the query result.
+// kReport frames: the observability side-channel. A worker ships only its
+// captured session (window, spans, counters, metrics); the coordinator
+// builds the worker's RunReport from it. The contract is twofold — that
+// report equals the in-process one field for field, and a lost, corrupt
+// or truncated report degrades the merged RunReport without ever dooming
+// the query result.
 // ---------------------------------------------------------------------------
 
-/// A ProcessReport with every section populated and an adversarial double
-/// (denormal cpu_seconds): the wire format must reproduce each field.
-obs::ProcessReport MakeReport(int shard_begin, int shard_end) {
-  obs::ProcessReport report;
-  report.shard_begin = shard_begin;
-  report.shard_end = shard_end;
-  report.session_start_ns = 1000000;
-  report.session_stop_ns = 9999999;
-  obs::RunReport& r = report.report;
-  r.info.query = "Q5";
-  r.info.engine = "rdf";
-  r.info.threads = 3;
-  r.info.events_processed = 40000 + shard_begin;
-  r.info.wall_seconds = 0.5;
-  r.info.cpu_seconds = std::numeric_limits<double>::denorm_min();
-  r.scan.storage_bytes = 123456u + static_cast<uint64_t>(shard_begin);
-  r.scan.decoded_bytes = 77777u;
-  r.scan.cache_bytes_served = 4096u;
-  r.scan.values_read = 999u;
-  r.run_span_ns = 88;
-  r.total_span_ns = 99;
-  r.window_ns = 111;
-  obs::StageSummary stage;
-  stage.stage = obs::Stage::kRowGroup;
-  stage.wall_ns = 1234;
-  stage.cpu_ns = 1200;
-  stage.bytes = 4096;
-  stage.count = 7;
-  r.stages.push_back(stage);
-  obs::WorkerSummary worker;
-  worker.worker = 1;
-  worker.busy_ns = 500;
-  worker.idle_ns = 50;
-  worker.busy_fraction = 0.9090625;
-  worker.row_groups = 7;
-  worker.max_queue_ns = 12;
-  worker.max_queue_group = 3;
-  obs::WorkerSummary::TimelineEntry entry;
-  entry.group = 3;
-  entry.slot = 0;
-  entry.start_ns = 10;
-  entry.dur_ns = 20;
-  entry.queue_ns = 2;
-  entry.bytes = 64;
-  worker.timeline.push_back(entry);
-  r.workers.push_back(worker);
-  obs::Straggler straggler;
-  straggler.group = 3;
-  straggler.worker = 1;
-  straggler.slot = 0;
-  straggler.wall_ns = 20;
-  straggler.bytes = 64;
-  r.stragglers.push_back(straggler);
-  obs::CounterSummary counter;
-  counter.name = "flwor_rows";
-  counter.stage = obs::Stage::kEventLoop;
-  counter.ns = 5;
-  counter.count = 6;
-  counter.bytes = 7;
-  r.counters.push_back(counter);
-  obs::metrics::MetricSample c;
-  c.name = "hepq_test_total";
-  c.kind = obs::metrics::MetricKind::kCounter;
-  c.value = 42;
-  r.metrics.push_back(c);
-  obs::metrics::MetricSample h;
-  h.name = "hepq_test_wait_ns";
-  h.kind = obs::metrics::MetricKind::kHistogram;
-  h.buckets.assign(obs::metrics::kHistogramBuckets + 1, 0);
-  h.buckets[1] = 3;
-  h.observations = 3;
-  h.sum_ns = 4500;
-  r.metrics.push_back(h);
+/// A small capture with every section populated: a nested span pair, a
+/// counter sharing the span-name table, and a counter and a histogram
+/// metric.
+obs::SessionCapture MakeCapture() {
+  obs::SessionCapture capture;
+  capture.start_ns = 1000000;
+  capture.stop_ns = 9999999;
   obs::SpanRecord run_span;
-  run_span.name = report.InternName("run");
+  run_span.name = "run";
   run_span.stage = obs::Stage::kRun;
   run_span.start_ns = 1000000;
   run_span.end_ns = 9999999;
   run_span.cpu_ns = 800;
-  run_span.thread_index = 0;
-  report.spans.push_back(run_span);
+  run_span.seq = 1;
+  capture.spans.push_back(run_span);
   obs::SpanRecord span;
-  span.name = report.InternName("row_group");
+  span.name = "row_group";
   span.stage = obs::Stage::kRowGroup;
   span.start_ns = 1000100;
   span.end_ns = 1000200;
@@ -540,98 +520,262 @@ obs::ProcessReport MakeReport(int shard_begin, int shard_end) {
   span.worker = 1;
   span.group = 3;
   span.slot = 0;
-  span.leaf = -1;
-  span.seq = 1;
-  span.thread_index = 2;
   span.depth = 1;
-  report.spans.push_back(span);
-  return report;
+  capture.spans.push_back(span);
+  capture.counters.push_back(
+      obs::CounterRecord{"flwor_rows", obs::Stage::kEventLoop, 5, 6, 7});
+  obs::metrics::MetricSample c;
+  c.name = "hepq_test_total";
+  c.kind = obs::metrics::MetricKind::kCounter;
+  c.value = 42;
+  capture.metrics.push_back(c);
+  obs::metrics::MetricSample h;
+  h.name = "hepq_test_wait_ns";
+  h.kind = obs::metrics::MetricKind::kHistogram;
+  h.buckets.assign(obs::metrics::kHistogramBuckets + 1, 0);
+  h.buckets[1] = 3;
+  h.observations = 3;
+  h.sum_ns = 4500;
+  capture.metrics.push_back(h);
+  return capture;
 }
 
-TEST(ScatterIpcTest, ReportPayloadRoundTripsExactly) {
-  const obs::ProcessReport original = MakeReport(2, 5);
-  const std::vector<uint8_t> wire =
-      EncodeFrame(FrameType::kReport, EncodeReportPayload(original));
-  Frame frame;
-  size_t consumed = 0;
-  auto complete = TryParseFrame(wire.data(), wire.size(), &frame, &consumed);
-  ASSERT_TRUE(complete.ok()) << complete.status().message();
-  ASSERT_TRUE(*complete);
-  EXPECT_EQ(frame.type, FrameType::kReport);
-  auto decoded = DecodeReportPayload(frame.payload);
+TEST(ScatterIpcTest, ForgedReportCountsAreCorruption) {
+  const std::vector<uint8_t> payload = EncodeReportPayload(MakeCapture());
+  // start/stop(2x8), num_names, names "run" "row_group" "flwor_rows",
+  // num_spans, 2 spans (76 bytes each), num_counters, 1 counter (32),
+  // num_metrics, metric "hepq_test_total": name(4+15) kind(4) value(8),
+  // then its bucket count.
+  const size_t num_names = 2 * 8;
+  const size_t num_spans = num_names + 4 + (4 + 3) + (4 + 9) + (4 + 10);
+  const size_t num_counters = num_spans + 4 + 2 * 76;
+  const size_t num_metrics = num_counters + 4 + 32;
+  const size_t num_buckets = num_metrics + 4 + (4 + 15) + 4 + 8;
+  ASSERT_EQ(PeekU32(payload, num_names), 3u);
+  ASSERT_EQ(PeekU32(payload, num_spans), 2u);
+  ASSERT_EQ(PeekU32(payload, num_counters), 1u);
+  ASSERT_EQ(PeekU32(payload, num_metrics), 2u);
+  ASSERT_EQ(PeekU32(payload, num_buckets), 0u);
+  for (size_t offset :
+       {num_names, num_spans, num_counters, num_metrics, num_buckets}) {
+    SCOPED_TRACE("count at offset " + std::to_string(offset));
+    std::vector<uint8_t> forged = payload;
+    PokeU32(&forged, offset, 0xffffffffu);
+    auto decoded = DecodeReportPayload(Reframed(FrameType::kReport, forged));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+        << decoded.status().ToString();
+  }
+}
+
+/// Field-by-field report equality, doubles compared bitwise, then the
+/// whole JSON rendering as a catch-all.
+void ExpectSameReport(const obs::RunReport& a, const obs::RunReport& b) {
+  EXPECT_EQ(a.info.query, b.info.query);
+  EXPECT_EQ(a.info.engine, b.info.engine);
+  EXPECT_EQ(a.info.threads, b.info.threads);
+  EXPECT_EQ(a.info.events_processed, b.info.events_processed);
+  EXPECT_EQ(Bits(a.info.wall_seconds), Bits(b.info.wall_seconds));
+  EXPECT_EQ(Bits(a.info.cpu_seconds), Bits(b.info.cpu_seconds));
+  EXPECT_EQ(a.run_span_ns, b.run_span_ns);
+  EXPECT_EQ(a.total_span_ns, b.total_span_ns);
+  EXPECT_EQ(a.window_ns, b.window_ns);
+  ASSERT_EQ(a.stages.size(), b.stages.size());
+  for (size_t i = 0; i < a.stages.size(); ++i) {
+    EXPECT_EQ(a.stages[i].stage, b.stages[i].stage);
+    EXPECT_EQ(a.stages[i].wall_ns, b.stages[i].wall_ns);
+    EXPECT_EQ(a.stages[i].cpu_ns, b.stages[i].cpu_ns);
+    EXPECT_EQ(a.stages[i].bytes, b.stages[i].bytes);
+    EXPECT_EQ(a.stages[i].count, b.stages[i].count);
+  }
+  ASSERT_EQ(a.workers.size(), b.workers.size());
+  for (size_t i = 0; i < a.workers.size(); ++i) {
+    const obs::WorkerSummary& x = a.workers[i];
+    const obs::WorkerSummary& y = b.workers[i];
+    EXPECT_EQ(x.worker, y.worker);
+    EXPECT_EQ(x.proc, y.proc);
+    EXPECT_EQ(x.busy_ns, y.busy_ns);
+    EXPECT_EQ(x.idle_ns, y.idle_ns);
+    EXPECT_EQ(Bits(x.busy_fraction), Bits(y.busy_fraction));
+    EXPECT_EQ(x.row_groups, y.row_groups);
+    EXPECT_EQ(x.max_queue_ns, y.max_queue_ns);
+    EXPECT_EQ(x.max_queue_group, y.max_queue_group);
+    EXPECT_EQ(x.timeline_truncated, y.timeline_truncated);
+    ASSERT_EQ(x.timeline.size(), y.timeline.size());
+    for (size_t e = 0; e < x.timeline.size(); ++e) {
+      EXPECT_EQ(x.timeline[e].group, y.timeline[e].group);
+      EXPECT_EQ(x.timeline[e].slot, y.timeline[e].slot);
+      EXPECT_EQ(x.timeline[e].start_ns, y.timeline[e].start_ns);
+      EXPECT_EQ(x.timeline[e].dur_ns, y.timeline[e].dur_ns);
+      EXPECT_EQ(x.timeline[e].queue_ns, y.timeline[e].queue_ns);
+      EXPECT_EQ(x.timeline[e].bytes, y.timeline[e].bytes);
+    }
+  }
+  ASSERT_EQ(a.stragglers.size(), b.stragglers.size());
+  for (size_t i = 0; i < a.stragglers.size(); ++i) {
+    EXPECT_EQ(a.stragglers[i].group, b.stragglers[i].group);
+    EXPECT_EQ(a.stragglers[i].worker, b.stragglers[i].worker);
+    EXPECT_EQ(a.stragglers[i].proc, b.stragglers[i].proc);
+    EXPECT_EQ(a.stragglers[i].slot, b.stragglers[i].slot);
+    EXPECT_EQ(a.stragglers[i].wall_ns, b.stragglers[i].wall_ns);
+    EXPECT_EQ(a.stragglers[i].bytes, b.stragglers[i].bytes);
+  }
+  ASSERT_EQ(a.counters.size(), b.counters.size());
+  for (size_t i = 0; i < a.counters.size(); ++i) {
+    EXPECT_EQ(a.counters[i].name, b.counters[i].name);
+    EXPECT_EQ(a.counters[i].stage, b.counters[i].stage);
+    EXPECT_EQ(a.counters[i].ns, b.counters[i].ns);
+    EXPECT_EQ(a.counters[i].count, b.counters[i].count);
+    EXPECT_EQ(a.counters[i].bytes, b.counters[i].bytes);
+  }
+  ASSERT_EQ(a.metrics.size(), b.metrics.size());
+  for (size_t i = 0; i < a.metrics.size(); ++i) {
+    EXPECT_EQ(a.metrics[i].name, b.metrics[i].name);
+    EXPECT_EQ(a.metrics[i].kind, b.metrics[i].kind);
+    EXPECT_EQ(a.metrics[i].value, b.metrics[i].value);
+    EXPECT_EQ(a.metrics[i].buckets, b.metrics[i].buckets);
+    EXPECT_EQ(a.metrics[i].observations, b.metrics[i].observations);
+    EXPECT_EQ(a.metrics[i].sum_ns, b.metrics[i].sum_ns);
+  }
+  EXPECT_EQ(Bits(a.cost_inputs.cpu_seconds), Bits(b.cost_inputs.cpu_seconds));
+  EXPECT_EQ(a.cost_inputs.row_groups, b.cost_inputs.row_groups);
+  EXPECT_EQ(obs::ReportToJson(a), obs::ReportToJson(b));
+}
+
+/// One real traced query over `shard` with the metrics registry on: the
+/// in-process session plus the run's totals.
+struct TracedRun {
+  obs::TraceSession session;
+  obs::RunInfo info;
+  ScanStats scan;
+};
+
+void TraceRealQuery(const std::string& shard, int threads, TracedRun* run) {
+  obs::metrics::SetMetricsEnabled(true);
+  queries::RunOptions options;
+  options.num_threads = threads;
+  run->session.Start();
+  auto result = queries::RunAdlQuery(queries::EngineKind::kBigQueryShape, 5,
+                                     shard, options);
+  run->session.Stop();
+  obs::metrics::SetMetricsEnabled(false);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  run->info.query = "Q5";
+  run->info.engine = "bigquery-shape";
+  run->info.threads = threads;
+  run->info.events_processed = result->events_processed;
+  run->info.wall_seconds = result->wall_seconds;
+  run->info.cpu_seconds = result->cpu_seconds;
+  run->scan = result->scan;
+}
+
+// The field-exact gate of the kReport path: a worker's capture, encoded,
+// framed, parsed and decoded, builds the same RunReport on the coordinator
+// as BuildRunReport over the live session, and stitches the same trace.
+TEST_F(ScatterMergeTest, WorkerReportSurvivesTheWireUnchanged) {
+  const auto files = ListLaqFiles(*dataset_).ValueOrDie();
+  TracedRun run;
+  TraceRealQuery(files[0], /*threads=*/2, &run);
+  const obs::RunReport in_process =
+      obs::BuildRunReport(run.session, run.info, run.scan);
+  obs::ProcessReport local;
+  local.capture = obs::CaptureSession(run.session);
+  ASSERT_FALSE(local.capture.spans.empty());
+  ASSERT_FALSE(local.capture.metrics.empty());
+  ASSERT_FALSE(in_process.workers.empty());
+  ASSERT_FALSE(in_process.stragglers.empty());
+
+  const std::vector<uint8_t> payload =
+      Reframed(FrameType::kReport, EncodeReportPayload(local.capture));
+  auto decoded = DecodeReportPayload(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  obs::ProcessReport remote;
+  remote.capture = std::move(*decoded);
+  ExpectSameReport(in_process,
+                   obs::BuildRunReport(remote.capture, run.info, run.scan));
 
-  EXPECT_EQ(decoded->shard_begin, 2);
-  EXPECT_EQ(decoded->shard_end, 5);
-  EXPECT_EQ(decoded->session_start_ns, original.session_start_ns);
-  EXPECT_EQ(decoded->session_stop_ns, original.session_stop_ns);
-  const obs::RunReport& a = original.report;
-  const obs::RunReport& b = decoded->report;
-  EXPECT_EQ(b.info.query, a.info.query);
-  EXPECT_EQ(b.info.engine, a.info.engine);
-  EXPECT_EQ(b.info.threads, a.info.threads);
-  EXPECT_EQ(b.info.events_processed, a.info.events_processed);
-  EXPECT_EQ(Bits(b.info.wall_seconds), Bits(a.info.wall_seconds));
-  EXPECT_EQ(Bits(b.info.cpu_seconds), Bits(a.info.cpu_seconds));
-  EXPECT_EQ(b.scan.storage_bytes, a.scan.storage_bytes);
-  EXPECT_EQ(b.scan.decoded_bytes, a.scan.decoded_bytes);
-  EXPECT_EQ(b.scan.cache_bytes_served, a.scan.cache_bytes_served);
-  EXPECT_EQ(b.scan.values_read, a.scan.values_read);
-  EXPECT_EQ(b.run_span_ns, a.run_span_ns);
-  EXPECT_EQ(b.total_span_ns, a.total_span_ns);
-  EXPECT_EQ(b.window_ns, a.window_ns);
-  ASSERT_EQ(b.stages.size(), 1u);
-  EXPECT_EQ(b.stages[0].stage, obs::Stage::kRowGroup);
-  EXPECT_EQ(b.stages[0].wall_ns, 1234);
-  EXPECT_EQ(b.stages[0].count, 7u);
-  ASSERT_EQ(b.workers.size(), 1u);
-  EXPECT_EQ(b.workers[0].worker, 1);
-  EXPECT_EQ(Bits(b.workers[0].busy_fraction), Bits(a.workers[0].busy_fraction));
-  EXPECT_EQ(b.workers[0].max_queue_group, 3);
-  ASSERT_EQ(b.workers[0].timeline.size(), 1u);
-  EXPECT_EQ(b.workers[0].timeline[0].group, 3);
-  EXPECT_EQ(b.workers[0].timeline[0].dur_ns, 20);
-  EXPECT_EQ(b.workers[0].timeline[0].bytes, 64u);
-  ASSERT_EQ(b.stragglers.size(), 1u);
-  EXPECT_EQ(b.stragglers[0].group, 3);
-  EXPECT_EQ(b.stragglers[0].wall_ns, 20);
-  ASSERT_EQ(b.counters.size(), 1u);
-  EXPECT_EQ(b.counters[0].name, "flwor_rows");
-  EXPECT_EQ(b.counters[0].stage, obs::Stage::kEventLoop);
-  EXPECT_EQ(b.counters[0].count, 6u);
-  ASSERT_EQ(b.metrics.size(), 2u);
-  EXPECT_EQ(b.metrics[0].name, "hepq_test_total");
-  EXPECT_EQ(b.metrics[0].kind, obs::metrics::MetricKind::kCounter);
-  EXPECT_EQ(b.metrics[0].value, 42);
-  EXPECT_EQ(b.metrics[1].name, "hepq_test_wait_ns");
-  EXPECT_EQ(b.metrics[1].kind, obs::metrics::MetricKind::kHistogram);
-  ASSERT_EQ(b.metrics[1].buckets.size(),
-            static_cast<size_t>(obs::metrics::kHistogramBuckets + 1));
-  EXPECT_EQ(b.metrics[1].buckets[1], 3u);
-  EXPECT_EQ(b.metrics[1].observations, 3u);
-  EXPECT_EQ(b.metrics[1].sum_ns, 4500);
-  // Span names decode into the report's own pool; both sites that shared
-  // a name share the interned pointer again.
-  ASSERT_EQ(decoded->spans.size(), 2u);
-  EXPECT_STREQ(decoded->spans[0].name, "run");
-  EXPECT_STREQ(decoded->spans[1].name, "row_group");
-  EXPECT_EQ(decoded->spans[0].stage, obs::Stage::kRun);
-  EXPECT_EQ(decoded->spans[1].stage, obs::Stage::kRowGroup);
-  EXPECT_EQ(decoded->spans[1].start_ns, 1000100);
-  EXPECT_EQ(decoded->spans[1].end_ns, 1000200);
-  EXPECT_EQ(decoded->spans[1].cpu_ns, 90);
-  EXPECT_EQ(decoded->spans[1].queue_ns, 2);
-  EXPECT_EQ(decoded->spans[1].bytes, 64u);
-  EXPECT_EQ(decoded->spans[1].worker, 1);
-  EXPECT_EQ(decoded->spans[1].group, 3);
-  EXPECT_EQ(decoded->spans[1].slot, 0);
-  EXPECT_EQ(decoded->spans[1].leaf, -1);
-  EXPECT_EQ(decoded->spans[1].seq, 1u);
-  EXPECT_EQ(decoded->spans[1].thread_index, 2);
-  EXPECT_EQ(decoded->spans[1].depth, 1);
+  std::vector<obs::ProcessReport> local_procs;
+  local_procs.push_back(std::move(local));
+  std::vector<obs::ProcessReport> remote_procs;
+  remote_procs.push_back(std::move(remote));
+  EXPECT_EQ(obs::MultiProcessChromeTraceJson(local_procs),
+            obs::MultiProcessChromeTraceJson(remote_procs));
 }
 
-TEST(ScatterWorkerTest, EmitsReportBetweenFragmentsAndDone) {
+/// Runs `decode` on `payload` and requires a clean outcome — a Status or
+/// a decoded value, never an exception. Returns whether it decoded.
+template <typename Decode>
+bool DecodesCleanly(const Decode& decode, const std::vector<uint8_t>& payload) {
+  try {
+    return decode(payload).ok();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "decoder threw: " << e.what();
+    return false;
+  }
+}
+
+/// The parser-side mutation suite for one real payload: truncation at
+/// every byte, every single-bit flip re-framed with a valid CRC, and an
+/// all-ones u32 written at every offset (which covers every count field).
+template <typename Decode>
+void ExpectMutationsDecodeCleanly(FrameType type,
+                                  const std::vector<uint8_t>& payload,
+                                  const Decode& decode) {
+  ASSERT_TRUE(DecodesCleanly(decode, payload));
+  for (size_t n = 0; n < payload.size(); ++n) {
+    const std::vector<uint8_t> prefix(payload.begin(), payload.begin() + n);
+    // Every field is required, so every proper prefix is an error.
+    EXPECT_FALSE(DecodesCleanly(decode, prefix)) << "prefix of " << n;
+  }
+  size_t flips_decoded = 0;
+  for (size_t bit = 0; bit < payload.size() * 8; ++bit) {
+    std::vector<uint8_t> flipped = payload;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    if (DecodesCleanly(decode, Reframed(type, flipped))) ++flips_decoded;
+  }
+  for (size_t offset = 0; offset + 4 <= payload.size(); ++offset) {
+    std::vector<uint8_t> forged = payload;
+    PokeU32(&forged, offset, 0xffffffffu);
+    DecodesCleanly(decode, forged);
+  }
+  // Flips inside payload values (timestamps, byte counts) still decode.
+  EXPECT_GT(flips_decoded, 0u);
+}
+
+TEST_F(ScatterMergeTest, MutatedPayloadsDecodeOrFailCleanly) {
+  const auto files = ListLaqFiles(*dataset_).ValueOrDie();
+  TracedRun run;
+  TraceRealQuery(files[0], /*threads=*/1, &run);
+  auto output = queries::RunAdlQuery(queries::EngineKind::kRdf, 1, files[0]);
+  ASSERT_TRUE(output.ok()) << output.status().message();
+  ShardFragment fragment;
+  fragment.output = std::move(*output);
+  ASSERT_FALSE(fragment.output.scan.leaves.empty());
+  ExpectMutationsDecodeCleanly(
+      FrameType::kFragment, EncodeFragmentPayload(fragment),
+      [](const std::vector<uint8_t>& p) { return DecodeFragmentPayload(p); });
+  // A mutated report that still decodes goes on through every consumer
+  // the coordinator runs on it, merged beside an intact worker's report:
+  // they difference and sum its timestamps in int64, which UBSan checks.
+  const std::vector<uint8_t> intact =
+      EncodeReportPayload(obs::CaptureSession(run.session));
+  ExpectMutationsDecodeCleanly(
+      FrameType::kReport, intact, [&](const std::vector<uint8_t>& p) {
+        auto capture = DecodeReportPayload(p);
+        if (!capture.ok()) return capture.status();
+        std::vector<obs::ProcessReport> reports(2);
+        reports[0].capture = std::move(*capture);
+        reports[1].capture = DecodeReportPayload(intact).ValueOrDie();
+        const obs::RunReport merged =
+            obs::MergeProcessReports(run.info, run.scan, reports);
+        EXPECT_FALSE(obs::ReportToJson(merged).empty());
+        EXPECT_FALSE(obs::ReportToTable(merged).empty());
+        EXPECT_FALSE(obs::MultiProcessChromeTraceJson(reports).empty());
+        return Status::OK();
+      });
+}
+
+TEST(ScatterWorkerTest, EmitsReportAfterFragments) {
   const std::vector<std::string> files = {"fa", "fb", "fc"};
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
@@ -640,8 +784,7 @@ TEST(ScatterWorkerTest, EmitsReportBetweenFragmentsAndDone) {
       [&](const std::string& file) -> Result<queries::QueryRunOutput> {
         return MakeFragment(file == "fb" ? 1 : 2).output;
       },
-      fds[1],
-      [] { return EncodeReportPayload(MakeReport(1, 3)); });
+      fds[1], [] { return EncodeReportPayload(MakeCapture()); });
   ::close(fds[1]);
   ASSERT_TRUE(status.ok()) << status.message();
   std::vector<uint8_t> bytes(1 << 16);
@@ -654,7 +797,7 @@ TEST(ScatterWorkerTest, EmitsReportBetweenFragmentsAndDone) {
     total += static_cast<size_t>(n);
   }
   ::close(fds[0]);
-  // Raw frame order: every fragment, then the one report, then done.
+  // Raw frame order: every fragment, then the one report, then nothing.
   std::vector<FrameType> order;
   size_t pos = 0;
   while (pos < total) {
@@ -667,34 +810,35 @@ TEST(ScatterWorkerTest, EmitsReportBetweenFragmentsAndDone) {
     order.push_back(frame.type);
     pos += consumed;
   }
-  ASSERT_EQ(order.size(), 4u);
+  ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], FrameType::kFragment);
   EXPECT_EQ(order[1], FrameType::kFragment);
   EXPECT_EQ(order[2], FrameType::kReport);
-  EXPECT_EQ(order[3], FrameType::kDone);
   const WorkerStream stream = ParseWorkerStream(bytes.data(), total);
   ASSERT_TRUE(stream.parse_error.ok()) << stream.parse_error.message();
-  EXPECT_TRUE(stream.done);
   ASSERT_EQ(stream.fragments.size(), 2u);
   ASSERT_EQ(stream.reports.size(), 1u);
-  EXPECT_EQ(stream.reports[0].shard_begin, 1);
-  EXPECT_EQ(stream.reports[0].shard_end, 3);
-  ASSERT_EQ(stream.reports[0].spans.size(), 2u);
-  EXPECT_STREQ(stream.reports[0].spans[1].name, "row_group");
+  const obs::SessionCapture& report = stream.reports[0];
+  EXPECT_EQ(report.start_ns, 1000000);
+  EXPECT_EQ(report.stop_ns, 9999999);
+  ASSERT_EQ(report.spans.size(), 2u);
+  EXPECT_STREQ(report.spans[0].name, "run");
+  EXPECT_STREQ(report.spans[1].name, "row_group");
+  EXPECT_EQ(report.spans[1].worker, 1);
+  EXPECT_EQ(report.spans[1].depth, 1);
+  ASSERT_EQ(report.counters.size(), 1u);
+  EXPECT_STREQ(report.counters[0].name, "flwor_rows");
+  EXPECT_EQ(report.counters[0].bytes, 7u);
+  ASSERT_EQ(report.metrics.size(), 2u);
+  EXPECT_EQ(report.metrics[1].buckets[1], 3u);
 }
 
 /// Appends one kReport frame (optionally mangled) to a fragment stream.
 std::vector<uint8_t> StreamWithReport(
-    const std::vector<ShardFragment>& fragments, bool done,
+    const std::vector<ShardFragment>& fragments,
     std::vector<uint8_t> report_frame) {
-  std::vector<uint8_t> bytes = StreamOf(fragments, /*done=*/false);
+  std::vector<uint8_t> bytes = StreamOf(fragments);
   bytes.insert(bytes.end(), report_frame.begin(), report_frame.end());
-  if (done) {
-    const std::vector<uint8_t> frame = EncodeFrame(
-        FrameType::kDone,
-        scatter::EncodeDonePayload(static_cast<int>(fragments.size())));
-    bytes.insert(bytes.end(), frame.begin(), frame.end());
-  }
   return bytes;
 }
 
@@ -705,11 +849,11 @@ std::vector<uint8_t> StreamWithReport(
 TEST(ScatterGatherTest, CorruptReportFrameKeepsFragmentsMerging) {
   const std::vector<std::string> files = {"fa", "fb"};
   std::vector<uint8_t> report_frame =
-      EncodeFrame(FrameType::kReport, EncodeReportPayload(MakeReport(0, 2)));
+      EncodeFrame(FrameType::kReport, EncodeReportPayload(MakeCapture()));
   ASSERT_GT(report_frame.size(), 24u);
   report_frame[24] ^= 0xff;  // first payload byte: CRC now fails
-  const std::vector<uint8_t> bytes = StreamWithReport(
-      {MakeFragment(0), MakeFragment(1)}, /*done=*/true, report_frame);
+  const std::vector<uint8_t> bytes =
+      StreamWithReport({MakeFragment(0), MakeFragment(1)}, report_frame);
   WorkerStream stream = ParseWorkerStream(bytes.data(), bytes.size());
   stream.range = {0, 2};
   EXPECT_FALSE(stream.parse_error.ok());
@@ -724,18 +868,17 @@ TEST(ScatterGatherTest, CorruptReportFrameKeepsFragmentsMerging) {
 
 // A kReport frame that passes the CRC but whose payload no longer decodes
 // (schema drift / truncated body re-framed intact) is dropped silently:
-// the stream stays healthy through kDone.
+// the stream stays healthy.
 TEST(ScatterGatherTest, UndecodableReportPayloadIsDroppedNotFatal) {
   const std::vector<std::string> files = {"fa", "fb"};
-  std::vector<uint8_t> payload = EncodeReportPayload(MakeReport(0, 2));
+  std::vector<uint8_t> payload = EncodeReportPayload(MakeCapture());
   payload.resize(payload.size() / 2);  // valid frame, malformed body
   const std::vector<uint8_t> bytes =
-      StreamWithReport({MakeFragment(0), MakeFragment(1)}, /*done=*/true,
+      StreamWithReport({MakeFragment(0), MakeFragment(1)},
                        EncodeFrame(FrameType::kReport, payload));
   WorkerStream stream = ParseWorkerStream(bytes.data(), bytes.size());
   stream.range = {0, 2};
   EXPECT_TRUE(stream.parse_error.ok()) << stream.parse_error.message();
-  EXPECT_TRUE(stream.done);
   EXPECT_TRUE(stream.reports.empty());
   ASSERT_EQ(stream.fragments.size(), 2u);
   std::vector<WorkerStream> streams;
@@ -750,10 +893,10 @@ TEST(ScatterGatherTest, UndecodableReportPayloadIsDroppedNotFatal) {
 TEST(ScatterGatherTest, TruncatedReportFrameKeepsFragmentsMerging) {
   const std::vector<std::string> files = {"fa", "fb"};
   std::vector<uint8_t> report_frame =
-      EncodeFrame(FrameType::kReport, EncodeReportPayload(MakeReport(0, 2)));
+      EncodeFrame(FrameType::kReport, EncodeReportPayload(MakeCapture()));
   report_frame.resize(report_frame.size() / 2);
-  const std::vector<uint8_t> bytes = StreamWithReport(
-      {MakeFragment(0), MakeFragment(1)}, /*done=*/false, report_frame);
+  const std::vector<uint8_t> bytes =
+      StreamWithReport({MakeFragment(0), MakeFragment(1)}, report_frame);
   WorkerStream stream = ParseWorkerStream(bytes.data(), bytes.size());
   stream.range = {0, 2};
   ASSERT_FALSE(stream.parse_error.ok());
@@ -768,45 +911,136 @@ TEST(ScatterGatherTest, TruncatedReportFrameKeepsFragmentsMerging) {
   EXPECT_EQ(combined->size(), 2u);
 }
 
+// The coordinator derives each worker's totals from that worker's own
+// fragments, summed in shard order as the worker would sum them: wall
+// time too is a sum there, while the merged result takes the max. Each
+// "worker" here is `cat` replaying a canned stream.
+TEST(ScatterCoordinatorTest, ProcessTotalsSumTheWorkersFragments) {
+  const std::string dir = ::testing::TempDir();
+  const std::vector<std::string> files = {"fa", "fb", "fc", "fd"};
+  auto write_stream = [&](const std::string& name,
+                          const std::vector<uint8_t>& bytes) {
+    std::ofstream out(dir + "/" + name, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  };
+  // Worker [0,2) sends its report; worker [2,4) sends none.
+  write_stream("hepq_scatter_w0.bin",
+               StreamWithReport({MakeFragment(0), MakeFragment(1)},
+                                EncodeFrame(FrameType::kReport,
+                                            EncodeReportPayload(
+                                                MakeCapture()))));
+  write_stream("hepq_scatter_w2.bin",
+               StreamOf({MakeFragment(2), MakeFragment(3)}));
+  std::vector<obs::ProcessReport> reports;
+  auto result = scatter::RunScattered(
+      files, 2,
+      [&](ShardRange range) {
+        return std::vector<std::string>{
+            "cat", dir + "/hepq_scatter_w" + std::to_string(range.begin) +
+                       ".bin"};
+      },
+      &reports);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_EQ(Bits(result->wall_seconds), Bits(3.5));  // max over shards
+  ASSERT_EQ(reports.size(), 2u);
+  const obs::ProcessReport& first = reports[0];
+  EXPECT_TRUE(first.received);
+  EXPECT_EQ(first.shard_begin, 0);
+  EXPECT_EQ(first.shard_end, 2);
+  EXPECT_EQ(first.events, 100 + 101);
+  EXPECT_EQ(Bits(first.wall_seconds), Bits(0.5 + 1.5));
+  EXPECT_EQ(Bits(first.cpu_seconds), Bits(0.0 + 0.25));
+  EXPECT_EQ(first.scan.storage_bytes, 1000u + 1001u);
+  ASSERT_EQ(first.capture.spans.size(), 2u);
+  EXPECT_STREQ(first.capture.spans[1].name, "row_group");
+  const obs::ProcessReport& second = reports[1];
+  EXPECT_FALSE(second.received);
+  EXPECT_EQ(second.shard_begin, 2);
+  EXPECT_EQ(second.events, 102 + 103);
+
+  obs::RunInfo info;
+  info.threads = 3;
+  const obs::RunReport merged =
+      obs::MergeProcessReports(info, result->scan, reports);
+  ASSERT_EQ(merged.processes.size(), 2u);
+  EXPECT_EQ(merged.processes[0].threads, 3);
+  EXPECT_EQ(merged.processes[0].events, 201);
+  EXPECT_EQ(Bits(merged.processes[0].wall_seconds), Bits(2.0));
+  EXPECT_EQ(merged.processes[0].storage_bytes, 2001u);
+  EXPECT_TRUE(merged.partial);
+  EXPECT_EQ(merged.processes[1].events, 0);  // no report, no attribution
+  ASSERT_EQ(merged.workers.size(), 1u);
+  EXPECT_EQ(merged.workers[0].worker, 1);
+}
+
 // ---------------------------------------------------------------------------
 // Merged-report determinism: the same per-shard observability content
 // grouped into 2 workers or 4 workers must yield the same cross-process
 // RunReport (modulo the processes[] table, which names the grouping).
 // ---------------------------------------------------------------------------
 
-/// One worker's report covering shards [begin, end): per-shard content is
-/// a fixed "unit" scaled by the shard index so any regrouping that
-/// changes totals is caught.
+/// One worker's report covering shards [begin, end): each shard adds the
+/// same content scaled by its index — a `run` root span (a worker runs one
+/// query per shard) over a row-group span over a decode span, counter and
+/// metric increments, and fragment totals — so any regrouping that changes
+/// totals is caught.
 obs::ProcessReport MakeGroupedReport(int begin, int end) {
-  obs::ProcessReport report = MakeReport(begin, end);
-  obs::RunReport& r = report.report;
-  r.info.events_processed = 0;
-  r.scan = ScanStats{};
-  r.stages[0].wall_ns = 0;
-  r.stages[0].cpu_ns = 0;
-  r.stages[0].bytes = 0;
-  r.stages[0].count = 0;
-  r.counters[0].ns = 0;
-  r.counters[0].count = 0;
-  r.counters[0].bytes = 0;
-  r.metrics[0].value = 0;
-  r.run_span_ns = 0;
-  r.total_span_ns = 0;
+  obs::ProcessReport report;
+  report.shard_begin = begin;
+  report.shard_end = end;
+  obs::SessionCapture& capture = report.capture;
+  capture.start_ns = 1000000;
+  int64_t next_start = capture.start_ns + 1;
+  obs::CounterRecord counter{"flwor_rows", obs::Stage::kEventLoop, 0, 0, 0};
+  obs::metrics::MetricSample metric;
+  metric.name = "hepq_test_total";
+  metric.kind = obs::metrics::MetricKind::kCounter;
+  uint32_t seq = 0;
   for (int shard = begin; shard < end; ++shard) {
-    r.info.events_processed += 1000 + shard;
-    r.scan.storage_bytes += 10000u + static_cast<uint64_t>(shard);
-    r.scan.decoded_bytes += 500u * static_cast<uint64_t>(shard + 1);
-    r.stages[0].wall_ns += 100 + shard;
-    r.stages[0].cpu_ns += 90 + shard;
-    r.stages[0].bytes += 64u;
-    r.stages[0].count += 1;
-    r.counters[0].ns += 5 + shard;
-    r.counters[0].count += 1;
-    r.counters[0].bytes += 8u;
-    r.metrics[0].value += 2 + shard;
-    r.run_span_ns += 1000 + shard;
-    r.total_span_ns += 1000 + shard;
+    report.events += 1000 + shard;
+    report.scan.storage_bytes += 10000u + static_cast<uint64_t>(shard);
+    report.scan.decoded_bytes += 500u * static_cast<uint64_t>(shard + 1);
+    obs::SpanRecord run;
+    run.name = "run";
+    run.stage = obs::Stage::kRun;
+    run.start_ns = next_start;
+    run.end_ns = next_start + 1000 + shard;
+    run.cpu_ns = 900 + shard;
+    obs::SpanRecord group;
+    group.name = "row_group";
+    group.stage = obs::Stage::kRowGroup;
+    group.depth = 1;
+    group.start_ns = run.start_ns + 1;
+    group.end_ns = group.start_ns + 100 + shard;
+    group.cpu_ns = 90 + shard;
+    group.bytes = 64;
+    group.worker = 0;
+    group.group = shard;
+    group.slot = shard - begin;
+    obs::SpanRecord decode;
+    decode.name = "decode";
+    decode.stage = obs::Stage::kDecode;
+    decode.depth = 2;
+    decode.start_ns = group.start_ns + 10;
+    decode.end_ns = decode.start_ns + 30 + shard;
+    decode.cpu_ns = 20 + shard;
+    decode.bytes = 32;
+    decode.seq = seq++;  // ends first
+    group.seq = seq++;
+    run.seq = seq++;
+    capture.spans.push_back(run);
+    capture.spans.push_back(group);
+    capture.spans.push_back(decode);
+    next_start = run.end_ns;
+    counter.ns += 5 + shard;
+    counter.count += 1;
+    counter.bytes += 8u;
+    metric.value += 2 + shard;
   }
+  capture.stop_ns = next_start;
+  capture.counters.push_back(counter);
+  capture.metrics.push_back(metric);
   return report;
 }
 
@@ -836,9 +1070,13 @@ TEST(ScatterReportMergeTest, MergedReportInvariantToWorkerGrouping) {
   EXPECT_FALSE(b.partial);
   EXPECT_EQ(a.info.events_processed, b.info.events_processed);
   EXPECT_EQ(a.scan.decoded_bytes, b.scan.decoded_bytes);
+  // Every shard's root span counts, however shards group into workers.
+  EXPECT_EQ(a.run_span_ns, 4 * 1000 + 0 + 1 + 2 + 3);
   EXPECT_EQ(a.run_span_ns, b.run_span_ns);
+  EXPECT_EQ(a.total_span_ns, 4 * 100 + 0 + 1 + 2 + 3);  // row groups
   EXPECT_EQ(a.total_span_ns, b.total_span_ns);
   ASSERT_EQ(a.stages.size(), b.stages.size());
+  ASSERT_EQ(a.stages.size(), 3u);  // run, row_group and decode
   for (size_t s = 0; s < a.stages.size(); ++s) {
     EXPECT_EQ(a.stages[s].stage, b.stages[s].stage);
     EXPECT_EQ(a.stages[s].wall_ns, b.stages[s].wall_ns);

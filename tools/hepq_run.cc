@@ -33,9 +33,10 @@
 //     frames to stdout instead of human-readable output.
 //   --worker-report: worker mode only (added by a profiling coordinator)
 //     — trace the whole shard range under one session with the metrics
-//     registry on, and stream the aggregated ProcessReport back as a
-//     kReport frame. With --procs=P plus --profile/--trace the
-//     coordinator merges all P reports into ONE cross-process RunReport
+//     registry on, and stream the captured spans, counters and metrics
+//     back as a kReport frame. With --procs=P plus --profile/--trace the
+//     coordinator builds each worker's RunReport from its capture and
+//     merges all P into ONE cross-process RunReport
 //     (per-process totals reconcile bit-exactly against the merged scan
 //     stats) and one stitched Chrome trace with a pid per worker.
 //   --metrics[=path]: turn the process-wide metrics registry on and dump
@@ -281,8 +282,8 @@ hepq::Result<std::vector<std::string>> ShardFilesFor(const std::string& data) {
 /// Worker half of --procs: run shards [range) and stream frames to
 /// stdout. Human output is suppressed — stdout is the wire. With
 /// `worker_report` (set by a profiling coordinator) the whole range runs
-/// under one trace session with the metrics registry on, and the
-/// aggregated ProcessReport goes back as a kReport frame.
+/// under one trace session with the metrics registry on, and the captured
+/// session goes back as a kReport frame.
 int RunWorkerMode(EngineKind engine, int q, const std::string& data,
                   const hepq::queries::RunOptions& options,
                   hepq::scatter::ShardRange range, bool worker_report) {
@@ -299,40 +300,20 @@ int RunWorkerMode(EngineKind engine, int q, const std::string& data,
     return 1;
   }
   hepq::obs::TraceSession session;
-  int64_t events = 0;
-  double wall = 0.0, cpu = 0.0;
-  hepq::ScanStats scan;
+  std::function<std::vector<uint8_t>()> report_payload;
   if (worker_report) {
     hepq::obs::metrics::SetMetricsEnabled(true);
     session.Start();
-  }
-  std::function<std::vector<uint8_t>()> report_payload;
-  if (worker_report) {
-    report_payload = [&]() {
+    report_payload = [&session]() {
       session.Stop();
-      hepq::obs::RunInfo info;
-      info.query = "Q" + std::to_string(q);
-      info.engine = EngineKindName(engine);
-      info.threads = options.num_threads;
-      info.events_processed = events;
-      info.wall_seconds = wall;
-      info.cpu_seconds = cpu;
-      const hepq::obs::ProcessReport report = hepq::obs::BuildProcessReport(
-          session, info, scan, range.begin, range.end);
-      return hepq::scatter::EncodeReportPayload(report);
+      return hepq::scatter::EncodeReportPayload(
+          hepq::obs::CaptureSession(session));
     };
   }
   const hepq::Status status = hepq::scatter::RunWorker(
       *files, range,
       [&](const std::string& shard) {
-        auto result = RunAdlQuery(engine, q, shard, options);
-        if (result.ok()) {
-          events += result->events_processed;
-          wall += result->wall_seconds;
-          cpu += result->cpu_seconds;
-          scan.Add(result->scan);
-        }
-        return result;
+        return RunAdlQuery(engine, q, shard, options);
       },
       STDOUT_FILENO, report_payload);
   if (!status.ok()) {

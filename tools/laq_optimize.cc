@@ -28,11 +28,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/json.h"
 #include "fileio/dataset_reader.h"
 #include "fileio/layout_optimizer.h"
 #include "queries/adl.h"
@@ -45,39 +44,34 @@ using hepq::OptimizeOptions;
 
 namespace {
 
-/// Pulls the per-leaf decoded-byte ranking out of a RunReport JSON with a
-/// tolerant string scan (the repo has no JSON parser; the report writer
-/// emits exactly this shape). Returns leaf paths hottest-first.
+/// The per-leaf decoded-byte ranking of a RunReport JSON (`per_leaf[]`
+/// of `hepq_run --profile=`): leaf paths that decoded any bytes,
+/// hottest first.
 std::vector<std::string> HottestLeaves(const std::string& report_path) {
-  std::ifstream in(report_path);
-  if (!in) {
-    std::fprintf(stderr, "warning: cannot read --report=%s, ignoring\n",
-                 report_path.c_str());
+  auto report = hepq::json::ParseJsonFile(report_path);
+  const hepq::json::JsonValue* per_leaf =
+      report.ok() ? report->Find("per_leaf") : nullptr;
+  if (per_leaf == nullptr || !per_leaf->is_array()) {
+    std::fprintf(stderr, "warning: --report=%s has no per_leaf array (%s), "
+                 "ignoring\n", report_path.c_str(),
+                 report.ok() ? "not a RunReport"
+                             : report.status().ToString().c_str());
     return {};
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  std::vector<std::pair<unsigned long long, std::string>> ranked;
-  size_t pos = 0;
-  while ((pos = text.find("{\"leaf\": \"", pos)) != std::string::npos) {
-    pos += 10;
-    const size_t end = text.find('"', pos);
-    if (end == std::string::npos) break;
-    const std::string leaf = text.substr(pos, end - pos);
-    const size_t bytes_key = text.find("\"decoded_bytes\": ", end);
-    if (bytes_key == std::string::npos) break;
-    const unsigned long long bytes =
-        std::strtoull(text.c_str() + bytes_key + 17, nullptr, 10);
-    ranked.emplace_back(bytes, leaf);
-    pos = end;
+  std::vector<std::pair<double, std::string>> ranked;
+  for (const hepq::json::JsonValue& entry : per_leaf->array_items()) {
+    const hepq::json::JsonValue* leaf = entry.Find("leaf");
+    const hepq::json::JsonValue* bytes = entry.Find("decoded_bytes");
+    if (leaf == nullptr || !leaf->is_string() || bytes == nullptr ||
+        !bytes->is_number() || !(bytes->number_value() > 0)) {
+      continue;
+    }
+    ranked.emplace_back(bytes->number_value(), leaf->string_value());
   }
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });
   std::vector<std::string> leaves;
-  for (const auto& [bytes, leaf] : ranked) {
-    if (bytes > 0) leaves.push_back(leaf);
-  }
+  for (const auto& [bytes, leaf] : ranked) leaves.push_back(leaf);
   return leaves;
 }
 
