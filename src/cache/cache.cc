@@ -1,34 +1,9 @@
 #include "cache/cache.h"
 
-#include <dirent.h>
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
-#include "obs/metrics.h"
-
 namespace hepq::cache {
-
-namespace metrics = hepq::obs::metrics;
-
-namespace {
-
-/// FNV-1a 64, the version-hash accumulator. Not used for any in-memory
-/// table (those use exact keys); only for the dataset version stamp.
-uint64_t FnvMix(uint64_t h, const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t FnvMixU64(uint64_t h, uint64_t v) { return FnvMix(h, &v, sizeof(v)); }
-
-}  // namespace
 
 // ---------------------------------------------------------------- Footer
 
@@ -45,16 +20,12 @@ std::shared_ptr<const FooterCache::Entry> FooterCache::Find(
   // and have validated them under a limit at least as strict as the
   // caller's: metadata that passed a smaller limit passes a larger one,
   // never the other way around.
-  static auto& hits = metrics::GetCounter("hepq_cache_footer_hits_total");
-  static auto& misses = metrics::GetCounter("hepq_cache_footer_misses_total");
   if (entry != nullptr && entry->identity == identity &&
       entry->validated_chunk_limit <= chunk_limit) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    hits.Add(1);
     return entry;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  misses.Add(1);
   return nullptr;
 }
 
@@ -79,12 +50,7 @@ std::shared_ptr<const FooterCache::Entry> FooterCache::Insert(
     // banked generation so both openers share one chunk-cache keyspace.
     return slot;
   }
-  static auto& evictions =
-      metrics::GetCounter("hepq_cache_footer_evictions_total");
-  if (slot != nullptr) {
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    evictions.Add(1);
-  }
+  if (slot != nullptr) evictions_.fetch_add(1, std::memory_order_relaxed);
   inserts_.fetch_add(1, std::memory_order_relaxed);
   slot = std::move(entry);
   return slot;
@@ -124,19 +90,12 @@ bool ChunkCache::Get(const ChunkKey& key, std::vector<uint8_t>* out) {
       data = it->second->data;
     }
   }
-  static auto& hits = metrics::GetCounter("hepq_cache_chunk_hits_total");
-  static auto& misses = metrics::GetCounter("hepq_cache_chunk_misses_total");
-  static auto& served =
-      metrics::GetCounter("hepq_cache_chunk_bytes_served_total");
   if (data == nullptr) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    misses.Add(1);
     return false;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  hits.Add(1);
   bytes_served_.fetch_add(data->size(), std::memory_order_relaxed);
-  served.Add(static_cast<int64_t>(data->size()));
   // Copy outside the lock: the shared_ptr keeps the bytes alive even if
   // another thread evicts the node meanwhile.
   out->resize(data->size());
@@ -171,12 +130,7 @@ void ChunkCache::Insert(const ChunkKey& key, const uint8_t* data,
     }
   }
   inserts_.fetch_add(1, std::memory_order_relaxed);
-  if (evicted != 0) {
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    static auto& evictions =
-        metrics::GetCounter("hepq_cache_chunk_evictions_total");
-    evictions.Add(static_cast<int64_t>(evicted));
-  }
+  if (evicted != 0) evictions_.fetch_add(evicted, std::memory_order_relaxed);
 }
 
 CacheCounters ChunkCache::counters() const {
@@ -201,18 +155,14 @@ ResultCache::ResultCache(size_t max_entries)
 
 bool ResultCache::Get(const std::string& key, CachedResult* out) {
   std::lock_guard<std::mutex> lock(mu_);
-  static auto& hits = metrics::GetCounter("hepq_cache_result_hits_total");
-  static auto& misses = metrics::GetCounter("hepq_cache_result_misses_total");
   auto it = index_.find(key);
   if (it == index_.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    misses.Add(1);
     return false;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   *out = it->second->value;
   hits_.fetch_add(1, std::memory_order_relaxed);
-  hits.Add(1);
   return true;
 }
 
@@ -227,13 +177,10 @@ void ResultCache::Insert(const std::string& key, CachedResult value) {
   lru_.push_front(Node{key, std::move(value)});
   index_[key] = lru_.begin();
   inserts_.fetch_add(1, std::memory_order_relaxed);
-  static auto& evictions =
-      metrics::GetCounter("hepq_cache_result_evictions_total");
   while (lru_.size() > max_entries_) {
     index_.erase(lru_.back().key);
     lru_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    evictions.Add(1);
   }
 }
 
@@ -246,96 +193,6 @@ CacheCounters ResultCache::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   c.entries = lru_.size();
   return c;
-}
-
-// --------------------------------------------------------------- Version
-
-namespace {
-
-/// The trailer fields of one shard, read without parsing the footer. The
-/// stored CRC covers the footer bytes, which embed every chunk's CRC and
-/// statistics — a content stamp for the whole shard.
-struct ShardStamp {
-  uint64_t size = 0;
-  uint32_t footer_size = 0;
-  uint32_t footer_crc = 0;
-};
-
-Result<ShardStamp> ReadShardStamp(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::IoError("cannot open '" + path + "' for reading");
-  }
-  auto guard =
-      std::unique_ptr<std::FILE, int (*)(std::FILE*)>(file, &std::fclose);
-  if (std::fseek(file, 0, SEEK_END) != 0) {
-    return Status::IoError("seek failed");
-  }
-  const long size = std::ftell(file);
-  if (size < 16) return Status::Corruption("file too small to be laq");
-  uint8_t trailer[12];
-  if (std::fseek(file, size - 12, SEEK_SET) != 0 ||
-      std::fread(trailer, 1, 12, file) != 12) {
-    return Status::IoError("cannot read trailer");
-  }
-  if (std::memcmp(trailer + 8, kLaqMagic, 4) != 0) {
-    return Status::Corruption("bad trailing magic (not a laq file?)");
-  }
-  ShardStamp stamp;
-  stamp.size = static_cast<uint64_t>(size);
-  std::memcpy(&stamp.footer_size, trailer, 4);
-  std::memcpy(&stamp.footer_crc, trailer + 4, 4);
-  return stamp;
-}
-
-}  // namespace
-
-Result<uint64_t> DatasetVersion(const std::string& path) {
-  std::vector<std::string> shards;
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) {
-    return Status::IoError("cannot stat '" + path + "'");
-  }
-  if (S_ISDIR(st.st_mode)) {
-    DIR* dir = ::opendir(path.c_str());
-    if (dir == nullptr) {
-      return Status::IoError("cannot open directory '" + path + "'");
-    }
-    for (struct dirent* e = ::readdir(dir); e != nullptr;
-         e = ::readdir(dir)) {
-      const std::string name = e->d_name;
-      if (name.size() > 4 && name.substr(name.size() - 4) == ".laq") {
-        shards.push_back(name);
-      }
-    }
-    ::closedir(dir);
-    if (shards.empty()) {
-      return Status::Invalid("no .laq files in '" + path + "'");
-    }
-    // Sorted by name: the canonical shard order every dataset consumer
-    // uses, so the version is independent of readdir order.
-    std::sort(shards.begin(), shards.end());
-    for (std::string& shard : shards) shard = path + "/" + shard;
-  } else {
-    shards.push_back(path);
-  }
-
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  h = FnvMixU64(h, shards.size());
-  for (const std::string& shard : shards) {
-    // Basename only: the version describes content, not where the
-    // directory happens to be mounted.
-    const size_t slash = shard.find_last_of('/');
-    const std::string base =
-        slash == std::string::npos ? shard : shard.substr(slash + 1);
-    ShardStamp stamp;
-    HEPQ_ASSIGN_OR_RETURN(stamp, ReadShardStamp(shard));
-    h = FnvMix(h, base.data(), base.size());
-    h = FnvMixU64(h, stamp.size);
-    h = FnvMixU64(h, stamp.footer_size);
-    h = FnvMixU64(h, stamp.footer_crc);
-  }
-  return h;
 }
 
 }  // namespace hepq::cache

@@ -234,15 +234,6 @@ class ResultCache {
   std::atomic<uint64_t> evictions_{0};
 };
 
-/// Content version of the dataset at `path` (a .laq file or a directory
-/// of "*.laq" shards): a hash over the sorted shard list and each
-/// shard's stored footer CRC and sizes. The footer embeds every chunk's
-/// CRC and statistics, so its CRC is effectively a content hash of the
-/// whole shard — regenerating a dataset (even to the same row count)
-/// changes the version and invalidates cached results. Deliberately
-/// mtime-free: a byte-identical rewrite keeps its cached results.
-Result<uint64_t> DatasetVersion(const std::string& path);
-
 }  // namespace hepq::cache
 
 #endif  // HEPQUERY_CACHE_CACHE_H_

@@ -70,12 +70,6 @@ ArrayPtr StructArray::ChildByName(const std::string& name) const {
   return children_[static_cast<size_t>(i)];
 }
 
-int64_t StructArray::NumBytes() const {
-  int64_t n = 0;
-  for (const auto& c : children_) n += c->NumBytes();
-  return n;
-}
-
 bool StructArray::Equals(const Array& other) const {
   if (!type_->Equals(*other.type()) || length_ != other.length()) {
     return false;
@@ -117,12 +111,6 @@ ArrayPtr RecordBatch::ColumnByName(const std::string& name) const {
   const int i = schema_->FieldIndex(name);
   if (i < 0) return nullptr;
   return columns_[static_cast<size_t>(i)];
-}
-
-int64_t RecordBatch::NumBytes() const {
-  int64_t n = 0;
-  for (const auto& c : columns_) n += c->NumBytes();
-  return n;
 }
 
 bool RecordBatch::Equals(const RecordBatch& other) const {

@@ -26,9 +26,6 @@ class Array {
   const DataTypePtr& type() const { return type_; }
   int64_t length() const { return length_; }
 
-  /// In-memory footprint of this array's buffers (for IO/cost accounting).
-  virtual int64_t NumBytes() const = 0;
-
   /// Deep structural equality.
   virtual bool Equals(const Array& other) const = 0;
 
@@ -51,10 +48,6 @@ class PrimitiveArray : public Array {
   T Value(int64_t i) const { return values_[static_cast<size_t>(i)]; }
   std::span<const T> values() const { return values_; }
   const T* raw() const { return values_.data(); }
-
-  int64_t NumBytes() const override {
-    return static_cast<int64_t>(values_.size() * sizeof(T));
-  }
 
   bool Equals(const Array& other) const override {
     if (!type_->Equals(*other.type()) || length_ != other.length()) {
@@ -96,11 +89,6 @@ class ListArray : public Array {
                                 offsets_[static_cast<size_t>(i)]);
   }
 
-  int64_t NumBytes() const override {
-    return static_cast<int64_t>(offsets_.size() * sizeof(uint32_t)) +
-           child_->NumBytes();
-  }
-
   bool Equals(const Array& other) const override;
 
  private:
@@ -123,7 +111,6 @@ class StructArray : public Array {
   /// Child by member name; nullptr if absent.
   ArrayPtr ChildByName(const std::string& name) const;
 
-  int64_t NumBytes() const override;
   bool Equals(const Array& other) const override;
 
  private:
@@ -150,7 +137,6 @@ class RecordBatch {
   /// Column by name; nullptr if absent.
   ArrayPtr ColumnByName(const std::string& name) const;
 
-  int64_t NumBytes() const;
   bool Equals(const RecordBatch& other) const;
 
  private:

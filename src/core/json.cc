@@ -1,5 +1,6 @@
 #include "core/json.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,8 +17,8 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
 
 namespace {
 
-/// Hand-rolled recursive-descent parser. Depth-capped so adversarial
-/// nesting cannot blow the stack.
+/// Hand-rolled recursive-descent parser for the RFC 8259 grammar.
+/// Depth-capped so adversarial nesting cannot blow the stack.
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -33,8 +34,6 @@ class Parser {
   }
 
  private:
-  static constexpr int kMaxDepth = 64;
-
   Status Error(const std::string& what) const {
     return Status::Corruption("JSON parse error at byte " +
                               std::to_string(pos_) + ": " + what);
@@ -65,11 +64,14 @@ class Parser {
     return false;
   }
 
+  /// `depth` counts the arrays and objects enclosing this value.
   Result<JsonValue> ParseValue(int depth) {
-    if (depth > kMaxDepth) return Error("nesting too deep");
     SkipWhitespace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     const char c = text_[pos_];
+    if ((c == '{' || c == '[') && depth >= kMaxDepth) {
+      return Error("nesting too deep");
+    }
     if (c == '{') return ParseObject(depth);
     if (c == '[') return ParseArray(depth);
     if (c == '"') {
@@ -84,13 +86,66 @@ class Parser {
     return Error(std::string("unexpected character '") + c + "'");
   }
 
+  /// Number grammar `-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?`
+  /// is checked here, so strtod only ever sees the matched decimal literal
+  /// (never inf, nan, hex or a leading zero); one that overflows a double
+  /// is rejected rather than read as infinity.
   Result<JsonValue> ParseNumber() {
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(start, &end);
-    if (end == start) return Error("malformed number");
-    pos_ += static_cast<size_t>(end - start);
+    const size_t start = pos_;
+    auto digits = [&] {
+      const size_t from = pos_;
+      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+        ++pos_;
+      }
+      return pos_ - from;
+    };
+    Consume('-');
+    if (Consume('0')) {
+      if (digits() != 0) return Error("malformed number (leading zero)");
+    } else if (digits() == 0) {
+      return Error("malformed number");
+    }
+    if (Consume('.') && digits() == 0) return Error("malformed number");
+    if (Consume('e') || Consume('E')) {
+      if (!Consume('+')) Consume('-');
+      if (digits() == 0) return Error("malformed number");
+    }
+    const std::string literal = text_.substr(start, pos_ - start);
+    const double value = std::strtod(literal.c_str(), nullptr);
+    if (!std::isfinite(value)) return Error("number out of range");
     return JsonValue::Number(value);
+  }
+
+  /// The four hex digits of a \u escape.
+  Status ParseHex4(unsigned* code) {
+    if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_++];
+      *code <<= 4;
+      if (h >= '0' && h <= '9') *code |= static_cast<unsigned>(h - '0');
+      else if (h >= 'a' && h <= 'f') *code |= static_cast<unsigned>(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F') *code |= static_cast<unsigned>(h - 'A' + 10);
+      else return Error("bad \\u escape digit");
+    }
+    return Status::OK();
+  }
+
+  static void AppendUtf8(std::string* out, unsigned code) {
+    if (code < 0x80) {
+      *out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      *out += static_cast<char>(0xC0 | (code >> 6));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      *out += static_cast<char>(0xE0 | (code >> 12));
+      *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      *out += static_cast<char>(0xF0 | (code >> 18));
+      *out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      *out += static_cast<char>(0x80 | (code & 0x3F));
+    }
   }
 
   Result<std::string> ParseString() {
@@ -99,6 +154,9 @@ class Parser {
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return Error("unescaped control character in string");
+      }
       if (c != '\\') {
         out += c;
         continue;
@@ -115,29 +173,25 @@ class Parser {
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
           unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return Error("bad \\u escape digit");
+          HEPQ_RETURN_NOT_OK(ParseHex4(&code));
+          if (code >= 0xDC00 && code <= 0xDFFF) {
+            return Error("lone low surrogate in \\u escape");
           }
-          // BMP-only UTF-8 encoding; surrogate pairs are not needed by
-          // any producer in this repo and decode as two replacement-ish
-          // code points rather than failing the document.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
+          if (code >= 0xD800 && code <= 0xDBFF) {
+            // A high surrogate must pair with a low one: together they
+            // name one code point above the BMP.
+            unsigned low = 0;
+            if (!ConsumeLiteral("\\u")) {
+              return Error("lone high surrogate in \\u escape");
+            }
+            HEPQ_RETURN_NOT_OK(ParseHex4(&low));
+            if (low < 0xDC00 || low > 0xDFFF) {
+              return Error("lone high surrogate in \\u escape");
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
           }
+          AppendUtf8(&out, code);
           break;
         }
         default:

@@ -15,6 +15,14 @@ namespace hepq::json {
 // bench/baselines/*.json, RunReport JSON) without external dependencies.
 // Numbers are doubles (every producer in this repo emits values a double
 // holds exactly at the precision written); object key order is preserved.
+//
+// The parser takes the RFC 8259 grammar and nothing more: no inf/nan, hex,
+// leading zeros or numbers beyond a double's range, no raw control
+// characters or lone surrogate escapes in strings. String bytes outside
+// escapes are kept verbatim, so whatever AppendJsonString wrote reads back.
+
+/// Arrays and objects nest at most this deep; one level more is an error.
+inline constexpr int kMaxDepth = 64;
 
 class JsonValue {
  public:

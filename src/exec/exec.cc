@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "fileio/dataset_reader.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace hepq::exec {
@@ -132,11 +131,7 @@ void AppendFileGroups(DatasetLayout* layout, int file,
 Result<DatasetLayout> ResolveDatasetLayout(const std::string& path,
                                            const ReaderOptions& options) {
   DatasetLayout layout;
-  if (IsDirectory(path)) {
-    HEPQ_ASSIGN_OR_RETURN(layout.files, ListLaqFiles(path));
-  } else {
-    layout.files.push_back(path);
-  }
+  HEPQ_ASSIGN_OR_RETURN(layout.files, ShardFiles(path));
   Schema first_schema;
   for (size_t f = 0; f < layout.files.size(); ++f) {
     std::unique_ptr<LaqReader> reader;
@@ -210,46 +205,26 @@ Status RunRowGroups(int num_threads, std::vector<RowGroupTask> tasks,
   // this one. The decision is latched here so a session starting mid-run
   // cannot observe half a job (or index a vector sized for no workers).
   const bool tracing = obs::TracingActive();
-  // The metrics registry wants the same queue-wait numbers, so the
-  // per-worker last-end clock runs when either consumer is on.
-  const bool timing = tracing || obs::metrics::MetricsEnabled();
   std::vector<int64_t> last_end;
-  if (timing) {
+  if (tracing) {
     last_end.assign(static_cast<size_t>(workers), obs::NowNs());
   }
-  static auto& groups_run =
-      obs::metrics::GetCounter("hepq_exec_groups_run_total");
-  static auto& queue_depth = obs::metrics::GetGauge("hepq_exec_queue_depth");
-  static auto& queue_wait =
-      obs::metrics::GetHistogram("hepq_exec_queue_wait_ns");
-  queue_depth.Add(static_cast<int64_t>(tasks.size()));
   const auto run_one = [&](int worker, int slot, const RowGroupTask& task) {
     const int group = task.group;
-    if (group >= error_group.load(std::memory_order_acquire)) {
-      queue_depth.Sub(1);
-      return;
-    }
+    if (group >= error_group.load(std::memory_order_acquire)) return;
     obs::ScopedSpan span("row_group", obs::Stage::kRowGroup);
-    int64_t wait_ns = 0;
-    if (timing) {
-      const int64_t start =
-          (tracing && span.active()) ? span.start_ns() : obs::NowNs();
-      wait_ns = start - last_end[static_cast<size_t>(worker)];
-    }
     if (tracing && span.active()) {
       span.set_worker(worker);
       span.set_group(group);
       span.set_slot(slot);
       span.set_bytes(task.bytes);
-      span.set_queue_ns(wait_ns);
+      span.set_queue_ns(span.start_ns() -
+                        last_end[static_cast<size_t>(worker)]);
     }
-    groups_run.Add(1);
-    queue_wait.Observe(wait_ns);
     Status status = process(worker, group);
-    if (timing) {
+    if (tracing) {
       last_end[static_cast<size_t>(worker)] = obs::NowNs();
     }
-    queue_depth.Sub(1);
     if (!status.ok()) {
       std::lock_guard<std::mutex> lock(error_mu);
       if (group < error_group.load(std::memory_order_relaxed)) {

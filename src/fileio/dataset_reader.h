@@ -19,6 +19,20 @@ bool IsDirectory(const std::string& path);
 /// Invalid error naming the path.
 Result<std::vector<std::string>> ListLaqFiles(const std::string& directory);
 
+/// The shards of the dataset at `path`: ListLaqFiles of a directory, or
+/// the file itself.
+Result<std::vector<std::string>> ShardFiles(const std::string& path);
+
+/// Content version of the dataset at `path` (a .laq file or a directory
+/// of "*.laq" shards): a hash over the sorted shard names and each
+/// shard's stored footer CRC and sizes. The footer embeds every chunk's
+/// CRC and statistics, so its CRC is effectively a content hash of the
+/// whole shard — regenerating a dataset (even to the same row count)
+/// changes the version and invalidates cached results. Deliberately
+/// mtime-free: a byte-identical rewrite keeps its cached results. The
+/// result cache keys on it.
+Result<uint64_t> DatasetVersion(const std::string& path);
+
 /// A partitioned data set: an ordered collection of .laq files exposed as
 /// one logical table whose row groups are globally numbered across files.
 /// This mirrors how the paper's systems see the benchmark data — external

@@ -12,7 +12,6 @@
 #include "cache/cache.h"
 #include "fileio/crc32.h"
 #include "fileio/varint.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace hepq {
@@ -481,12 +480,6 @@ Status LaqReader::ReadLeaf(int group, int leaf_index, bool billed,
   leaf_stats.pages_read += stats_.pages_read - pages_before;
   leaf_stats.pages_pruned += stats_.pages_pruned - pruned_before;
   if (span.active()) span.set_bytes(stats_.decoded_bytes - decoded_before);
-  static auto& decoded =
-      obs::metrics::GetCounter("hepq_fileio_decoded_bytes_total");
-  static auto& pruned =
-      obs::metrics::GetCounter("hepq_fileio_pages_pruned_total");
-  decoded.Add(static_cast<int64_t>(stats_.decoded_bytes - decoded_before));
-  pruned.Add(static_cast<int64_t>(stats_.pages_pruned - pruned_before));
   if (billed) BillLeaf(chunk, leaf);
   // Admit only complete clean decodes: a partial (fail-filled) buffer is
   // option-dependent, and an errored decode never reaches this line —

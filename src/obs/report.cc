@@ -210,7 +210,6 @@ SessionCapture CaptureSession(const TraceSession& session) {
   capture.stop_ns = session.stop_ns();
   capture.spans = session.MergedSpans();
   capture.counters = session.MergedCounters();
-  capture.metrics = metrics::SnapshotMetrics();
   return capture;
 }
 
@@ -379,7 +378,6 @@ RunReport BuildRunReport(const SessionCapture& capture, const RunInfo& info,
   report.cost_inputs.row_groups =
       static_cast<int>(std::max<size_t>(row_groups.size(), 1));
   report.cost_inputs.events = info.events_processed;
-  report.metrics = capture.metrics;
   return report;
 }
 
@@ -475,7 +473,6 @@ std::string ReportToJson(const RunReport& report) {
         json::AppendJsonString(warnings.Sep(), warning);
       }
     }
-    *root.Key("metrics") += metrics::MetricSamplesJsonArray(report.metrics);
     {
       JsonScope workers(root.Key("workers"), '[', ']');
       for (const WorkerSummary& worker : report.workers) {
@@ -779,7 +776,6 @@ RunReport MergeProcessReports(const RunInfo& info, const ScanStats& merged_scan,
       }
       if (!found) merged.counters.push_back(counter);
     }
-    metrics::MergeMetricSamples(&merged.metrics, r.metrics);
   }
 
   for (const StageSummary& stage : stages) {
@@ -799,10 +795,6 @@ RunReport MergeProcessReports(const RunInfo& info, const ScanStats& merged_scan,
   if (merged.stragglers.size() > max_stragglers) {
     merged.stragglers.resize(max_stragglers);
   }
-
-  // The coordinator's own registry (scatter frame/CRC/spawn counters)
-  // joins the per-worker snapshots.
-  metrics::MergeMetricSamples(&merged.metrics, metrics::SnapshotMetrics());
 
   merged.cost_inputs.cpu_seconds = info.cpu_seconds;
   merged.cost_inputs.storage_bytes = merged_scan.storage_bytes;

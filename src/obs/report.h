@@ -9,7 +9,6 @@
 #include "cloud/simulator.h"
 #include "core/status.h"
 #include "fileio/reader.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace hepq::obs {
@@ -103,15 +102,17 @@ struct RunReport {
   /// cache_bytes_served` reconciles by construction: every byte a query
   /// consumes was either decoded from storage this run or served from
   /// the process-wide chunk cache.
-  /// v4: multi-process + metrics. Added `processes[]` (one entry per
-  /// scatter worker, shard order; empty for in-process runs), `partial` +
+  /// v4: multi-process. Added `processes[]` (one entry per scatter
+  /// worker, shard order; empty for in-process runs), `partial` +
   /// `warnings` (a worker whose kReport frame was lost degrades the
-  /// report, never the result), `proc` on workers/stragglers, and
-  /// `metrics` (the process-wide metrics registry snapshot). The
+  /// report, never the result), `proc` on workers/stragglers, and a
+  /// `metrics` array (a process-lifetime registry snapshot). The
   /// per-process decoded-byte and cache totals sum bit-exactly to the
   /// top-level `scan` object: both sides add the same per-shard integer
   /// counters, only in different orders.
-  static constexpr int kSchemaVersion = 4;
+  /// v5: dropped `metrics`. Every fact it counted already lives in
+  /// `scan`, `cache`, the worker timelines, `processes[]` or `warnings`.
+  static constexpr int kSchemaVersion = 5;
 
   RunInfo info;
   ScanStats scan;  ///< bit-copied from the engine result
@@ -150,10 +151,6 @@ struct RunReport {
   bool partial = false;
   std::vector<std::string> warnings;
 
-  /// Snapshot of the process-wide metrics registry at report-build time
-  /// (merged across processes in a multi-process report).
-  std::vector<metrics::MetricSample> metrics;
-
   /// Cost-model inputs, ready to feed cloud::Simulator — the bridge from
   /// a profiled run to the paper's price/performance projections.
   cloud::MeasuredQuery cost_inputs;
@@ -178,8 +175,8 @@ struct RunReport {
 };
 
 /// The raw facts a RunReport is built from, besides the engine's own
-/// totals: one stopped session's window, every span, every counter, and
-/// the metrics registry snapshot taken with them. A scatter worker ships
+/// totals: one stopped session's window, every span and every counter.
+/// A scatter worker ships
 /// exactly this in its kReport frame; the coordinator builds the worker's
 /// RunReport from it with the same BuildRunReport the in-process path
 /// uses. Move-only: decoded span/counter names live in `name_pool`.
@@ -191,13 +188,12 @@ struct SessionCapture {
   int64_t stop_ns = 0;
   std::vector<SpanRecord> spans;        ///< TraceSession::MergedSpans order
   std::vector<CounterRecord> counters;  ///< TraceSession::MergedCounters
-  std::vector<metrics::MetricSample> metrics;
   /// Owns the names of decoded records (a live capture points at the
   /// instrument sites' string literals instead).
   std::vector<std::unique_ptr<std::string>> name_pool;
 };
 
-/// Captures a stopped session plus a metrics registry snapshot.
+/// Captures a stopped session.
 SessionCapture CaptureSession(const TraceSession& session);
 
 /// Builds a report from captured session facts. `max_timeline_entries`
@@ -238,9 +234,8 @@ struct ProcessReport {
 /// received worker's RunReport is built with BuildRunReport from its
 /// capture, its totals, and `info`'s query/engine/threads; those reports
 /// then merge: workers/stragglers renumbered `proc:slot`, stages and
-/// counters summed, span times summed across processes, one
-/// ProcessSummary per worker, and a metrics section merged from every
-/// process plus the coordinator's own registry. `info` and `merged_scan`
+/// counters summed, span times summed across processes, and one
+/// ProcessSummary per worker. `info` and `merged_scan`
 /// come from the coordinator's merged QueryRunOutput, so the report's
 /// headline totals are exactly what the run printed; per-process scan
 /// totals sum to them bit-exactly (integer sums of the same per-shard

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "cache/cache.h"
-#include "obs/metrics.h"
+#include "fileio/dataset_reader.h"
 #include "obs/trace.h"
 #include "queries/builders.h"
 
@@ -112,61 +112,6 @@ Result<std::string> CanonicalPlanText(EngineKind engine, int q) {
   return Status::Invalid("unknown engine kind");
 }
 
-// Per-engine run/event counters. GetCounter wants a string literal per
-// metric, so the engine label is baked into the name here rather than
-// composed at runtime.
-obs::metrics::Counter& RunsCounterFor(EngineKind engine) {
-  switch (engine) {
-    case EngineKind::kRdf: {
-      static auto& c =
-          obs::metrics::GetCounter("hepq_queries_runs_total{engine=\"rdf\"}");
-      return c;
-    }
-    case EngineKind::kBigQueryShape: {
-      static auto& c =
-          obs::metrics::GetCounter("hepq_queries_runs_total{engine=\"bq\"}");
-      return c;
-    }
-    case EngineKind::kPrestoShape: {
-      static auto& c = obs::metrics::GetCounter(
-          "hepq_queries_runs_total{engine=\"presto\"}");
-      return c;
-    }
-    case EngineKind::kDoc:
-    default: {
-      static auto& c =
-          obs::metrics::GetCounter("hepq_queries_runs_total{engine=\"doc\"}");
-      return c;
-    }
-  }
-}
-
-obs::metrics::Counter& EventsCounterFor(EngineKind engine) {
-  switch (engine) {
-    case EngineKind::kRdf: {
-      static auto& c = obs::metrics::GetCounter(
-          "hepq_queries_events_total{engine=\"rdf\"}");
-      return c;
-    }
-    case EngineKind::kBigQueryShape: {
-      static auto& c =
-          obs::metrics::GetCounter("hepq_queries_events_total{engine=\"bq\"}");
-      return c;
-    }
-    case EngineKind::kPrestoShape: {
-      static auto& c = obs::metrics::GetCounter(
-          "hepq_queries_events_total{engine=\"presto\"}");
-      return c;
-    }
-    case EngineKind::kDoc:
-    default: {
-      static auto& c = obs::metrics::GetCounter(
-          "hepq_queries_events_total{engine=\"doc\"}");
-      return c;
-    }
-  }
-}
-
 }  // namespace
 
 Result<QueryRunOutput> RunAdlQuery(EngineKind engine, int q,
@@ -185,7 +130,7 @@ Result<QueryRunOutput> RunAdlQuery(EngineKind engine, int q,
   if (options.result_cache != nullptr) {
     obs::ScopedSpan span("result_cache", obs::Stage::kCacheLookup);
     const auto lookup_start = std::chrono::steady_clock::now();
-    const auto version = cache::DatasetVersion(path);
+    const auto version = DatasetVersion(path);
     const auto plan = CanonicalPlanText(engine, q);
     if (version.ok() && plan.ok()) {
       char version_hex[24];
@@ -209,8 +154,6 @@ Result<QueryRunOutput> RunAdlQuery(EngineKind engine, int q,
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           lookup_start)
                 .count();
-        RunsCounterFor(engine).Add(1);
-        EventsCounterFor(engine).Add(out.events_processed);
         return out;
       }
     }
@@ -231,8 +174,6 @@ Result<QueryRunOutput> RunAdlQuery(EngineKind engine, int q,
   };
   QueryRunOutput out;
   HEPQ_ASSIGN_OR_RETURN(out, dispatch());
-  RunsCounterFor(engine).Add(1);
-  EventsCounterFor(engine).Add(out.events_processed);
 
   if (!fingerprint.empty()) {
     cache::CachedResult cached;

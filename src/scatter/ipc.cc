@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "fileio/crc32.h"
-#include "obs/metrics.h"
 
 namespace hepq::scatter {
 
@@ -208,9 +207,6 @@ Status CheckCaptureRanges(const obs::SessionCapture& capture) {
   for (const obs::CounterRecord& counter : capture.counters) {
     ok = ok && add(counter.ns);
   }
-  for (const obs::metrics::MetricSample& sample : capture.metrics) {
-    ok = ok && add(sample.value) && add(sample.sum_ns);
-  }
   if (!ok) {
     return Status::Corruption(
         "scatter report carries a negative timestamp, a span ending before "
@@ -223,9 +219,6 @@ Status CheckCaptureRanges(const obs::SessionCapture& capture) {
 
 std::vector<uint8_t> EncodeFrame(FrameType type,
                                  const std::vector<uint8_t>& payload) {
-  static auto& frames_encoded =
-      obs::metrics::GetCounter("hepq_scatter_frames_encoded_total");
-  frames_encoded.Add(1);
   std::vector<uint8_t> out;
   out.reserve(kHeaderSize + payload.size() + 4);
   PutU32(&out, kFrameMagic);
@@ -269,14 +262,8 @@ Result<bool> TryParseFrame(const uint8_t* data, size_t size, Frame* frame,
   const uint8_t* payload = data + kHeaderSize;
   const uint32_t crc = ReadU32(payload + payload_len);
   if (crc != Crc32(payload, static_cast<size_t>(payload_len))) {
-    static auto& crc_failures =
-        obs::metrics::GetCounter("hepq_scatter_crc_failures_total");
-    crc_failures.Add(1);
     return Status::Corruption("scatter frame CRC mismatch");
   }
-  static auto& frames_parsed =
-      obs::metrics::GetCounter("hepq_scatter_frames_parsed_total");
-  frames_parsed.Add(1);
   frame->type = static_cast<FrameType>(type);
   frame->payload.assign(payload, payload + payload_len);
   *consumed = total;
@@ -425,16 +412,6 @@ std::vector<uint8_t> EncodeReportPayload(const obs::SessionCapture& capture) {
     PutU64(&out, counter.count);
     PutU64(&out, counter.bytes);
   }
-  PutU32(&out, static_cast<uint32_t>(capture.metrics.size()));
-  for (const obs::metrics::MetricSample& sample : capture.metrics) {
-    PutString(&out, sample.name);
-    PutU32(&out, static_cast<uint32_t>(sample.kind));
-    PutI64(&out, sample.value);
-    PutU32(&out, static_cast<uint32_t>(sample.buckets.size()));
-    for (uint64_t bucket : sample.buckets) PutU64(&out, bucket);
-    PutU64(&out, sample.observations);
-    PutI64(&out, sample.sum_ns);
-  }
   return out;
 }
 
@@ -495,29 +472,6 @@ Result<obs::SessionCapture> DecodeReportPayload(
     HEPQ_RETURN_NOT_OK(in.GetU64(&counter.count));
     HEPQ_RETURN_NOT_OK(in.GetU64(&counter.bytes));
     capture.counters.push_back(counter);
-  }
-  uint32_t num_metrics;
-  HEPQ_RETURN_NOT_OK(in.GetU32(&num_metrics));
-  for (uint32_t i = 0; i < num_metrics; ++i) {
-    obs::metrics::MetricSample sample;
-    HEPQ_RETURN_NOT_OK(in.GetString(&sample.name));
-    uint32_t kind;
-    HEPQ_RETURN_NOT_OK(in.GetU32(&kind));
-    if (kind > static_cast<uint32_t>(obs::metrics::MetricKind::kHistogram)) {
-      return Status::Corruption("scatter report names an unknown metric kind");
-    }
-    sample.kind = static_cast<obs::metrics::MetricKind>(kind);
-    HEPQ_RETURN_NOT_OK(in.GetI64(&sample.value));
-    uint32_t num_buckets;
-    HEPQ_RETURN_NOT_OK(in.GetU32(&num_buckets));
-    for (uint32_t b = 0; b < num_buckets; ++b) {
-      uint64_t bucket;
-      HEPQ_RETURN_NOT_OK(in.GetU64(&bucket));
-      sample.buckets.push_back(bucket);
-    }
-    HEPQ_RETURN_NOT_OK(in.GetU64(&sample.observations));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&sample.sum_ns));
-    capture.metrics.push_back(std::move(sample));
   }
   if (!in.exhausted()) {
     return Status::Corruption("scatter report payload has trailing bytes");

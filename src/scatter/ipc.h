@@ -32,8 +32,8 @@ namespace hepq::scatter {
 // kReport frame is never fatal: every fragment precedes it, so the
 // histograms still merge and only the merged RunReport is marked partial.
 //
-// kReport carries facts only the worker has — its session window, spans,
-// counters and metrics snapshot. The coordinator builds the worker's
+// kReport carries facts only the worker has — its session window, spans
+// and counters. The coordinator builds the worker's
 // RunReport itself (obs::MergeProcessReports) from those facts and the
 // totals of the worker's fragments, which it already holds.
 //
@@ -49,7 +49,8 @@ inline constexpr uint32_t kFrameMagic = 0x48515346;  // "FSQH" on disk (LE)
 /// cache_bytes_served) so cross-process cache totals reconcile too.
 /// v3: kReport carries the captured session instead of a built RunReport;
 /// the end-of-stream kDone frame is gone.
-inline constexpr uint32_t kFrameVersion = 3;
+/// v4: kReport drops its trailing metrics-registry section.
+inline constexpr uint32_t kFrameVersion = 4;
 /// Hard payload bound (1 GiB): a malformed length prefix must not make the
 /// coordinator try to buffer arbitrary garbage.
 inline constexpr uint64_t kMaxFramePayload = 1ull << 30;
@@ -109,7 +110,6 @@ inline constexpr int64_t kMaxCaptureNs = int64_t{1} << 53;
 ///   name table: count(u32), then each name as a string
 ///   spans: count(u32), then each SpanRecord with its name as a table index
 ///   counters: count(u32), then each CounterRecord, name as a table index
-///   metrics: count(u32), then each MetricSample
 ///
 /// Span and counter names share the payload-local table (one literal per
 /// instrument site, so it stays tiny).
@@ -117,8 +117,8 @@ std::vector<uint8_t> EncodeReportPayload(const obs::SessionCapture& capture);
 /// Inverse of EncodeReportPayload. Decoded span and counter names point
 /// into the returned capture's name_pool. Corruption unless every
 /// timestamp is non-negative, no span ends before it starts, and the
-/// magnitudes of the capture's span durations, cpu and queue times,
-/// counter times and metric values total less than kMaxCaptureNs.
+/// magnitudes of the capture's span durations, cpu and queue times and
+/// counter times total less than kMaxCaptureNs.
 Result<obs::SessionCapture> DecodeReportPayload(
     const std::vector<uint8_t>& payload);
 

@@ -11,8 +11,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "obs/metrics.h"
-
 namespace hepq::scatter {
 
 ShardRange ShardRangeFor(int num_files, int num_workers, int worker) {
@@ -285,12 +283,6 @@ Result<queries::QueryRunOutput> RunScattered(
     std::vector<obs::ProcessReport>* reports) {
   if (files.empty()) return Status::Invalid("scatter over an empty dataset");
   if (num_workers < 1) num_workers = 1;
-  static auto& workers_spawned =
-      obs::metrics::GetCounter("hepq_scatter_workers_spawned_total");
-  static auto& worker_failures =
-      obs::metrics::GetCounter("hepq_scatter_worker_failures_total");
-  static auto& reports_missing =
-      obs::metrics::GetCounter("hepq_scatter_reports_missing_total");
 
   struct Worker {
     pid_t pid = -1;
@@ -333,7 +325,6 @@ Result<queries::QueryRunOutput> RunScattered(
       ::_exit(127);
     }
     ::close(pipe_fds[1]);
-    workers_spawned.Add(1);
     Worker worker;
     worker.pid = pid;
     worker.fd = pipe_fds[0];
@@ -371,11 +362,7 @@ Result<queries::QueryRunOutput> RunScattered(
   }
   for (Worker& worker : workers) {
     if (worker.fd >= 0) ::close(worker.fd);
-    int wstatus = 0;
-    while (::waitpid(worker.pid, &wstatus, 0) < 0 && errno == EINTR) {
-    }
-    if (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0) {
-      worker_failures.Add(1);
+    while (::waitpid(worker.pid, nullptr, 0) < 0 && errno == EINTR) {
     }
   }
 
@@ -408,8 +395,6 @@ Result<queries::QueryRunOutput> RunScattered(
       process.received = !stream.reports.empty();
       if (process.received) {
         process.capture = std::move(stream.reports.front());
-      } else {
-        reports_missing.Add(1);
       }
     }
   }

@@ -5,6 +5,8 @@
 // across {cache off, cold, warm} x {1, 4} threads for all 8 queries on
 // all 4 frontends, and a warm repeat that decodes zero bytes from disk.
 
+#include <sys/stat.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,6 +17,7 @@
 
 #include "cache/cache.h"
 #include "datagen/dataset.h"
+#include "fileio/dataset_reader.h"
 #include "fileio/reader.h"
 #include "queries/adl.h"
 
@@ -292,6 +295,37 @@ TEST(DatasetVersionTest, StableUntilContentChanges) {
   // ...but regenerating different bytes at the SAME path changes it.
   CopyFileBytes(b, a);
   EXPECT_NE(DatasetVersion(a).ValueOrDie(), va);
+}
+
+TEST(DatasetVersionTest, DirectoryVersionCoversEveryShard) {
+  ShardedDatasetSpec spec;
+  spec.num_shards = 2;
+  spec.events_per_shard = 300;
+  spec.row_group_size = 150;
+  const std::string root = ::testing::TempDir() + "/hepq_cache_version_dir";
+  const std::string dir = EnsureShardedDataset(root, spec).ValueOrDie();
+  const uint64_t v = DatasetVersion(dir).ValueOrDie();
+
+  // The same shards under another directory name: same content, same
+  // version.
+  const std::string moved = root + "/moved";
+  ::mkdir(moved.c_str(), 0755);
+  for (int shard = 0; shard < spec.num_shards; ++shard) {
+    CopyFileBytes(dir + "/" + spec.ShardFileName(shard),
+                  moved + "/" + spec.ShardFileName(shard));
+  }
+  EXPECT_EQ(DatasetVersion(moved).ValueOrDie(), v);
+  // One shard alone is a different dataset, and so is a directory whose
+  // second shard holds the first one's bytes.
+  EXPECT_NE(DatasetVersion(dir + "/" + spec.ShardFileName(0)).ValueOrDie(),
+            v);
+  CopyFileBytes(dir + "/" + spec.ShardFileName(0),
+                moved + "/" + spec.ShardFileName(1));
+  EXPECT_NE(DatasetVersion(moved).ValueOrDie(), v);
+  // A directory without shards has no version.
+  const std::string empty = root + "/empty";
+  ::mkdir(empty.c_str(), 0755);
+  EXPECT_FALSE(DatasetVersion(empty).ok());
 }
 
 // ---------------------------------------------------------------------------

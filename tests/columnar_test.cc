@@ -66,7 +66,6 @@ TEST(SchemaTest, FieldLookup) {
 TEST(ArrayTest, PrimitiveBasics) {
   auto arr = MakeFloat32Array({1.0f, 2.0f, 3.0f});
   EXPECT_EQ(arr->length(), 3);
-  EXPECT_EQ(arr->NumBytes(), 12);
   const auto& typed = static_cast<const Float32Array&>(*arr);
   EXPECT_FLOAT_EQ(typed.Value(1), 2.0f);
 }

@@ -1,12 +1,16 @@
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/fourvector.h"
 #include "core/histogram.h"
+#include "core/json.h"
 #include "core/physics.h"
 #include "core/rng.h"
 #include "core/status.h"
+#include "obs/report.h"
 
 namespace hepq {
 namespace {
@@ -367,6 +371,195 @@ TEST(PhysicsTest, TransverseMassKnownValue) {
   EXPECT_NEAR(TransverseMass(25.0, 0.0, 25.0, M_PI), 50.0, 1e-9);
   // Collinear: mT = 0.
   EXPECT_NEAR(TransverseMass(25.0, 1.0, 30.0, 1.0), 0.0, 1e-9);
+}
+
+
+// ---------------------------------------------------------------------------
+// JSON parser on adversarial input. laq_optimize --report and bench_diff
+// read outside files through it, so every input must give a value or a
+// clean Status — never a crash, an unbounded recursion or a non-finite
+// number.
+// ---------------------------------------------------------------------------
+
+/// Parses `text` and checks the failure form: a Status carrying the byte
+/// offset of the offending input.
+bool ParsesOk(const std::string& text) {
+  auto parsed = json::ParseJson(text);
+  if (!parsed.ok()) {
+    EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(parsed.status().message().rfind("JSON parse error at byte ", 0),
+              0u)
+        << parsed.status().message();
+  }
+  return parsed.ok();
+}
+
+/// A real RunReport document with every section populated.
+std::string SampleReportJson() {
+  obs::RunReport report;
+  report.info = obs::RunInfo{"Q6", "presto-shape", 2, 1000, 0.25, 0.5};
+  report.scan.storage_bytes = 123456;
+  report.scan.decoded_bytes = 65432;
+  report.scan.leaves.push_back(LeafScanStats{"Jet.pt", 100, 200, 1, 2, 0, 0});
+  report.run_span_ns = 250000000;
+  report.total_span_ns = 240000000;
+  report.window_ns = 251000000;
+  report.stages.push_back(obs::StageSummary{obs::Stage::kDecode, 10, 9, 64, 2});
+  obs::WorkerSummary worker;
+  worker.busy_ns = 5;
+  worker.busy_fraction = 0.125;
+  worker.timeline.push_back({3, 0, 1, 2, 3, 64});
+  report.workers.push_back(worker);
+  report.stragglers.push_back(obs::Straggler{3, 0, 0, 0, 7, 64});
+  report.counters.push_back(
+      obs::CounterSummary{"vops_retired", obs::Stage::kVexprKernel, 1, 2, 3});
+  report.processes.push_back(obs::RunReport::ProcessSummary{});
+  report.partial = true;
+  report.warnings.push_back("shards [1, 2): \"no report\"\t\xce\xbc");
+  return obs::ReportToJson(report);
+}
+
+std::string CommittedBaselineJson() {
+  std::FILE* f = std::fopen(
+      HEPQ_SOURCE_DIR "/bench/baselines/micro_kernels_tiers.json", "rb");
+  EXPECT_NE(f, nullptr);
+  std::string text;
+  if (f == nullptr) return text;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  std::fclose(f);
+  return text;
+}
+
+std::vector<std::string> RealDocuments() {
+  return {SampleReportJson(), CommittedBaselineJson()};
+}
+
+TEST(JsonTest, RealDocumentsParse) {
+  for (const std::string& text : RealDocuments()) {
+    ASSERT_TRUE(ParsesOk(text)) << text;
+  }
+  auto report = json::ParseJson(SampleReportJson());
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->Find("schema_version")->number_value(),
+            obs::RunReport::kSchemaVersion);
+  EXPECT_EQ(report->Find("warnings")->array_items()[0].string_value(),
+            "shards [1, 2): \"no report\"\t\xce\xbc");
+}
+
+TEST(JsonTest, EveryTruncationIsAnError) {
+  for (const std::string& text : RealDocuments()) {
+    // Only trailing whitespace follows the closing bracket, so every
+    // shorter prefix is an incomplete document.
+    const size_t end = text.find_last_of("}]") + 1;
+    for (size_t n = 0; n < end; ++n) {
+      EXPECT_FALSE(ParsesOk(text.substr(0, n))) << "prefix of " << n;
+    }
+  }
+}
+
+TEST(JsonTest, EveryBitFlipGivesAValueOrAStatus) {
+  for (const std::string& text : RealDocuments()) {
+    int rejected = 0;
+    for (size_t i = 0; i < text.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = text;
+        flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+        if (!ParsesOk(flipped)) ++rejected;
+      }
+    }
+    EXPECT_GT(rejected, 0);
+  }
+}
+
+TEST(JsonTest, NestingIsCappedAtMaxDepth) {
+  // The cap counts arrays and objects, whatever the innermost one holds.
+  auto nested = [](int depth, const char* open, const char* inner,
+                   const char* close) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += open;
+    text += inner;
+    for (int i = 0; i < depth; ++i) text += close;
+    return text;
+  };
+  EXPECT_TRUE(ParsesOk(nested(json::kMaxDepth, "[", "1", "]")));
+  EXPECT_TRUE(ParsesOk(nested(json::kMaxDepth, "[", "", "]")));
+  EXPECT_TRUE(ParsesOk(nested(json::kMaxDepth, "{\"a\":", "1", "}")));
+  for (const std::string& deep :
+       {nested(json::kMaxDepth + 1, "[", "1", "]"),
+        nested(json::kMaxDepth + 1, "[", "", "]"),
+        nested(json::kMaxDepth + 1, "{\"a\":", "1", "}"),
+        std::string(1000000, '[')}) {
+    auto parsed = json::ParseJson(deep);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.status().message().find("nesting too deep"),
+              std::string::npos)
+        << parsed.status().message();
+  }
+}
+
+TEST(JsonTest, NumbersFollowTheRfcGrammar) {
+  for (const char* bad :
+       {"-inf", "-nan", "-Infinity", "0x10", "-0x1p3", "01", "1e400",
+        "-1e400", "inf", "nan", "NaN", "Infinity", "+1", ".5", "1.", "1.e3",
+        "1e", "1e+", "-", "--1", "-01", "00", "0.", "1_000", "1ee2"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(ParsesOk(bad));
+    EXPECT_FALSE(ParsesOk(std::string("[") + bad + "]"));
+    EXPECT_FALSE(ParsesOk(std::string("{\"ns_per_row\":") + bad + "}"));
+  }
+  const struct {
+    const char* text;
+    double value;
+  } good[] = {{"0", 0.0},         {"-0", -0.0},       {"7", 7.0},
+              {"-12.5", -12.5},   {"1.5e-3", 1.5e-3}, {"1E+2", 100.0},
+              {"2e0", 2.0},       {"0.125", 0.125},   {"1e-400", 0.0},
+              {"1.7976931348623157e308", 1.7976931348623157e308}};
+  for (const auto& g : good) {
+    SCOPED_TRACE(g.text);
+    auto parsed = json::ParseJson(std::string("[") + g.text + "]");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    EXPECT_EQ(parsed->array_items()[0].number_value(), g.value);
+  }
+  EXPECT_TRUE(std::signbit(json::ParseJson("-0")->number_value()));
+}
+
+TEST(JsonTest, LiteralsAndSeparators) {
+  auto literals = json::ParseJson(" [null, true, false] ");
+  ASSERT_TRUE(literals.ok());
+  EXPECT_TRUE(literals->array_items()[0].is_null());
+  EXPECT_TRUE(literals->array_items()[1].bool_value());
+  EXPECT_FALSE(literals->array_items()[2].bool_value());
+  for (const char* bad : {"nul", "True", "[1,]", "{\"a\"}", "{1:2}", "[1 2]"}) {
+    EXPECT_FALSE(ParsesOk(bad)) << bad;
+  }
+}
+
+TEST(JsonTest, StringsRejectLoneSurrogatesAndKeepRawBytes) {
+  for (const char* bad :
+       {"\"\\ud800\"", "\"\\udc00\"", "\"\\ud800\\u0041\"", "\"\\ud800x\"",
+        "\"\\ud8\"", "\"\\uzzzz\"", "\"\\x41\"", "\"a\nb\"", "\"abc"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(ParsesOk(bad));
+  }
+  auto pair = json::ParseJson("\"\\ud83d\\ude00 \\u00b5\"");
+  ASSERT_TRUE(pair.ok()) << pair.status().message();
+  EXPECT_EQ(pair->string_value(), "\xf0\x9f\x98\x80 \xc2\xb5");
+  // Invalid UTF-8 outside escapes is kept byte for byte.
+  auto raw = json::ParseJson("\"\xff\xfe\xc0\x80\xed\xa0\x80\"");
+  ASSERT_TRUE(raw.ok()) << raw.status().message();
+  EXPECT_EQ(raw->string_value(), "\xff\xfe\xc0\x80\xed\xa0\x80");
+}
+
+TEST(JsonTest, EveryByteRoundTripsThroughTheWriter) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) all += static_cast<char>(b);
+  std::string text;
+  json::AppendJsonString(&text, all);
+  auto parsed = json::ParseJson(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed->string_value(), all);
 }
 
 }  // namespace

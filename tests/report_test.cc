@@ -158,7 +158,7 @@ TEST(ReportJsonSchemaTest, RequiredKeysPresent) {
   const TracedRun run = RunTraced(EngineKind::kBigQueryShape, 5, 1);
   const std::string json = ReportToJson(run.report);
   for (const char* key :
-       {"\"schema_version\":4", "\"query\":\"Q5\"",
+       {"\"schema_version\":5", "\"query\":\"Q5\"",
         "\"cache\"", "\"footer_hits\"", "\"chunk_hits\"",
         "\"cache_bytes_served\"", "\"consumed_bytes\"",
         "\"engine\":\"bigquery-shape\"", "\"events_processed\"",
@@ -168,9 +168,10 @@ TEST(ReportJsonSchemaTest, RequiredKeysPresent) {
         "\"fused_coverage\"", "\"scan\"", "\"decoded_bytes\"",
         "\"stages\"", "\"workers\"", "\"stragglers\"", "\"per_leaf\"",
         "\"counters\"", "\"cost_inputs\"", "\"processes\"", "\"partial\"",
-        "\"warnings\"", "\"metrics\""}) {
+        "\"warnings\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
+  EXPECT_EQ(json.find("\"metrics\""), std::string::npos);
 }
 
 TEST(ReportExprVmTest, DispatchOverheadDerivedFromKernelCounters) {

@@ -205,7 +205,7 @@ TEST(ScatterIpcTest, MalformedFramesAreErrors) {
   auto version_result = TryParseFrame(bad_version.data(),
                                       bad_version.size(), &frame, &consumed);
   ASSERT_FALSE(version_result.ok());
-  EXPECT_NE(version_result.status().message().find("version 42, expected 3"),
+  EXPECT_NE(version_result.status().message().find("version 42, expected 4"),
             std::string::npos);
 
   std::vector<uint8_t> bad_crc = good;
@@ -487,16 +487,15 @@ TEST(ScatterIpcTest, ForgedFragmentCountsAreCorruption) {
 
 // ---------------------------------------------------------------------------
 // kReport frames: the observability side-channel. A worker ships only its
-// captured session (window, spans, counters, metrics); the coordinator
+// captured session (window, spans, counters); the coordinator
 // builds the worker's RunReport from it. The contract is twofold — that
 // report equals the in-process one field for field, and a lost, corrupt
 // or truncated report degrades the merged RunReport without ever dooming
 // the query result.
 // ---------------------------------------------------------------------------
 
-/// A small capture with every section populated: a nested span pair, a
-/// counter sharing the span-name table, and a counter and a histogram
-/// metric.
+/// A small capture with every section populated: a nested span pair and
+/// a counter sharing the span-name table.
 obs::SessionCapture MakeCapture() {
   obs::SessionCapture capture;
   capture.start_ns = 1000000;
@@ -524,40 +523,21 @@ obs::SessionCapture MakeCapture() {
   capture.spans.push_back(span);
   capture.counters.push_back(
       obs::CounterRecord{"flwor_rows", obs::Stage::kEventLoop, 5, 6, 7});
-  obs::metrics::MetricSample c;
-  c.name = "hepq_test_total";
-  c.kind = obs::metrics::MetricKind::kCounter;
-  c.value = 42;
-  capture.metrics.push_back(c);
-  obs::metrics::MetricSample h;
-  h.name = "hepq_test_wait_ns";
-  h.kind = obs::metrics::MetricKind::kHistogram;
-  h.buckets.assign(obs::metrics::kHistogramBuckets + 1, 0);
-  h.buckets[1] = 3;
-  h.observations = 3;
-  h.sum_ns = 4500;
-  capture.metrics.push_back(h);
   return capture;
 }
 
 TEST(ScatterIpcTest, ForgedReportCountsAreCorruption) {
   const std::vector<uint8_t> payload = EncodeReportPayload(MakeCapture());
   // start/stop(2x8), num_names, names "run" "row_group" "flwor_rows",
-  // num_spans, 2 spans (76 bytes each), num_counters, 1 counter (32),
-  // num_metrics, metric "hepq_test_total": name(4+15) kind(4) value(8),
-  // then its bucket count.
+  // num_spans, 2 spans (76 bytes each), num_counters, 1 counter (32).
   const size_t num_names = 2 * 8;
   const size_t num_spans = num_names + 4 + (4 + 3) + (4 + 9) + (4 + 10);
   const size_t num_counters = num_spans + 4 + 2 * 76;
-  const size_t num_metrics = num_counters + 4 + 32;
-  const size_t num_buckets = num_metrics + 4 + (4 + 15) + 4 + 8;
   ASSERT_EQ(PeekU32(payload, num_names), 3u);
   ASSERT_EQ(PeekU32(payload, num_spans), 2u);
   ASSERT_EQ(PeekU32(payload, num_counters), 1u);
-  ASSERT_EQ(PeekU32(payload, num_metrics), 2u);
-  ASSERT_EQ(PeekU32(payload, num_buckets), 0u);
-  for (size_t offset :
-       {num_names, num_spans, num_counters, num_metrics, num_buckets}) {
+  ASSERT_EQ(payload.size(), num_counters + 4 + 32);
+  for (size_t offset : {num_names, num_spans, num_counters}) {
     SCOPED_TRACE("count at offset " + std::to_string(offset));
     std::vector<uint8_t> forged = payload;
     PokeU32(&forged, offset, 0xffffffffu);
@@ -628,22 +608,13 @@ void ExpectSameReport(const obs::RunReport& a, const obs::RunReport& b) {
     EXPECT_EQ(a.counters[i].count, b.counters[i].count);
     EXPECT_EQ(a.counters[i].bytes, b.counters[i].bytes);
   }
-  ASSERT_EQ(a.metrics.size(), b.metrics.size());
-  for (size_t i = 0; i < a.metrics.size(); ++i) {
-    EXPECT_EQ(a.metrics[i].name, b.metrics[i].name);
-    EXPECT_EQ(a.metrics[i].kind, b.metrics[i].kind);
-    EXPECT_EQ(a.metrics[i].value, b.metrics[i].value);
-    EXPECT_EQ(a.metrics[i].buckets, b.metrics[i].buckets);
-    EXPECT_EQ(a.metrics[i].observations, b.metrics[i].observations);
-    EXPECT_EQ(a.metrics[i].sum_ns, b.metrics[i].sum_ns);
-  }
   EXPECT_EQ(Bits(a.cost_inputs.cpu_seconds), Bits(b.cost_inputs.cpu_seconds));
   EXPECT_EQ(a.cost_inputs.row_groups, b.cost_inputs.row_groups);
   EXPECT_EQ(obs::ReportToJson(a), obs::ReportToJson(b));
 }
 
-/// One real traced query over `shard` with the metrics registry on: the
-/// in-process session plus the run's totals.
+/// One real traced query over `shard`: the in-process session plus the
+/// run's totals.
 struct TracedRun {
   obs::TraceSession session;
   obs::RunInfo info;
@@ -651,14 +622,12 @@ struct TracedRun {
 };
 
 void TraceRealQuery(const std::string& shard, int threads, TracedRun* run) {
-  obs::metrics::SetMetricsEnabled(true);
   queries::RunOptions options;
   options.num_threads = threads;
   run->session.Start();
   auto result = queries::RunAdlQuery(queries::EngineKind::kBigQueryShape, 5,
                                      shard, options);
   run->session.Stop();
-  obs::metrics::SetMetricsEnabled(false);
   ASSERT_TRUE(result.ok()) << result.status().message();
   run->info.query = "Q5";
   run->info.engine = "bigquery-shape";
@@ -681,7 +650,6 @@ TEST_F(ScatterMergeTest, WorkerReportSurvivesTheWireUnchanged) {
   obs::ProcessReport local;
   local.capture = obs::CaptureSession(run.session);
   ASSERT_FALSE(local.capture.spans.empty());
-  ASSERT_FALSE(local.capture.metrics.empty());
   ASSERT_FALSE(in_process.workers.empty());
   ASSERT_FALSE(in_process.stragglers.empty());
 
@@ -829,8 +797,6 @@ TEST(ScatterWorkerTest, EmitsReportAfterFragments) {
   ASSERT_EQ(report.counters.size(), 1u);
   EXPECT_STREQ(report.counters[0].name, "flwor_rows");
   EXPECT_EQ(report.counters[0].bytes, 7u);
-  ASSERT_EQ(report.metrics.size(), 2u);
-  EXPECT_EQ(report.metrics[1].buckets[1], 3u);
 }
 
 /// Appends one kReport frame (optionally mangled) to a fragment stream.
@@ -982,8 +948,8 @@ TEST(ScatterCoordinatorTest, ProcessTotalsSumTheWorkersFragments) {
 
 /// One worker's report covering shards [begin, end): each shard adds the
 /// same content scaled by its index — a `run` root span (a worker runs one
-/// query per shard) over a row-group span over a decode span, counter and
-/// metric increments, and fragment totals — so any regrouping that changes
+/// query per shard) over a row-group span over a decode span, counter
+/// increments, and fragment totals — so any regrouping that changes
 /// totals is caught.
 obs::ProcessReport MakeGroupedReport(int begin, int end) {
   obs::ProcessReport report;
@@ -993,9 +959,6 @@ obs::ProcessReport MakeGroupedReport(int begin, int end) {
   capture.start_ns = 1000000;
   int64_t next_start = capture.start_ns + 1;
   obs::CounterRecord counter{"flwor_rows", obs::Stage::kEventLoop, 0, 0, 0};
-  obs::metrics::MetricSample metric;
-  metric.name = "hepq_test_total";
-  metric.kind = obs::metrics::MetricKind::kCounter;
   uint32_t seq = 0;
   for (int shard = begin; shard < end; ++shard) {
     report.events += 1000 + shard;
@@ -1036,11 +999,9 @@ obs::ProcessReport MakeGroupedReport(int begin, int end) {
     counter.ns += 5 + shard;
     counter.count += 1;
     counter.bytes += 8u;
-    metric.value += 2 + shard;
   }
   capture.stop_ns = next_start;
   capture.counters.push_back(counter);
-  capture.metrics.push_back(metric);
   return report;
 }
 
@@ -1091,13 +1052,8 @@ TEST(ScatterReportMergeTest, MergedReportInvariantToWorkerGrouping) {
     EXPECT_EQ(a.counters[c].count, b.counters[c].count);
     EXPECT_EQ(a.counters[c].bytes, b.counters[c].bytes);
   }
-  ASSERT_EQ(a.metrics.size(), b.metrics.size());
-  for (size_t m = 0; m < a.metrics.size(); ++m) {
-    EXPECT_EQ(a.metrics[m].name, b.metrics[m].name);
-    EXPECT_EQ(a.metrics[m].value, b.metrics[m].value) << a.metrics[m].name;
-  }
   // Per-process scan totals reconcile against the merged scan — the
-  // schema_version 4 contract — for both groupings.
+  // processes[] contract — for both groupings.
   for (const obs::RunReport* r : {&a, &b}) {
     uint64_t decoded = 0;
     uint64_t storage = 0;

@@ -13,9 +13,12 @@
 // as ns_per_row[tierA] / ns_per_row[tierB] from the fresh records (the
 // ratio self-normalizes across machines; absolute times would only
 // measure the runner). A measured ratio below (1 - max_drop) * baseline
-// is a regression; improvements never fail. Exit codes: 0 ok, 1
-// regression, 2 malformed/missing input.
+// is a regression; improvements never fail. A non-finite baseline or
+// measured ratio (e.g. a zero-row kernel's 0/0) is malformed input, since
+// no comparison with NaN can fail. Exit codes: 0 ok, 1 regression,
+// 2 malformed/missing input.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -151,6 +154,14 @@ int main(int argc, char** argv) {
       }
       const double base = base_value.number_value();
       const double measured = num_it->second / den_it->second;
+      if (!std::isfinite(base) || !std::isfinite(measured)) {
+        std::fprintf(stderr,
+                     "kernel '%s' metric '%s' is not finite (baseline %g, "
+                     "measured %g)\n",
+                     kernel_name.c_str(), metric_name.c_str(), base,
+                     measured);
+        return 2;
+      }
       const double change = base > 0.0 ? (measured - base) / base : 0.0;
       const bool failed = measured < (1.0 - max_drop) * base;
       std::printf("%-18s %-22s %9.3f %9.3f %+7.1f%%  %s\n",

@@ -32,16 +32,13 @@
 //     debugging) — run shards [a, b) of the dataset and write result
 //     frames to stdout instead of human-readable output.
 //   --worker-report: worker mode only (added by a profiling coordinator)
-//     — trace the whole shard range under one session with the metrics
-//     registry on, and stream the captured spans, counters and metrics
-//     back as a kReport frame. With --procs=P plus --profile/--trace the
-//     coordinator builds each worker's RunReport from its capture and
-//     merges all P into ONE cross-process RunReport
+//     — trace the whole shard range under one session and stream the
+//     captured spans and counters back as a kReport frame. With
+//     --procs=P plus --profile/--trace the coordinator builds each
+//     worker's RunReport from its capture and merges all P into ONE
+//     cross-process RunReport
 //     (per-process totals reconcile bit-exactly against the merged scan
 //     stats) and one stitched Chrome trace with a pid per worker.
-//   --metrics[=path]: turn the process-wide metrics registry on and dump
-//     the exposition after the run — Prometheus text to stderr, or to
-//     `path` (JSON when the path ends in .json).
 //   --cache[=BYTES]: enable the process-wide cache hierarchy for this
 //     invocation — a decoded-chunk LRU (BYTES budget, default 256 MiB)
 //     shared by every reader plus a query-fingerprint result cache.
@@ -60,13 +57,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "cache/cache.h"
 #include "datagen/dataset.h"
 #include "fileio/dataset_reader.h"
-#include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "queries/adl.h"
@@ -80,36 +77,33 @@ using hepq::queries::RunAdlQuery;
 
 namespace {
 
+/// The engines by CLI name, in the order `all` runs them. The names are
+/// also what --worker-shards children parse.
+constexpr struct {
+  EngineKind kind;
+  const char* cli_name;
+} kEngines[] = {{EngineKind::kRdf, "rdf"},
+                {EngineKind::kBigQueryShape, "bigquery"},
+                {EngineKind::kPrestoShape, "presto"},
+                {EngineKind::kDoc, "doc"}};
+
+/// The single engine `name` selects; false for "all", "explain" or a typo.
+bool ParseEngine(const std::string& name, EngineKind* kind) {
+  for (const auto& e : kEngines) {
+    if (name == e.cli_name) {
+      *kind = e.kind;
+      return true;
+    }
+  }
+  return false;
+}
+
 struct ProfileOptions {
   bool enabled = false;       // --profile or --trace given
   bool table = false;         // --profile with no path: table to stderr
   std::string report_path;    // --profile=path.json
   std::string trace_path;     // --trace=path.json
 };
-
-struct MetricsOptions {
-  bool enabled = false;  // --metrics given: registry on for the process
-  std::string path;      // --metrics=path: exposition file (else stderr)
-};
-
-/// Final metrics exposition for --metrics: Prometheus text to stderr, or
-/// to a file (JSON when the path says so).
-void DumpMetrics(const MetricsOptions& metrics) {
-  if (!metrics.enabled) return;
-  const auto samples = hepq::obs::metrics::SnapshotMetrics();
-  if (metrics.path.empty()) {
-    std::fputs(hepq::obs::metrics::MetricsToPrometheus(samples).c_str(),
-               stderr);
-    return;
-  }
-  const bool json = metrics.path.size() > 5 &&
-                    metrics.path.rfind(".json") == metrics.path.size() - 5;
-  hepq::obs::WriteTextFile(
-      metrics.path, json ? hepq::obs::metrics::MetricsToJson(samples)
-                         : hepq::obs::metrics::MetricsToPrometheus(samples))
-      .Check();
-  std::fprintf(stderr, "metrics: %s\n", metrics.path.c_str());
-}
 
 /// "report.json" -> "report.rdataframe.json" so engine=all runs do not
 /// overwrite one another's files.
@@ -228,6 +222,43 @@ void RunSuite(EngineKind engine, const std::string& data,
   }
 }
 
+/// The report header for query `q` on `engine`: identity plus the run's
+/// own totals.
+hepq::obs::RunInfo InfoFor(EngineKind engine, int q, int threads,
+                           const hepq::queries::QueryRunOutput& result) {
+  hepq::obs::RunInfo info;
+  info.query = "Q" + std::to_string(q);
+  info.engine = EngineKindName(engine);
+  info.threads = threads;
+  info.events_processed = result.events_processed;
+  info.wall_seconds = result.wall_seconds;
+  info.cpu_seconds = result.cpu_seconds;
+  return info;
+}
+
+/// Writes what --profile/--trace asked for: the table to stderr, the
+/// RunReport JSON, and the Chrome trace (rendered only when wanted).
+void EmitProfile(const hepq::obs::RunReport& report,
+                 const std::function<std::string()>& trace_json,
+                 const ProfileOptions& profile, bool suffix_outputs) {
+  auto output_path = [&](const std::string& path) {
+    return suffix_outputs ? WithEngineSuffix(path, report.info.engine) : path;
+  };
+  if (profile.table) {
+    std::fputs(hepq::obs::ReportToTable(report).c_str(), stderr);
+  }
+  if (!profile.report_path.empty()) {
+    const std::string out = output_path(profile.report_path);
+    hepq::obs::WriteTextFile(out, hepq::obs::ReportToJson(report)).Check();
+    std::fprintf(stderr, "run report: %s\n", out.c_str());
+  }
+  if (!profile.trace_path.empty()) {
+    const std::string out = output_path(profile.trace_path);
+    hepq::obs::WriteTextFile(out, trace_json()).Check();
+    std::fprintf(stderr, "chrome trace: %s\n", out.c_str());
+  }
+}
+
 void RunOne(EngineKind engine, int q, const std::string& path,
             const hepq::queries::RunOptions& options,
             const ProfileOptions& profile, bool suffix_outputs) {
@@ -240,54 +271,24 @@ void RunOne(EngineKind engine, int q, const std::string& path,
     std::exit(1);
   }
   PrintRunOutput(engine, *result);
-
   if (!profile.enabled) return;
-  hepq::obs::RunInfo info;
-  info.query = "Q";
-  info.query += std::to_string(q);
-  info.engine = EngineKindName(engine);
-  info.threads = options.num_threads;
-  info.events_processed = result->events_processed;
-  info.wall_seconds = result->wall_seconds;
-  info.cpu_seconds = result->cpu_seconds;
-  const hepq::obs::RunReport report =
-      hepq::obs::BuildRunReport(session, info, result->scan);
-  if (profile.table) {
-    std::fputs(hepq::obs::ReportToTable(report).c_str(), stderr);
-  }
-  if (!profile.report_path.empty()) {
-    const std::string out =
-        suffix_outputs ? WithEngineSuffix(profile.report_path, info.engine)
-                       : profile.report_path;
-    hepq::obs::WriteTextFile(out, hepq::obs::ReportToJson(report)).Check();
-    std::fprintf(stderr, "run report: %s\n", out.c_str());
-  }
-  if (!profile.trace_path.empty()) {
-    const std::string out =
-        suffix_outputs ? WithEngineSuffix(profile.trace_path, info.engine)
-                       : profile.trace_path;
-    hepq::obs::WriteTextFile(out, hepq::obs::ChromeTraceJson(session))
-        .Check();
-    std::fprintf(stderr, "chrome trace: %s\n", out.c_str());
-  }
-}
-
-/// The dataset's sorted shard list: every "*.laq" of a directory, or the
-/// single file itself.
-hepq::Result<std::vector<std::string>> ShardFilesFor(const std::string& data) {
-  if (hepq::IsDirectory(data)) return hepq::ListLaqFiles(data);
-  return std::vector<std::string>{data};
+  EmitProfile(
+      hepq::obs::BuildRunReport(
+          session, InfoFor(engine, q, options.num_threads, *result),
+          result->scan),
+      [&session] { return hepq::obs::ChromeTraceJson(session); }, profile,
+      suffix_outputs);
 }
 
 /// Worker half of --procs: run shards [range) and stream frames to
 /// stdout. Human output is suppressed — stdout is the wire. With
 /// `worker_report` (set by a profiling coordinator) the whole range runs
-/// under one trace session with the metrics registry on, and the captured
-/// session goes back as a kReport frame.
+/// under one trace session, and the captured session goes back as a
+/// kReport frame.
 int RunWorkerMode(EngineKind engine, int q, const std::string& data,
                   const hepq::queries::RunOptions& options,
                   hepq::scatter::ShardRange range, bool worker_report) {
-  auto files = ShardFilesFor(data);
+  auto files = hepq::ShardFiles(data);
   if (!files.ok()) {
     std::fprintf(stderr, "error: %s\n", files.status().ToString().c_str());
     return 1;
@@ -302,7 +303,6 @@ int RunWorkerMode(EngineKind engine, int q, const std::string& data,
   hepq::obs::TraceSession session;
   std::function<std::vector<uint8_t>()> report_payload;
   if (worker_report) {
-    hepq::obs::metrics::SetMetricsEnabled(true);
     session.Start();
     report_payload = [&session]() {
       session.Stop();
@@ -325,21 +325,19 @@ int RunWorkerMode(EngineKind engine, int q, const std::string& data,
 
 /// Coordinator half of --procs: spawn workers (this binary re-invoked
 /// with --worker-shards), gather, merge in shard order, print. Under
-/// --profile/--trace/--metrics the workers also send kReport frames and
+/// --profile/--trace the workers also send kReport frames and
 /// the coordinator merges them into one cross-process RunReport (and one
 /// stitched Chrome trace).
 void RunScatteredOne(const char* self, EngineKind engine,
                      const std::string& engine_name, int q,
                      const std::string& data,
                      const hepq::queries::RunOptions& options, int procs,
-                     const ProfileOptions& profile, bool metrics_enabled,
-                     bool suffix_outputs) {
-  auto files = ShardFilesFor(data);
+                     const ProfileOptions& profile, bool suffix_outputs) {
+  auto files = hepq::ShardFiles(data);
   if (!files.ok()) {
     std::fprintf(stderr, "error: %s\n", files.status().ToString().c_str());
     std::exit(1);
   }
-  const bool want_reports = profile.enabled || metrics_enabled;
   auto make_argv = [&](hepq::scatter::ShardRange range) {
     std::vector<std::string> argv;
     argv.push_back(self);
@@ -351,50 +349,27 @@ void RunScatteredOne(const char* self, EngineKind engine,
                    hepq::engine::ExprTierName(options.expr_tier));
     if (!options.scan_pushdown) argv.push_back("--no-pushdown");
     if (!options.late_materialization) argv.push_back("--no-late-mat");
-    if (want_reports) argv.push_back("--worker-report");
+    if (profile.enabled) argv.push_back("--worker-report");
     argv.push_back("--worker-shards=" + std::to_string(range.begin) + ":" +
                    std::to_string(range.end));
     return argv;
   };
   std::vector<hepq::obs::ProcessReport> reports;
   auto result = hepq::scatter::RunScattered(
-      *files, procs, make_argv, want_reports ? &reports : nullptr);
+      *files, procs, make_argv, profile.enabled ? &reports : nullptr);
   if (!result.ok()) {
     std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
     std::exit(1);
   }
   PrintRunOutput(engine, *result);
-
   if (!profile.enabled) return;
-  hepq::obs::RunInfo info;
-  info.query = "Q";
-  info.query += std::to_string(q);
-  info.engine = EngineKindName(engine);
-  info.threads = options.num_threads;
-  info.events_processed = result->events_processed;
-  info.wall_seconds = result->wall_seconds;
-  info.cpu_seconds = result->cpu_seconds;
-  const hepq::obs::RunReport report =
-      hepq::obs::MergeProcessReports(info, result->scan, reports);
-  if (profile.table) {
-    std::fputs(hepq::obs::ReportToTable(report).c_str(), stderr);
-  }
-  if (!profile.report_path.empty()) {
-    const std::string out =
-        suffix_outputs ? WithEngineSuffix(profile.report_path, info.engine)
-                       : profile.report_path;
-    hepq::obs::WriteTextFile(out, hepq::obs::ReportToJson(report)).Check();
-    std::fprintf(stderr, "run report: %s\n", out.c_str());
-  }
-  if (!profile.trace_path.empty()) {
-    const std::string out =
-        suffix_outputs ? WithEngineSuffix(profile.trace_path, info.engine)
-                       : profile.trace_path;
-    hepq::obs::WriteTextFile(out,
-                             hepq::obs::MultiProcessChromeTraceJson(reports))
-        .Check();
-    std::fprintf(stderr, "chrome trace: %s\n", out.c_str());
-  }
+  EmitProfile(hepq::obs::MergeProcessReports(
+                  InfoFor(engine, q, options.num_threads, *result),
+                  result->scan, reports),
+              [&reports] {
+                return hepq::obs::MultiProcessChromeTraceJson(reports);
+              },
+              profile, suffix_outputs);
 }
 
 void PrintUsage(const char* self) {
@@ -404,8 +379,7 @@ void PrintUsage(const char* self) {
                        " [--no-pushdown]"
                        " [--no-late-mat] [--profile[=report.json]]"
                        " [--trace=trace.json] [--data=path.laq]"
-                       " [--cache[=BYTES]] [--queries=all] [--repeat=N]"
-                       " [--metrics[=path]]\n",
+                       " [--cache[=BYTES]] [--queries=all] [--repeat=N]\n",
                self);
 }
 
@@ -414,7 +388,6 @@ void PrintUsage(const char* self) {
 int main(int argc, char** argv) {
   hepq::queries::RunOptions options;
   ProfileOptions profile;
-  MetricsOptions metrics;
   std::string data_path;
   int procs = 0;
   bool queries_all = false;
@@ -507,15 +480,6 @@ int main(int argc, char** argv) {
       profile.trace_path = argv[i] + 8;
       continue;
     }
-    if (std::strcmp(argv[i], "--metrics") == 0) {
-      metrics.enabled = true;
-      continue;
-    }
-    if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
-      metrics.enabled = true;
-      metrics.path = argv[i] + 10;
-      continue;
-    }
     if (std::strcmp(argv[i], "--worker-report") == 0) {
       worker_report = true;
       continue;
@@ -529,7 +493,6 @@ int main(int argc, char** argv) {
     argv[kept++] = argv[i];
   }
   argc = kept;
-  if (metrics.enabled) hepq::obs::metrics::SetMetricsEnabled(true);
   if (argc < 2 && !queries_all) {
     PrintUsage(argv[0]);
     return 2;
@@ -572,15 +535,8 @@ int main(int argc, char** argv) {
     std::printf("8-query suite   data: %s   passes: %d   cache: %s\n\n",
                 data.c_str(), repeat,
                 options.chunk_cache != nullptr ? "on" : "off");
-    const struct {
-      EngineKind kind;
-      const char* cli_name;
-    } engines[] = {{EngineKind::kRdf, "rdf"},
-                   {EngineKind::kBigQueryShape, "bigquery"},
-                   {EngineKind::kPrestoShape, "presto"},
-                   {EngineKind::kDoc, "doc"}};
     bool ran = false;
-    for (const auto& e : engines) {
+    for (const auto& e : kEngines) {
       if (engine_name == "all" || engine_name == e.cli_name) {
         RunSuite(e.kind, data, options, repeat);
         ran = true;
@@ -590,22 +546,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown engine '%s'\n", engine_name.c_str());
       return 2;
     }
-    DumpMetrics(metrics);
     return 0;
   }
 
   if (worker_mode) {
     // Stdout is the frame wire; nothing human-readable may touch it.
     EngineKind engine;
-    if (engine_name == "rdf") {
-      engine = EngineKind::kRdf;
-    } else if (engine_name == "bigquery") {
-      engine = EngineKind::kBigQueryShape;
-    } else if (engine_name == "presto") {
-      engine = EngineKind::kPrestoShape;
-    } else if (engine_name == "doc") {
-      engine = EngineKind::kDoc;
-    } else {
+    if (!ParseEngine(engine_name, &engine)) {
       std::fprintf(stderr, "--worker-shards needs a single engine, got '%s'\n",
                    engine_name.c_str());
       return 2;
@@ -631,43 +578,26 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (engine_name == "all") {
-    const struct {
-      EngineKind kind;
-      const char* cli_name;  // what --worker-shards children parse
-    } engines[] = {{EngineKind::kRdf, "rdf"},
-                   {EngineKind::kBigQueryShape, "bigquery"},
-                   {EngineKind::kPrestoShape, "presto"},
-                   {EngineKind::kDoc, "doc"}};
-    for (const auto& e : engines) {
+    for (const auto& e : kEngines) {
       if (procs > 1) {
         RunScatteredOne(argv[0], e.kind, e.cli_name, q, data, options, procs,
-                        profile, metrics.enabled, /*suffix_outputs=*/true);
+                        profile, /*suffix_outputs=*/true);
       } else {
         RunOne(e.kind, q, data, options, profile, /*suffix_outputs=*/true);
       }
     }
-    DumpMetrics(metrics);
     return 0;
   }
   EngineKind engine;
-  if (engine_name == "rdf") {
-    engine = EngineKind::kRdf;
-  } else if (engine_name == "bigquery") {
-    engine = EngineKind::kBigQueryShape;
-  } else if (engine_name == "presto") {
-    engine = EngineKind::kPrestoShape;
-  } else if (engine_name == "doc") {
-    engine = EngineKind::kDoc;
-  } else {
+  if (!ParseEngine(engine_name, &engine)) {
     std::fprintf(stderr, "unknown engine '%s'\n", engine_name.c_str());
     return 2;
   }
   if (procs > 1) {
     RunScatteredOne(argv[0], engine, engine_name, q, data, options, procs,
-                    profile, metrics.enabled, /*suffix_outputs=*/false);
+                    profile, /*suffix_outputs=*/false);
   } else {
     RunOne(engine, q, data, options, profile, /*suffix_outputs=*/false);
   }
-  DumpMetrics(metrics);
   return 0;
 }

@@ -3,7 +3,7 @@
 // maps. The moral equivalent of parquet-tools for this repository's format.
 //
 // Usage: laq_inspect <file.laq | dataset-dir> [--chunks] [--pages] [--json]
-//                    [--cache-stats] [--metrics]
+//                    [--cache-stats]
 //
 // Any other argument prints "unknown flag: <arg>" plus the usage line and
 // exits 2.
@@ -17,8 +17,6 @@
 // pipeable): the first walk banks every shard's validated footer, the
 // second is served from the cache — observable from tooling, not just
 // RunReports.
-// --metrics turns the process-wide metrics registry on for the run and
-// dumps the Prometheus-text exposition to stderr on exit.
 
 #include <algorithm>
 #include <cstdio>
@@ -31,22 +29,8 @@
 #include "fileio/dataset_reader.h"
 #include "fileio/layout_optimizer.h"
 #include "fileio/reader.h"
-#include "obs/metrics.h"
 
 namespace {
-
-/// --metrics epilogue: covers every return path of main by dumping the
-/// process-wide registry (Prometheus text, stderr) at scope exit.
-struct MetricsDumpAtExit {
-  bool enabled = false;
-  ~MetricsDumpAtExit() {
-    if (!enabled) return;
-    std::fputs(hepq::obs::metrics::MetricsToPrometheus(
-                   hepq::obs::metrics::SnapshotMetrics())
-                   .c_str(),
-               stderr);
-  }
-};
 
 /// The --cache-stats epilogue: one more metadata-only pass over every
 /// shard (footer-cache-served, no data bytes), then the process totals.
@@ -173,7 +157,7 @@ int InspectDirectory(const std::string& dir, bool json, bool cache_stats) {
 void PrintUsage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <file.laq | dataset-dir> [--chunks] [--pages]"
-               " [--json] [--cache-stats] [--metrics]\n",
+               " [--json] [--cache-stats]\n",
                argv0);
 }
 
@@ -189,7 +173,6 @@ int main(int argc, char** argv) {
   bool show_pages = false;
   bool json = false;
   bool cache_stats = false;
-  MetricsDumpAtExit metrics_dump;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--chunks") == 0) {
       show_chunks = true;
@@ -200,9 +183,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (std::strcmp(argv[i], "--cache-stats") == 0) {
       cache_stats = true;
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
-      hepq::obs::metrics::SetMetricsEnabled(true);
-      metrics_dump.enabled = true;
     } else {
       // A typo must not print the default view and exit 0.
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
