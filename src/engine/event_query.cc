@@ -326,9 +326,22 @@ EventQueryResult EventQuery::MakeResult() const {
   return result;
 }
 
-Status EventQuery::EnsureCompiled() const {
+Status EventQuery::EnsurePrepared() const {
   std::lock_guard<std::mutex> lock(*compile_mu_);
-  if (compiled_ != nullptr) return Status::OK();
+  if (!arity_checked_) {
+    for (const ExprPtr& stage : stages_) {
+      HEPQ_RETURN_NOT_OK(CheckCallArity(stage.get()));
+    }
+    for (const FillSpec& fill : fills_) {
+      HEPQ_RETURN_NOT_OK(CheckCallArity(fill.scalar.get()));
+      HEPQ_RETURN_NOT_OK(CheckCallArity(fill.element.filter.get()));
+      HEPQ_RETURN_NOT_OK(CheckCallArity(fill.element.value.get()));
+    }
+    arity_checked_ = true;
+  }
+  if (expr_tier_ != ExprTier::kSimd || compiled_ != nullptr) {
+    return Status::OK();
+  }
   obs::ScopedSpan span("vexpr_compile", obs::Stage::kPlan);
   CompiledQuerySpec spec;
   spec.stages = stages_;
@@ -359,8 +372,8 @@ Status EventQuery::ExecuteBatch(const RecordBatch& batch,
                                 EventQueryResult* result,
                                 VexprScratch* scratch) const {
   obs::ScopedSpan span("expr_batch", obs::Stage::kExpr);
+  HEPQ_RETURN_NOT_OK(EnsurePrepared());
   if (expr_tier_ == ExprTier::kSimd) {
-    HEPQ_RETURN_NOT_OK(EnsureCompiled());
     if (scratch == nullptr) {
       thread_local VexprScratch tls_scratch;
       scratch = &tls_scratch;
@@ -453,7 +466,7 @@ Result<EventQueryResult> EventQuery::Execute(LaqReader* reader) const {
   const int num_groups = reader->num_row_groups();
   std::vector<EventQueryResult> partials(static_cast<size_t>(num_groups));
   for (EventQueryResult& p : partials) p = MakeResult();
-  if (expr_tier_ == ExprTier::kSimd) HEPQ_RETURN_NOT_OK(EnsureCompiled());
+  HEPQ_RETURN_NOT_OK(EnsurePrepared());
   ScratchBuffers scratch;
   VexprScratch vexpr_scratch;
   HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
@@ -507,7 +520,7 @@ Result<EventQueryResult> EventQuery::Execute(const std::string& path,
 
   std::vector<EventQueryResult> partials(layout.groups.size());
   for (EventQueryResult& p : partials) p = MakeResult();
-  if (expr_tier_ == ExprTier::kSimd) HEPQ_RETURN_NOT_OK(EnsureCompiled());
+  HEPQ_RETURN_NOT_OK(EnsurePrepared());
   HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
       workers, std::move(tasks), [&](int worker, int g) -> Status {
         const exec::DatasetLayout::Group& loc =

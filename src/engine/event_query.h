@@ -138,9 +138,10 @@ class EventQuery {
     bool per_combination = false;
   };
 
-  /// Compiles the stages and fills to VM programs on first use (simd
-  /// tier only). Safe to race; Execute paths call it before fanning out.
-  Status EnsureCompiled() const;
+  /// Checks every call's arity on first use (both tiers) and compiles the
+  /// stages and fills to VM programs (simd tier only). Safe to race;
+  /// Execute paths call it before fanning out.
+  Status EnsurePrepared() const;
 
   std::string name_;
   std::vector<ListDecl> lists_;
@@ -153,6 +154,7 @@ class EventQuery {
   mutable std::unique_ptr<std::mutex> compile_mu_ =
       std::make_unique<std::mutex>();
   mutable std::shared_ptr<const CompiledEventQuery> compiled_;
+  mutable bool arity_checked_ = false;
 };
 
 }  // namespace hepq::engine

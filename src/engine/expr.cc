@@ -25,6 +25,69 @@ bool ParseExprTier(const std::string& name, ExprTier* out) {
 
 namespace {
 
+const char* FnName(Fn fn) {
+  switch (fn) {
+    case Fn::kAbs: return "abs";
+    case Fn::kSqrt: return "sqrt";
+    case Fn::kNot: return "not";
+    case Fn::kMin2: return "min";
+    case Fn::kMax2: return "max";
+    case Fn::kDeltaPhi: return "delta_phi";
+    case Fn::kDeltaR: return "delta_r";
+    case Fn::kInvMass2: return "inv_mass2";
+    case Fn::kInvMass3: return "inv_mass3";
+    case Fn::kSumPt3: return "sum_pt3";
+    case Fn::kTransverseMass: return "transverse_mass";
+  }
+  return "?";
+}
+
+int FnArity(Fn fn) {
+  switch (fn) {
+    case Fn::kAbs:
+    case Fn::kSqrt:
+    case Fn::kNot:
+      return 1;
+    case Fn::kMin2:
+    case Fn::kMax2:
+    case Fn::kDeltaPhi:
+      return 2;
+    case Fn::kDeltaR:
+    case Fn::kTransverseMass:
+      return 4;
+    case Fn::kInvMass2:
+      return 8;
+    case Fn::kInvMass3:
+    case Fn::kSumPt3:
+      return 12;
+  }
+  return 0;
+}
+
+}  // namespace
+
+Status CheckFnArity(Fn fn, size_t num_args) {
+  if (num_args == static_cast<size_t>(FnArity(fn))) return Status::OK();
+  return Status::Invalid(std::string(FnName(fn)) + " takes " +
+                         std::to_string(FnArity(fn)) + " arguments, got " +
+                         std::to_string(num_args));
+}
+
+Status CheckCallArity(const Expr* e) {
+  if (e == nullptr) return Status::OK();
+  const ExprShape s = e->Shape();
+  if (s.kind == ExprShape::Kind::kCall) {
+    HEPQ_RETURN_NOT_OK(CheckFnArity(s.fn, s.operands.size()));
+  }
+  for (const Expr* operand : s.operands) {
+    HEPQ_RETURN_NOT_OK(CheckCallArity(operand));
+  }
+  HEPQ_RETURN_NOT_OK(CheckCallArity(s.filter));
+  return CheckCallArity(s.value);
+}
+
+namespace {
+
 const char* BinOpName(BinOp op) {
   switch (op) {
     case BinOp::kAdd: return "+";
@@ -39,23 +102,6 @@ const char* BinOpName(BinOp op) {
     case BinOp::kNe: return "!=";
     case BinOp::kAnd: return "AND";
     case BinOp::kOr: return "OR";
-  }
-  return "?";
-}
-
-const char* FnName(Fn fn) {
-  switch (fn) {
-    case Fn::kAbs: return "abs";
-    case Fn::kSqrt: return "sqrt";
-    case Fn::kNot: return "not";
-    case Fn::kMin2: return "min";
-    case Fn::kMax2: return "max";
-    case Fn::kDeltaPhi: return "delta_phi";
-    case Fn::kDeltaR: return "delta_r";
-    case Fn::kInvMass2: return "inv_mass2";
-    case Fn::kInvMass3: return "inv_mass3";
-    case Fn::kSumPt3: return "sum_pt3";
-    case Fn::kTransverseMass: return "transverse_mass";
   }
   return "?";
 }

@@ -41,6 +41,10 @@ enum class Fn {
   kTransverseMass,  // (pt1, phi1, pt2, phi2)
 };
 
+/// Invalid status naming the call unless `fn` takes exactly `num_args`
+/// arguments — the one arity rule every preparation path applies.
+Status CheckFnArity(Fn fn, size_t num_args);
+
 /// `x op lit` as a closed conservative range on x — the zone-map bound a
 /// pushed-down comparison implies. kNe carries no range information; the
 /// arithmetic/logic ops are not comparisons (both return false).
@@ -128,6 +132,11 @@ class Expr {
 };
 
 using ExprPtr = std::shared_ptr<const Expr>;
+
+/// Checks every call in the tree under `e` (null is fine) with
+/// CheckFnArity. Run when a query is prepared, on both tiers, so no
+/// evaluator indexes past or short of a call's argument list.
+Status CheckCallArity(const Expr* e);
 
 // ---- Node factories -------------------------------------------------------
 

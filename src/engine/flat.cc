@@ -190,6 +190,9 @@ class FlatCallExpr final : public FlatExpr {
     return 0.0;
   }
   Status Resolve(const FlatBatch& batch) override {
+    // Both tiers resolve before running, so a wrong argument count never
+    // reaches Eval's fixed argument buffer or a kernel's operand list.
+    HEPQ_RETURN_NOT_OK(CheckFnArity(fn_, args_.size()));
     for (auto& arg : args_) HEPQ_RETURN_NOT_OK(arg->Resolve(batch));
     return Status::OK();
   }
@@ -201,7 +204,7 @@ class FlatCallExpr final : public FlatExpr {
       HEPQ_ASSIGN_OR_RETURN(reg, arg->Lower(builder));
       regs.push_back(reg);
     }
-    return builder->Op(VOpFor(fn_), regs);
+    return builder->Call(fn_, regs);
   }
 
  private:
@@ -634,11 +637,21 @@ std::string FlatPipeline::Explain() const {
 
 namespace {
 
-/// One worker's state, reused across its row groups: the VM scratch and
-/// the flat chunk, whose columns are sized to kChunkRows on first use.
+/// One worker's state, reused across its row groups: the VM scratch, the
+/// flat chunk, whose columns are sized to kChunkRows on first use, and the
+/// output pointers of multi-result program runs.
 struct FlatWorkerScratch {
   VexprScratch vexpr;
   FlatBatch chunk;
+  std::vector<double*> outs;
+};
+
+/// One compiled pipeline step: a filter's gate program, or one program
+/// for a maximal run of consecutive projections with a result per
+/// projection, written to `out_columns` (empty for a filter).
+struct CompiledStep {
+  VProgram program;
+  std::vector<size_t> out_columns;
 };
 
 }  // namespace
@@ -754,32 +767,52 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
   }
 
   // ---- compile the hot flat-row expressions to VM programs ----
-  // One program per pipeline step and (when ungrouped) per fill; HAVING
-  // and grouped fills run over the tiny per-event aggregate output where
-  // batching buys nothing, so they stay on the interpreter. Input slot
-  // ids are the chunk column indices, so a worker binds the program by
-  // pointing VColumns at its chunk's columns through its selection
-  // vector. Programs are immutable after this block and shared by all
-  // workers; each worker brings its own VexprScratch.
+  // Each filter is one gate program. Each maximal run of consecutive
+  // projections is ONE program with a result per projection, so the
+  // builder's CSE shares subexpressions across the run (Q6's mass_diff
+  // and trijet_pt convert each jet to Cartesian components once), and a
+  // projection that reads an earlier one of the same run takes its
+  // register rather than a column load. When ungrouped, the fills are one
+  // program too; HAVING and grouped fills run over the tiny per-event
+  // aggregate output where batching buys nothing, so they stay on the
+  // interpreter. Input slot ids are the chunk column indices, so a worker
+  // binds a program by pointing VColumns at its chunk's columns through
+  // its selection vector. Programs are immutable after this block and
+  // shared by all workers; each worker brings its own VexprScratch.
   const bool compiled = expr_tier_ == ExprTier::kSimd;
-  std::vector<VProgram> step_programs;
-  std::vector<VProgram> fill_programs;
+  std::vector<CompiledStep> step_programs;
+  VProgram fill_program;
   if (compiled) {
-    step_programs.reserve(steps_.size());
-    for (const Step& step : steps_) {
+    size_t next_column = base_columns;
+    for (size_t s = 0; s < steps_.size();) {
       VProgramBuilder builder;
-      int reg;
-      HEPQ_ASSIGN_OR_RETURN(reg, step.expr->Lower(&builder));
-      step_programs.push_back(builder.Finish(reg));
+      std::vector<int> results;
+      CompiledStep step;
+      if (steps_[s].is_filter) {
+        int reg;
+        HEPQ_ASSIGN_OR_RETURN(reg, steps_[s++].expr->Lower(&builder));
+        results.push_back(reg);
+      } else {
+        for (; s < steps_.size() && !steps_[s].is_filter; ++s) {
+          int reg;
+          HEPQ_ASSIGN_OR_RETURN(reg, steps_[s].expr->Lower(&builder));
+          builder.BindSlot(static_cast<int>(next_column), reg);
+          results.push_back(reg);
+          step.out_columns.push_back(next_column++);
+        }
+      }
+      step.program = builder.Finish(results);
+      step_programs.push_back(std::move(step));
     }
-    if (!grouped) {
-      fill_programs.reserve(fills_.size());
+    if (!grouped && !fills_.empty()) {
+      VProgramBuilder builder;
+      std::vector<int> results;
       for (const auto& [spec, expr] : fills_) {
-        VProgramBuilder builder;
         int reg;
         HEPQ_ASSIGN_OR_RETURN(reg, expr->Lower(&builder));
-        fill_programs.push_back(builder.Finish(reg));
+        results.push_back(reg);
       }
+      fill_program = builder.Finish(results);
     }
   }
 
@@ -915,6 +948,7 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
           std::vector<uint32_t>* gate = vs->AcquireU32();
           std::vector<double>* vals = vs->AcquireF64();
           std::vector<VColumn>* cols = vs->AcquireCols();
+          std::vector<double*>& outs = ws->outs;
           cols->assign(chunk.columns.size(), VColumn{});
           const uint32_t* sel_ptr = nullptr;  // null: all rows live
           size_t live = chunk.num_rows;
@@ -925,24 +959,36 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
               (*cols)[c].index = sel_ptr;
             }
           };
-          size_t live_columns = base_columns;
-          for (size_t s = 0; s < steps_.size(); ++s) {
-            const Step& step = steps_[s];
+          for (const CompiledStep& step : step_programs) {
             bind_cols();
-            if (!step.is_filter) {
-              vals->resize(live);
-              step_programs[s].Run(cols->data(), static_cast<int>(live),
-                                   &vs->vm, vals->data());
-              // Scatter through the selection so later gathers see the
-              // value at its row position; dead rows stay unwritten (and
-              // unread).
-              auto& out = chunk.columns[live_columns];
-              if (sel_ptr != nullptr) {
-                for (size_t i = 0; i < live; ++i) out[sel_ptr[i]] = (*vals)[i];
+            if (!step.out_columns.empty()) {
+              // A projection run: one program pass, one output per
+              // projection. Dense selections write straight into the
+              // chunk columns; otherwise each result scatters through the
+              // selection so later gathers see it at its row position
+              // (dead rows stay unwritten, and unread).
+              const size_t num_out = step.out_columns.size();
+              outs.resize(num_out);
+              if (sel_ptr == nullptr) {
+                for (size_t k = 0; k < num_out; ++k) {
+                  outs[k] = chunk.columns[step.out_columns[k]].data();
+                }
               } else {
-                std::copy(vals->begin(), vals->end(), out.begin());
+                vals->resize(num_out * live);
+                for (size_t k = 0; k < num_out; ++k) {
+                  outs[k] = vals->data() + k * live;
+                }
               }
-              ++live_columns;
+              step.program.Run(cols->data(), static_cast<int>(live),
+                               &vs->vm, outs.data());
+              if (sel_ptr != nullptr) {
+                for (size_t k = 0; k < num_out; ++k) {
+                  double* out = chunk.columns[step.out_columns[k]].data();
+                  for (size_t i = 0; i < live; ++i) {
+                    out[sel_ptr[i]] = outs[k][i];
+                  }
+                }
+              }
               continue;
             }
             // Fused gate: the passing lane positions come out of the VM
@@ -952,13 +998,13 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
             // the gate output is ascending, so the rewrite is in-place.
             if (sel_ptr == nullptr) {
               sel->resize(live);
-              const int kept = step_programs[s].RunGate(
+              const int kept = step.program.RunGate(
                   cols->data(), static_cast<int>(live), &vs->vm,
                   /*negate=*/false, sel->data());
               sel->resize(static_cast<size_t>(kept));
             } else {
               gate->resize(live);
-              const int kept = step_programs[s].RunGate(
+              const int kept = step.program.RunGate(
                   cols->data(), static_cast<int>(live), &vs->vm,
                   /*negate=*/false, gate->data());
               for (int i = 0; i < kept; ++i) (*sel)[i] = (*sel)[(*gate)[i]];
@@ -971,14 +1017,20 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
           if (live > 0) {
             if (grouped) {
               p.aggregator.Consume(chunk, /*event_col=*/0, sel_ptr, live);
-            } else {
+            } else if (!fills_.empty()) {
+              // All fills in one program pass, then each histogram fills
+              // in lane order, as the per-fill interpreter loop does.
+              vals->resize(fills_.size() * live);
+              outs.resize(fills_.size());
               for (size_t f = 0; f < fills_.size(); ++f) {
-                vals->resize(live);
-                bind_cols();
-                fill_programs[f].Run(cols->data(), static_cast<int>(live),
-                                     &vs->vm, vals->data());
+                outs[f] = vals->data() + f * live;
+              }
+              bind_cols();
+              fill_program.Run(cols->data(), static_cast<int>(live), &vs->vm,
+                               outs.data());
+              for (size_t f = 0; f < fills_.size(); ++f) {
                 for (size_t i = 0; i < live; ++i) {
-                  p.histos[f].Fill((*vals)[i]);
+                  p.histos[f].Fill(outs[f][i]);
                 }
               }
             }

@@ -1,10 +1,9 @@
 #include "engine/vexpr.h"
 
-#include <cmath>
+#include <cassert>
 #include <cstdio>
 #include <cstring>
 
-#include "core/physics.h"
 #include "engine/vexpr_fuse.h"
 
 namespace hepq::engine {
@@ -32,10 +31,11 @@ const char* VOpName(VOp op) {
     case VOp::kMax2: return "max";
     case VOp::kDeltaPhi: return "delta_phi";
     case VOp::kDeltaR: return "delta_r";
-    case VOp::kInvMass2: return "inv_mass2";
-    case VOp::kInvMass3: return "inv_mass3";
-    case VOp::kSumPt3: return "sum_pt3";
     case VOp::kTransverseMass: return "transverse_mass";
+    case VOp::kPx: return "px";
+    case VOp::kPy: return "py";
+    case VOp::kPz: return "pz";
+    case VOp::kE: return "e";
     case VOp::kMassOfSum2: return "mass_of_sum2";
     case VOp::kMassOfSum3: return "mass_of_sum3";
     case VOp::kPtOfSum3: return "pt_of_sum3";
@@ -61,75 +61,6 @@ VOp VOpFor(BinOp op) {
   return VOp::kAdd;
 }
 
-VOp VOpFor(Fn fn) {
-  switch (fn) {
-    case Fn::kAbs: return VOp::kAbs;
-    case Fn::kSqrt: return VOp::kSqrt;
-    case Fn::kNot: return VOp::kNot;
-    case Fn::kMin2: return VOp::kMin2;
-    case Fn::kMax2: return VOp::kMax2;
-    case Fn::kDeltaPhi: return VOp::kDeltaPhi;
-    case Fn::kDeltaR: return VOp::kDeltaR;
-    case Fn::kInvMass2: return VOp::kInvMass2;
-    case Fn::kInvMass3: return VOp::kInvMass3;
-    case Fn::kSumPt3: return VOp::kSumPt3;
-    case Fn::kTransverseMass: return VOp::kTransverseMass;
-  }
-  return VOp::kAbs;
-}
-
-double VOpApply(VOp op, const double* v) {
-  switch (op) {
-    case VOp::kAdd: return v[0] + v[1];
-    case VOp::kSub: return v[0] - v[1];
-    case VOp::kMul: return v[0] * v[1];
-    case VOp::kDiv: return v[0] / v[1];
-    case VOp::kLt: return v[0] < v[1] ? 1.0 : 0.0;
-    case VOp::kLe: return v[0] <= v[1] ? 1.0 : 0.0;
-    case VOp::kGt: return v[0] > v[1] ? 1.0 : 0.0;
-    case VOp::kGe: return v[0] >= v[1] ? 1.0 : 0.0;
-    case VOp::kEq: return v[0] == v[1] ? 1.0 : 0.0;
-    case VOp::kNe: return v[0] != v[1] ? 1.0 : 0.0;
-    // Eager && / || match the interpreter's short-circuit forms exactly:
-    // operands reaching a VM program are pure, and booleans are exact 0/1.
-    case VOp::kAnd: return v[0] != 0.0 && v[1] != 0.0 ? 1.0 : 0.0;
-    case VOp::kOr: return v[0] != 0.0 || v[1] != 0.0 ? 1.0 : 0.0;
-    case VOp::kAbs: return std::abs(v[0]);
-    case VOp::kSqrt: return std::sqrt(v[0]);
-    case VOp::kNot: return v[0] != 0.0 ? 0.0 : 1.0;
-    case VOp::kMin2: return std::min(v[0], v[1]);
-    case VOp::kMax2: return std::max(v[0], v[1]);
-    case VOp::kDeltaPhi: return DeltaPhi(v[0], v[1]);
-    case VOp::kDeltaR: return DeltaR(v[0], v[1], v[2], v[3]);
-    case VOp::kInvMass2:
-      return InvariantMass2({v[0], v[1], v[2], v[3]},
-                            {v[4], v[5], v[6], v[7]});
-    case VOp::kInvMass3:
-      return InvariantMass3({v[0], v[1], v[2], v[3]},
-                            {v[4], v[5], v[6], v[7]},
-                            {v[8], v[9], v[10], v[11]});
-    case VOp::kSumPt3:
-      return AddPtEtaPhiM3({v[0], v[1], v[2], v[3]},
-                           {v[4], v[5], v[6], v[7]},
-                           {v[8], v[9], v[10], v[11]})
-          .pt;
-    case VOp::kTransverseMass:
-      return TransverseMass(v[0], v[1], v[2], v[3]);
-    case VOp::kMassOfSum2:
-      return MassOfSum2({v[0], v[1], v[2], v[3]}, {v[4], v[5], v[6], v[7]});
-    case VOp::kMassOfSum3:
-      return MassOfSum3({v[0], v[1], v[2], v[3]}, {v[4], v[5], v[6], v[7]},
-                        {v[8], v[9], v[10], v[11]});
-    case VOp::kPtOfSum3:
-      return PtOfSum3({v[0], v[1], v[2], v[3]}, {v[4], v[5], v[6], v[7]},
-                      {v[8], v[9], v[10], v[11]});
-    case VOp::kConst:
-    case VOp::kLoad:
-      break;
-  }
-  return 0.0;
-}
-
 double* VScratch::Block(int num_temps) {
   // Over-allocate by one cacheline and hand out an aligned pointer: the
   // fused strip loops then run over 64-byte-aligned temporaries, which the
@@ -143,8 +74,8 @@ double* VScratch::Block(int num_temps) {
 }
 
 void VProgram::Run(const VColumn* cols, int n, VScratch* scratch,
-                   double* out) const {
-  fused_->Run(cols, n, scratch, out);
+                   double* const* outs) const {
+  fused_->Run(cols, n, scratch, outs);
 }
 
 int VProgram::RunGate(const VColumn* cols, int n, VScratch* scratch,
@@ -172,8 +103,12 @@ std::string VProgram::ToString() const {
     }
     out += "\n";
   }
-  std::snprintf(buf, sizeof(buf), "ret r%u\n", result_reg_);
-  out += buf;
+  out += "ret";
+  for (const uint16_t r : result_regs_) {
+    std::snprintf(buf, sizeof(buf), " r%u", r);
+    out += buf;
+  }
+  out += "\n";
   return out;
 }
 
@@ -185,6 +120,51 @@ uint64_t DoubleBits(double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   return bits;
+}
+
+// The largest operand count of any opcode (kMassOfSum3).
+constexpr int kMaxVOpArgs = 12;
+
+int VOpArity(VOp op) {
+  switch (op) {
+    case VOp::kConst:
+    case VOp::kLoad:
+      return 0;
+    case VOp::kAbs:
+    case VOp::kSqrt:
+    case VOp::kNot:
+      return 1;
+    case VOp::kAdd:
+    case VOp::kSub:
+    case VOp::kMul:
+    case VOp::kDiv:
+    case VOp::kLt:
+    case VOp::kLe:
+    case VOp::kGt:
+    case VOp::kGe:
+    case VOp::kEq:
+    case VOp::kNe:
+    case VOp::kAnd:
+    case VOp::kOr:
+    case VOp::kMin2:
+    case VOp::kMax2:
+    case VOp::kDeltaPhi:
+    case VOp::kPx:
+    case VOp::kPy:
+    case VOp::kPz:
+      return 2;
+    case VOp::kDeltaR:
+    case VOp::kTransverseMass:
+    case VOp::kE:
+      return 4;
+    case VOp::kPtOfSum3:
+      return 6;
+    case VOp::kMassOfSum2:
+      return 8;
+    case VOp::kMassOfSum3:
+      return 12;
+  }
+  return 0;
 }
 
 // CSE key tags; kept distinct from VOp values used in op keys.
@@ -222,6 +202,10 @@ int VProgramBuilder::Load(int slot) {
   return r;
 }
 
+void VProgramBuilder::BindSlot(int slot, int reg) {
+  cse_[std::vector<uint64_t>{kKeyLoad, static_cast<uint64_t>(slot)}] = reg;
+}
+
 void VProgramBuilder::Materialize(int reg) {
   if (!reg_const_[static_cast<size_t>(reg)].first) return;
   if (materialized_.size() < reg_const_.size()) {
@@ -237,11 +221,13 @@ void VProgramBuilder::Materialize(int reg) {
 }
 
 int VProgramBuilder::Op(VOp op, const std::vector<int>& arg_regs) {
+  assert(static_cast<int>(arg_regs.size()) == VOpArity(op));
   // Constant folding: if every argument is a known constant, apply the
-  // exact scalar semantics now and emit nothing.
-  bool all_const = true;
-  double vals[12];
-  for (size_t k = 0; k < arg_regs.size(); ++k) {
+  // exact scalar semantics now and emit nothing. Only a well-formed op
+  // folds, so `vals` is never over- or under-filled.
+  bool all_const = static_cast<int>(arg_regs.size()) == VOpArity(op);
+  double vals[kMaxVOpArgs];
+  for (size_t k = 0; all_const && k < arg_regs.size(); ++k) {
     const auto& rc = reg_const_[static_cast<size_t>(arg_regs[k])];
     if (!rc.first) {
       all_const = false;
@@ -271,18 +257,66 @@ int VProgramBuilder::Op(VOp op, const std::vector<int>& arg_regs) {
   return dst;
 }
 
+int VProgramBuilder::Call(Fn fn, const std::vector<int>& arg_regs) {
+  // Particle g's (pt, eta, phi, mass) are arg_regs[4g .. 4g+3]. CSE keys
+  // on (op, argument registers), so a particle that several kinematic
+  // calls read converts once.
+  const auto arg = [&](size_t g, size_t k) { return arg_regs[4 * g + k]; };
+  const auto px = [&](size_t g) {
+    return Op(VOp::kPx, {arg(g, 0), arg(g, 2)});
+  };
+  const auto py = [&](size_t g) {
+    return Op(VOp::kPy, {arg(g, 0), arg(g, 2)});
+  };
+  std::vector<int> comps;
+  switch (fn) {
+    case Fn::kInvMass2:
+    case Fn::kInvMass3: {
+      const size_t particles = fn == Fn::kInvMass2 ? 2 : 3;
+      for (size_t g = 0; g < particles; ++g) {
+        const int x = px(g);
+        const int y = py(g);
+        const int z = Op(VOp::kPz, {arg(g, 0), arg(g, 1)});
+        const int e = Op(VOp::kE, {x, y, z, arg(g, 3)});
+        comps.insert(comps.end(), {x, y, z, e});
+      }
+      return Op(fn == Fn::kInvMass2 ? VOp::kMassOfSum2 : VOp::kMassOfSum3,
+                comps);
+    }
+    case Fn::kSumPt3:
+      // Pt() reads only px and py; pz and E are never computed.
+      for (size_t g = 0; g < 3; ++g) {
+        comps.push_back(px(g));
+        comps.push_back(py(g));
+      }
+      return Op(VOp::kPtOfSum3, comps);
+    case Fn::kAbs: return Op(VOp::kAbs, arg_regs);
+    case Fn::kSqrt: return Op(VOp::kSqrt, arg_regs);
+    case Fn::kNot: return Op(VOp::kNot, arg_regs);
+    case Fn::kMin2: return Op(VOp::kMin2, arg_regs);
+    case Fn::kMax2: return Op(VOp::kMax2, arg_regs);
+    case Fn::kDeltaPhi: return Op(VOp::kDeltaPhi, arg_regs);
+    case Fn::kDeltaR: return Op(VOp::kDeltaR, arg_regs);
+    case Fn::kTransverseMass: return Op(VOp::kTransverseMass, arg_regs);
+  }
+  return Const(0.0);
+}
+
 bool VProgramBuilder::IsConst(int reg, double* value) const {
   const auto& rc = reg_const_[static_cast<size_t>(reg)];
   if (rc.first && value != nullptr) *value = rc.second;
   return rc.first;
 }
 
-VProgram VProgramBuilder::Finish(int result_reg) {
-  Materialize(result_reg);
-  program_.result_reg_ = static_cast<uint16_t>(result_reg);
+VProgram VProgramBuilder::Finish(const std::vector<int>& result_regs) {
+  for (const int r : result_regs) {
+    Materialize(r);
+    program_.result_regs_.push_back(static_cast<uint16_t>(r));
+  }
   // The fusion pass runs once here: the fused plan is what Run executes.
-  // The instruction list is never empty at this point (the result register
-  // is a materialized constant, a load, or an op), so the plan exists.
+  // The instruction list is never empty at this point (each result
+  // register is a materialized constant, a load, or an op), so the plan
+  // exists.
   program_.fused_ = BuildFusedPlan(program_);
   return std::move(program_);
 }

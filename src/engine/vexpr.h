@@ -63,25 +63,31 @@ enum class VOp : uint8_t {
   kMax2,
   kDeltaPhi,
   kDeltaR,
-  kInvMass2,
-  kInvMass3,
-  kSumPt3,
   kTransverseMass,
-  // Decomposed combination kernels: operands are Cartesian components
-  // (px, py, pz, E per particle) produced once per list *element*, so the
-  // per-lane work is add + reduce instead of a full cylindrical conversion
-  // per combination (see the note in core/physics.h).
-  kMassOfSum2,
-  kMassOfSum3,
-  kPtOfSum3,
+  // Cartesian components of one (pt, eta, phi, mass) particle, each one
+  // line of PtEtaPhiM::ToPxPyPzE (core/fourvector.cc) operation for
+  // operation: px = pt*cos(phi), py = pt*sin(phi), pz = pt*sinh(eta),
+  // E = sqrt(px*px + py*py + pz*pz + m*m). The kinematic calls lower to
+  // these (VProgramBuilder::Call), so CSE converts a particle once per
+  // lane however many kinematic consumers the program has.
+  kPx,  // (pt, phi)
+  kPy,  // (pt, phi)
+  kPz,  // (pt, eta)
+  kE,   // (px, py, pz, m)
+  // Cartesian reductions: operands are components (px, py, pz, E per
+  // particle for the masses; px, py per particle for the pt), the per-lane
+  // work is add + reduce (see the note in core/physics.h).
+  kMassOfSum2,  // 8 args
+  kMassOfSum3,  // 12 args
+  kPtOfSum3,    // 6 args: (px1, py1, px2, py2, px3, py3)
 };
 
 const char* VOpName(VOp op);
 VOp VOpFor(BinOp op);
-VOp VOpFor(Fn fn);
 /// Applies `op` to one lane of arguments — the exact scalar semantics the
 /// fused kernels implement, shared with the constant folder so folded and
-/// evaluated results are bit-identical.
+/// evaluated results are bit-identical. Defined in vexpr_kernels.cc, the
+/// TU that compiles the kernels with the same contraction rules.
 double VOpApply(VOp op, const double* v);
 
 struct VInstr {
@@ -135,17 +141,25 @@ class VProgram {
   const std::vector<VInstr>& code() const { return code_; }
   const std::vector<uint16_t>& args() const { return args_; }
   const std::vector<double>& consts() const { return consts_; }
-  int result_reg() const { return result_reg_; }
+  /// Result registers, one per output, in Finish order.
+  const std::vector<uint16_t>& result_regs() const { return result_regs_; }
+  int num_results() const { return static_cast<int>(result_regs_.size()); }
 
   /// Evaluates the program over lanes [0, n) through its fused plan,
-  /// writing the result to out[0..n). cols must provide num_slots()
-  /// entries. Only finished programs (VProgramBuilder::Finish) run.
-  void Run(const VColumn* cols, int n, VScratch* scratch, double* out) const;
+  /// writing result k to outs[k][0..n) for every k < num_results().
+  /// cols must provide num_slots() entries. Only finished programs
+  /// (VProgramBuilder::Finish) run.
+  void Run(const VColumn* cols, int n, VScratch* scratch,
+           double* const* outs) const;
+  /// Single-result form: out[0..n) gets result 0.
+  void Run(const VColumn* cols, int n, VScratch* scratch, double* out) const {
+    Run(cols, n, scratch, &out);
+  }
 
-  /// Fused gate: evaluates the program as a predicate over lanes [0, n)
-  /// and writes the passing lane indices (result != 0, xor `negate`) to
-  /// sel_out[0..return) in ascending order, without materializing the 0/1
-  /// value vector. sel_out must hold n entries.
+  /// Fused gate: evaluates the program's first result as a predicate over
+  /// lanes [0, n) and writes the passing lane indices (result != 0, xor
+  /// `negate`) to sel_out[0..return) in ascending order, without
+  /// materializing the 0/1 value vector. sel_out must hold n entries.
   int RunGate(const VColumn* cols, int n, VScratch* scratch, bool negate,
               uint32_t* sel_out) const;
 
@@ -163,24 +177,36 @@ class VProgram {
   std::shared_ptr<const VFusedPlan> fused_;
   int num_slots_ = 0;
   int num_regs_ = 0;
-  uint16_t result_reg_ = 0;
+  std::vector<uint16_t> result_regs_;
 };
 
 /// Builds a VProgram bottom-up. Every Const/Load/Op returns a register id;
 /// identical subcomputations are merged (CSE) and operations over
-/// all-constant arguments are folded at build time.
+/// all-constant arguments are folded at build time. A program may have
+/// several results (Finish), so CSE shares work across all of them.
 class VProgramBuilder {
  public:
   int Const(double value);
   /// Loads input slot `slot` (caller-assigned; slots need not be dense,
   /// the program sizes itself to the largest slot id + 1).
   int Load(int slot);
+  /// Makes every later Load(slot) return `reg`: the slot's value is
+  /// computed by this program itself (an earlier result of the same run).
+  void BindSlot(int slot, int reg);
+  /// `arg_regs.size()` must be `op`'s operand count: lowerings reject
+  /// wrong-arity calls with Status::Invalid when a query is prepared.
   int Op(VOp op, const std::vector<int>& arg_regs);
+  /// Lowers built-in `fn` over `arg_regs` (arity as CheckFnArity). InvMass2,
+  /// InvMass3 and SumPt3 decompose into kPx/kPy/kPz/kE per particle plus
+  /// their Cartesian reduction, so every kinematic consumer of a particle
+  /// shares one conversion; every other function is one opcode.
+  int Call(Fn fn, const std::vector<int>& arg_regs);
 
   /// True (with the value) when `reg` folded to a constant.
   bool IsConst(int reg, double* value) const;
 
-  VProgram Finish(int result_reg);
+  /// Finishes the program with one output per entry of `result_regs`.
+  VProgram Finish(const std::vector<int>& result_regs);
 
  private:
   VProgram program_;
@@ -271,6 +297,8 @@ class CompiledEventQuery {
  public:
   ~CompiledEventQuery();
 
+  /// Every call in `spec` must have its function's arity (EventQuery
+  /// checks CheckCallArity first).
   static Result<std::shared_ptr<const CompiledEventQuery>> Compile(
       CompiledQuerySpec spec);
 
@@ -292,6 +320,7 @@ class CompiledEventQuery {
 /// compiler tests and the expression micro-benchmarks.
 class CompiledExprKernel {
  public:
+  /// Invalid if any call in `expr` has the wrong argument count.
   static Result<CompiledExprKernel> Compile(ExprPtr expr);
 
   /// Evaluates the expression once per row in [0, num_rows), exactly like

@@ -650,7 +650,7 @@ class ScalarLowerer {
  public:
   CompiledScalar Lower(const Expr* root) {
     const int reg = LowerNode(root);
-    cs_.program = b_.Finish(reg);
+    cs_.program = b_.Finish({reg});
     return std::move(cs_);
   }
 
@@ -658,7 +658,7 @@ class ScalarLowerer {
   /// when batching any part would change observable binding semantics.
   CompiledScalar LowerAsInterp(const Expr* root) {
     const int reg = InterpLoad(root);
-    cs_.program = b_.Finish(reg);
+    cs_.program = b_.Finish({reg});
     return std::move(cs_);
   }
 
@@ -700,8 +700,8 @@ class ScalarLowerer {
   /// (pt, eta, phi, mass) member quads to the decomposed Cartesian form:
   /// slots deliver px/py/pz/E converted once per list element, the opcode
   /// only adds and reduces per lane. Returns -1 when the call does not
-  /// match (arguments are not plain iterator members), leaving the generic
-  /// per-lane opcode to handle it.
+  /// match (arguments are not plain iterator members), leaving
+  /// VProgramBuilder::Call to convert per lane with component ops.
   int TryLowerCartesianCall(const ExprShape& s) {
     VOp op;
     size_t particles;
@@ -771,7 +771,9 @@ class ScalarLowerer {
         }
         cs_.cgroups.push_back({table, iter, first_slot});
       }
-      for (int c = 0; c < 4; ++c) regs.push_back(b_.Load(first_slot + c));
+      // kPtOfSum3 reads (px, py) per particle, the masses all four.
+      const int used = op == VOp::kPtOfSum3 ? 2 : 4;
+      for (int c = 0; c < used; ++c) regs.push_back(b_.Load(first_slot + c));
     }
     return b_.Op(op, regs);
   }
@@ -825,7 +827,7 @@ class ScalarLowerer {
         std::vector<int> regs;
         regs.reserve(s.operands.size());
         for (const Expr* arg : s.operands) regs.push_back(LowerNode(arg));
-        return b_.Op(VOpFor(s.fn), regs);
+        return b_.Call(s.fn, regs);
       }
       case ExprShape::Kind::kAgg: {
         auto node = std::make_unique<AggNode>();
@@ -1408,6 +1410,7 @@ struct KernelImpl {
 
 Result<CompiledExprKernel> CompiledExprKernel::Compile(ExprPtr expr) {
   if (expr == nullptr) return Status::Invalid("null expression");
+  HEPQ_RETURN_NOT_OK(CheckCallArity(expr.get()));
   auto impl = std::make_shared<KernelImpl>();
   impl->root = std::move(expr);
   if (ContainsCombination(impl->root.get())) {

@@ -66,14 +66,16 @@ MOp GenericMOp(VOp op) {
       return MOp::kDeltaPhi;
     case VOp::kDeltaR:
       return MOp::kDeltaR;
-    case VOp::kInvMass2:
-      return MOp::kInvMass2;
-    case VOp::kInvMass3:
-      return MOp::kInvMass3;
-    case VOp::kSumPt3:
-      return MOp::kSumPt3;
     case VOp::kTransverseMass:
       return MOp::kTransverseMass;
+    case VOp::kPx:
+      return MOp::kPx;
+    case VOp::kPy:
+      return MOp::kPy;
+    case VOp::kPz:
+      return MOp::kPz;
+    case VOp::kE:
+      return MOp::kE;
     case VOp::kMassOfSum2:
       return MOp::kMassOfSum2;
     case VOp::kMassOfSum3:
@@ -319,14 +321,16 @@ const char* MOpName(MOp op) {
       return "delta_phi";
     case MOp::kDeltaR:
       return "delta_r";
-    case MOp::kInvMass2:
-      return "inv_mass2";
-    case MOp::kInvMass3:
-      return "inv_mass3";
-    case MOp::kSumPt3:
-      return "sum_pt3";
     case MOp::kTransverseMass:
       return "transverse_mass";
+    case MOp::kPx:
+      return "px";
+    case MOp::kPy:
+      return "py";
+    case MOp::kPz:
+      return "pz";
+    case MOp::kE:
+      return "e";
     case MOp::kMassOfSum2:
       return "mass_of_sum2";
     case MOp::kMassOfSum3:
@@ -395,8 +399,12 @@ std::string VFusedPlan::ToString() const {
     }
     s += "\n";
   }
-  std::snprintf(buf, sizeof(buf), "ret t%u\n", result_temp_);
-  s += buf;
+  s += "ret";
+  for (const uint16_t r : result_temps_) {
+    std::snprintf(buf, sizeof(buf), " t%u", r);
+    s += buf;
+  }
+  s += "\n";
   return s;
 }
 
@@ -429,8 +437,9 @@ std::shared_ptr<const VFusedPlan> BuildFusedPlan(const VProgram& program) {
       for (uint16_t a : w.args) ++uses[a];
     }
   }
-  const uint16_t result_reg = static_cast<uint16_t>(program.result_reg());
-  ++uses[result_reg];
+  // Each result counts as a use that no peephole takes away, so a result
+  // register always keeps its temporary.
+  for (const uint16_t r : program.result_regs()) ++uses[r];
 
   auto splat_of = [&](uint16_t reg, double* value) {
     const WorkOp& d = work[def[reg]];
@@ -523,8 +532,7 @@ std::shared_ptr<const VFusedPlan> BuildFusedPlan(const VProgram& program) {
   // Splats whose every consumer took them as an immediate no longer need a
   // strip temporary.
   for (WorkOp& w : work) {
-    if (w.op == MOp::kSplat && uses[w.dst] == 0 && w.dst != result_reg)
-      w.deleted = true;
+    if (w.op == MOp::kSplat && uses[w.dst] == 0) w.deleted = true;
   }
 
   // ---- Renumber into the final plan ---------------------------------------
@@ -551,7 +559,9 @@ std::shared_ptr<const VFusedPlan> BuildFusedPlan(const VProgram& program) {
     plan->mops_.push_back(m);
   }
   plan->num_temps_ = next_temp;
-  plan->result_temp_ = remap[result_reg];
+  for (const uint16_t r : program.result_regs()) {
+    plan->result_temps_.push_back(remap[r]);
+  }
   plan->num_source_ops_ = static_cast<int>(code.size());
   return plan;
 }

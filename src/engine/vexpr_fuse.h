@@ -41,17 +41,27 @@ namespace hepq::engine {
 //      kPtOfSum3) whose every operand is a single-use load absorbs the
 //      loads (kMassOfSum3G, ...): the kernel reads the component columns
 //      directly through their per-particle index vectors, eliminating
-//      the 8/12 staging strips a combination frame would otherwise fill
+//      the 6/8/12 staging strips a combination frame would otherwise fill
 //      before every mass evaluation.
 //
 // The Cartesian combination kernels (kMassOfSum2/3, kPtOfSum3) become
 // structure-of-arrays loops over the strip whose inline math repeats the
-// core/physics helper sequences operation for operation; vexpr_kernels.cc
-// is compiled with -ffp-contract=off (as are physics.cc/fourvector.cc)
-// so no build can contract them differently than the helpers. Everything
-// else about bit-identity is structural: same ops, same operand order,
-// same per-lane evaluation order, no reassociation — reductions never
-// enter the VM, so the fused tier introduces no reduction-order hazard.
+// core/physics helper sequences operation for operation, and the
+// component kernels (kPx/kPy/kPz/kE) repeat PtEtaPhiM::ToPxPyPzE line by
+// line; vexpr_kernels.cc is compiled with -ffp-contract=off (as are
+// physics.cc/fourvector.cc) so no build can contract them differently
+// than the helpers. Everything else about bit-identity is structural:
+// same ops, same operand order, same per-lane evaluation order, no
+// reassociation — reductions never enter the VM, so the fused tier
+// introduces no reduction-order hazard.
+//
+// Repeat reuse: the libm-calling component kernels (kPx/kPy/kPz) copy the
+// previous lane's result when both operands are BITWISE equal to the
+// previous lane's (memcmp, not ==: -0.0 == +0.0 yet pt*cos(phi) differs
+// in sign, and NaN != NaN would only lose reuse). A pure function of
+// identical bits gives identical bits, so reuse is exact. It pays in the
+// presto shape, where the outer unnest aliases are fills of the flat
+// chunk and repeat across consecutive surviving rows.
 
 /// Lanes per strip block. 64 doubles = 8 cachelines per temporary; a
 /// typical fused program holds 10-30 live temporaries, so the whole
@@ -120,10 +130,13 @@ enum class MOp : uint8_t {
   // these scalar; they fuse into the strip, not into vector lanes)
   kDeltaPhi,
   kDeltaR,
-  kInvMass2,
-  kInvMass3,
-  kSumPt3,
   kTransverseMass,
+  // Cartesian components (ToPxPyPzE line by line); kPx/kPy/kPz call libm
+  // and reuse the previous lane's result on bitwise-repeated operands
+  kPx,
+  kPy,
+  kPz,
+  kE,
   // structure-of-arrays Cartesian kernels: inline PxPyPzE component
   // sums + mass/pt, vectorizable (pt keeps the scalar hypot call)
   kMassOfSum2,
@@ -162,11 +175,14 @@ class VFusedPlan {
   /// fused-kernel coverage surfaced in micro_kernels and RunReports.
   double fused_coverage() const;
 
-  /// Strip-mined execution over lanes [0, n); out[0..n) gets the result.
-  void Run(const VColumn* cols, int n, VScratch* scratch, double* out) const;
+  /// Strip-mined execution over lanes [0, n); outs[k][0..n) gets result k
+  /// for every result of the program.
+  void Run(const VColumn* cols, int n, VScratch* scratch,
+           double* const* outs) const;
 
   /// Fused gate: evaluates and compacts in one pass, writing passing lane
-  /// indices (result != 0, xor negate) to sel_out; returns their count.
+  /// indices (first result != 0, xor negate) to sel_out; returns their
+  /// count.
   int RunGate(const VColumn* cols, int n, VScratch* scratch, bool negate,
               uint32_t* sel_out) const;
 
@@ -184,7 +200,7 @@ class VFusedPlan {
   std::vector<uint16_t> args_;  // temp ids, indexed by MInstr::first_arg
   std::vector<double> imms_;
   int num_temps_ = 0;
-  uint16_t result_temp_ = 0;
+  std::vector<uint16_t> result_temps_;  // one per program result
   int num_source_ops_ = 0;
 };
 

@@ -1,16 +1,16 @@
-// Strip-mined execution of fused expression plans (the simd tier).
+// Strip-mined execution of fused expression plans (the simd tier), and
+// VOpApply, the scalar reference the constant folder shares with them.
 //
 // Bit-identity contract: every micro-op body below performs the exact IEEE
-// operation sequence of the corresponding VOpApply case in vexpr.cc (the
-// constant folder's scalar reference, which mirrors the interpreter's
-// switch in expr.cc) —
-// same operand order, same comparison forms, same out-of-line helper
-// calls — and the structure-of-arrays Cartesian kernels inline the
-// operation sequences of MassOfSum2/3 and PtOfSum3 from core/physics.cc
-// verbatim, as kSumPt3 does for the px/py half of ToPxPyPzE in
-// core/fourvector.cc. This file, physics.cc, and fourvector.cc are all
-// compiled with -ffp-contract=off (see the CMakeLists), so no build mode can
-// contract a*b+c into an FMA here while the helper keeps separate
+// operation sequence of the corresponding VOpApply case (which mirrors the
+// interpreter's switch in expr.cc) — same operand order, same comparison
+// forms, same out-of-line helper calls. The component kernels
+// (kPx/kPy/kPz/kE) repeat one line each of PtEtaPhiM::ToPxPyPzE in
+// core/fourvector.cc, and the structure-of-arrays Cartesian kernels inline
+// the operation sequences of MassOfSum2/3 and PtOfSum3 from
+// core/physics.cc verbatim. This file, physics.cc, and fourvector.cc are
+// all compiled with -ffp-contract=off (see the CMakeLists), so no build
+// mode can contract a*b+c into an FMA here while the helper keeps separate
 // rounding, or vice versa. Do not reassociate, hoist, or "simplify" any
 // arithmetic in this file without re-running the interpret-vs-simd
 // agreement matrix in vexpr_test.
@@ -109,8 +109,37 @@ inline double TransverseMassLane(double pt1, double phi1, double pt2,
   return arg > 0.0 ? std::sqrt(arg) : 0.0;
 }
 
-// A particle's four momentum components viewed structure-of-arrays for
-// the gather-absorbed kernels: all four slots must be raw double columns
+// The four lines of PtEtaPhiM::ToPxPyPzE (core/fourvector.cc), one
+// opcode each, in the same operation order.
+inline double PxLane(double pt, double phi) { return pt * std::cos(phi); }
+inline double PyLane(double pt, double phi) { return pt * std::sin(phi); }
+inline double PzLane(double pt, double eta) { return pt * std::sinh(eta); }
+inline double ELane(double px, double py, double pz, double mass) {
+  return std::sqrt(px * px + py * py + pz * pz + mass * mass);
+}
+
+// Bitwise operand equality: memcmp, not ==. -0.0 == +0.0, yet
+// -0.0 * cos(phi) and +0.0 * cos(phi) differ in sign, so only identical
+// bits may share a result.
+inline bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+// A libm-calling component over one strip: a lane whose two operands are
+// bitwise equal to the previous lane's copies that lane's result (the
+// function is pure, so the bits are the ones it would compute).
+template <double (*F)(double, double)>
+void RepeatReuseLanes(const double* a, const double* b, int w, double* d) {
+  d[0] = F(a[0], b[0]);
+  for (int i = 1; i < w; ++i) {
+    d[i] = SameBits(a[i], a[i - 1]) && SameBits(b[i], b[i - 1])
+               ? d[i - 1]
+               : F(a[i], b[i]);
+  }
+}
+
+// A particle's momentum components viewed structure-of-arrays for the
+// gather-absorbed kernels: all `n` slots must be raw double columns
 // sharing one index vector (the shape the combination-frame drivers
 // bind). Any other shape falls back to staged strips.
 struct SoAView {
@@ -118,9 +147,10 @@ struct SoAView {
   const uint32_t* idx;
 };
 
-bool SoAParticle(const VColumn* cols, const uint16_t* slots, SoAView* v) {
+bool SoAParticle(const VColumn* cols, const uint16_t* slots, int n,
+                 SoAView* v) {
   v->idx = cols[slots[0]].index;
-  for (int k = 0; k < 4; ++k) {
+  for (int k = 0; k < n; ++k) {
     const VColumn& col = cols[slots[k]];
     if (col.type != TypeId::kFloat64 || col.data == nullptr ||
         col.index != v->idx) {
@@ -132,6 +162,51 @@ bool SoAParticle(const VColumn* cols, const uint16_t* slots, SoAView* v) {
 }
 
 }  // namespace
+
+double VOpApply(VOp op, const double* v) {
+  switch (op) {
+    case VOp::kAdd: return v[0] + v[1];
+    case VOp::kSub: return v[0] - v[1];
+    case VOp::kMul: return v[0] * v[1];
+    case VOp::kDiv: return v[0] / v[1];
+    case VOp::kLt: return v[0] < v[1] ? 1.0 : 0.0;
+    case VOp::kLe: return v[0] <= v[1] ? 1.0 : 0.0;
+    case VOp::kGt: return v[0] > v[1] ? 1.0 : 0.0;
+    case VOp::kGe: return v[0] >= v[1] ? 1.0 : 0.0;
+    case VOp::kEq: return v[0] == v[1] ? 1.0 : 0.0;
+    case VOp::kNe: return v[0] != v[1] ? 1.0 : 0.0;
+    // Eager && / || match the interpreter's short-circuit forms exactly:
+    // operands reaching a VM program are pure, and booleans are exact 0/1.
+    case VOp::kAnd: return v[0] != 0.0 && v[1] != 0.0 ? 1.0 : 0.0;
+    case VOp::kOr: return v[0] != 0.0 || v[1] != 0.0 ? 1.0 : 0.0;
+    case VOp::kAbs: return std::abs(v[0]);
+    case VOp::kSqrt: return std::sqrt(v[0]);
+    case VOp::kNot: return v[0] != 0.0 ? 0.0 : 1.0;
+    case VOp::kMin2: return std::min(v[0], v[1]);
+    case VOp::kMax2: return std::max(v[0], v[1]);
+    case VOp::kDeltaPhi: return DeltaPhi(v[0], v[1]);
+    case VOp::kDeltaR: return DeltaR(v[0], v[1], v[2], v[3]);
+    case VOp::kTransverseMass:
+      return TransverseMass(v[0], v[1], v[2], v[3]);
+    case VOp::kPx: return PxLane(v[0], v[1]);
+    case VOp::kPy: return PyLane(v[0], v[1]);
+    case VOp::kPz: return PzLane(v[0], v[1]);
+    case VOp::kE: return ELane(v[0], v[1], v[2], v[3]);
+    case VOp::kMassOfSum2:
+      return MassOfSum2({v[0], v[1], v[2], v[3]}, {v[4], v[5], v[6], v[7]});
+    case VOp::kMassOfSum3:
+      return MassOfSum3({v[0], v[1], v[2], v[3]}, {v[4], v[5], v[6], v[7]},
+                        {v[8], v[9], v[10], v[11]});
+    case VOp::kPtOfSum3:
+      // PtOfSum3 reads only px and py.
+      return PtOfSum3({v[0], v[1], 0.0, 0.0}, {v[2], v[3], 0.0, 0.0},
+                      {v[4], v[5], 0.0, 0.0});
+    case VOp::kConst:
+    case VOp::kLoad:
+      break;
+  }
+  return 0.0;
+}
 
 // Emits the loop body twice: once with the constant trip count kW (the
 // full-strip fast path the vectorizer unrolls into straight SIMD) and
@@ -363,43 +438,30 @@ void VFusedPlan::ExecStrip(const VColumn* cols, int base, int w,
           d[i] = TransverseMassLane(a[i], b[i], c[i], (t + ia[3] * kW)[i]);
         }
         break;
-      case MOp::kInvMass2:
-        for (int k = 0; k < 8; ++k) p[k] = t + ia[k] * kW;
-        for (int i = 0; i < w; ++i) {
-          d[i] = InvariantMass2({p[0][i], p[1][i], p[2][i], p[3][i]},
-                                {p[4][i], p[5][i], p[6][i], p[7][i]});
-        }
+      // Cartesian components. The libm-calling three reuse the previous
+      // lane's result on bitwise-repeated operands; E is a sqrt of
+      // products, cheap enough to recompute and vectorizable.
+      case MOp::kPx:
+        RepeatReuseLanes<PxLane>(a, b, w, d);
         break;
-      case MOp::kInvMass3:
-        for (int k = 0; k < 12; ++k) p[k] = t + ia[k] * kW;
-        for (int i = 0; i < w; ++i) {
-          d[i] = InvariantMass3({p[0][i], p[1][i], p[2][i], p[3][i]},
-                                {p[4][i], p[5][i], p[6][i], p[7][i]},
-                                {p[8][i], p[9][i], p[10][i], p[11][i]});
-        }
+      case MOp::kPy:
+        RepeatReuseLanes<PyLane>(a, b, w, d);
         break;
-      case MOp::kSumPt3:
-        // AddPtEtaPhiM3(...).pt reduced to what pt reads: ToPxPyPzE's
-        // px = pt*cos(phi) and py = pt*sin(phi), operator+'s left-
-        // associated sums, Pt()'s hypot. eta and mass only feed pz and e,
-        // and the trijet's eta/phi/mass are never computed.
-        for (int k = 0; k < 12; ++k) p[k] = t + ia[k] * kW;
-        for (int i = 0; i < w; ++i) {
-          const double px = (p[0][i] * std::cos(p[2][i]) +
-                             p[4][i] * std::cos(p[6][i])) +
-                            p[8][i] * std::cos(p[10][i]);
-          const double py = (p[0][i] * std::sin(p[2][i]) +
-                             p[4][i] * std::sin(p[6][i])) +
-                            p[8][i] * std::sin(p[10][i]);
-          d[i] = std::hypot(px, py);
-        }
+      case MOp::kPz:
+        RepeatReuseLanes<PzLane>(a, b, w, d);
         break;
+      case MOp::kE: {
+        const double* const m = t + ia[3] * kW;
+        HEPQ_FUSED_LANES(d[i] = ELane(a[i], b[i], c[i], m[i]));
+        break;
+      }
       // Structure-of-arrays Cartesian kernels. Args are (px, py, pz, e)
-      // per particle; the bodies repeat PxPyPzE::operator+ / Mass() / Pt()
-      // from core/fourvector.h operation for operation (componentwise
-      // left-associated sums, m2 = e*e - (px*px + py*py + pz*pz), the
-      // m2 > 0 clamp before sqrt) so the inlined, vectorized form rounds
-      // identically to the out-of-line helper the interpreter calls.
+      // per particle (px, py for the pt); the bodies repeat
+      // PxPyPzE::operator+ / Mass() / Pt() from core/fourvector.h
+      // operation for operation (componentwise left-associated sums,
+      // m2 = e*e - (px*px + py*py + pz*pz), the m2 > 0 clamp before sqrt)
+      // so the inlined, vectorized form rounds identically to the
+      // out-of-line helper the interpreter calls.
       case MOp::kMassOfSum2:
         for (int k = 0; k < 8; ++k) p[k] = t + ia[k] * kW;
         HEPQ_FUSED_LANES({
@@ -423,26 +485,27 @@ void VFusedPlan::ExecStrip(const VColumn* cols, int base, int w,
         });
         break;
       case MOp::kPtOfSum3:
-        for (int k = 0; k < 12; ++k) p[k] = t + ia[k] * kW;
-        // std::hypot is the exact call Pt() makes; it stays a scalar libm
-        // call, but the component sums above it still vectorize.
+        // Args are (px, py) per particle. std::hypot is the exact call
+        // Pt() makes; it stays a scalar libm call.
+        for (int k = 0; k < 6; ++k) p[k] = t + ia[k] * kW;
         for (int i = 0; i < w; ++i) {
-          const double px = (p[0][i] + p[4][i]) + p[8][i];
-          const double py = (p[1][i] + p[5][i]) + p[9][i];
+          const double px = (p[0][i] + p[2][i]) + p[4][i];
+          const double py = (p[1][i] + p[3][i]) + p[5][i];
           d[i] = std::hypot(px, py);
         }
         break;
       // Gather-absorbed forms: ia[] holds input slot ids. Fast path when
-      // every particle binds four raw double columns sharing one index
+      // every particle binds its raw double columns sharing one index
       // vector — then each lane reads the components straight from the
       // source columns (one gathered load each) instead of the kernel
-      // first filling 8/12 staging strips. The arithmetic is the staged
+      // first filling 6/8/12 staging strips. The arithmetic is the staged
       // body verbatim, so both paths round identically; any other column
       // shape (splats, float32, mixed indices) stages locally and runs
       // the same body.
       case MOp::kMassOfSum2G: {
         SoAView v1, v2;
-        if (SoAParticle(cols, ia, &v1) && SoAParticle(cols, ia + 4, &v2)) {
+        if (SoAParticle(cols, ia, 4, &v1) &&
+            SoAParticle(cols, ia + 4, 4, &v2)) {
           for (int i = 0; i < w; ++i) {
             const uint32_t u = static_cast<uint32_t>(base + i);
             const uint32_t l1 = v1.idx != nullptr ? v1.idx[u] : u;
@@ -473,8 +536,9 @@ void VFusedPlan::ExecStrip(const VColumn* cols, int base, int w,
       }
       case MOp::kMassOfSum3G: {
         SoAView v1, v2, v3;
-        if (SoAParticle(cols, ia, &v1) && SoAParticle(cols, ia + 4, &v2) &&
-            SoAParticle(cols, ia + 8, &v3)) {
+        if (SoAParticle(cols, ia, 4, &v1) &&
+            SoAParticle(cols, ia + 4, 4, &v2) &&
+            SoAParticle(cols, ia + 8, 4, &v3)) {
           for (int i = 0; i < w; ++i) {
             const uint32_t u = static_cast<uint32_t>(base + i);
             const uint32_t l1 = v1.idx != nullptr ? v1.idx[u] : u;
@@ -506,8 +570,9 @@ void VFusedPlan::ExecStrip(const VColumn* cols, int base, int w,
       }
       case MOp::kPtOfSum3G: {
         SoAView v1, v2, v3;
-        if (SoAParticle(cols, ia, &v1) && SoAParticle(cols, ia + 4, &v2) &&
-            SoAParticle(cols, ia + 8, &v3)) {
+        if (SoAParticle(cols, ia, 2, &v1) &&
+            SoAParticle(cols, ia + 2, 2, &v2) &&
+            SoAParticle(cols, ia + 4, 2, &v3)) {
           for (int i = 0; i < w; ++i) {
             const uint32_t u = static_cast<uint32_t>(base + i);
             const uint32_t l1 = v1.idx != nullptr ? v1.idx[u] : u;
@@ -519,14 +584,14 @@ void VFusedPlan::ExecStrip(const VColumn* cols, int base, int w,
           }
           break;
         }
-        alignas(64) double stage[12 * kW];
-        for (int k = 0; k < 12; ++k) {
+        alignas(64) double stage[6 * kW];
+        for (int k = 0; k < 6; ++k) {
           p[k] = stage + k * kW;
           LoadStripCol(cols[ia[k]], base, w, stage + k * kW);
         }
         for (int i = 0; i < w; ++i) {
-          const double px = (p[0][i] + p[4][i]) + p[8][i];
-          const double py = (p[1][i] + p[5][i]) + p[9][i];
+          const double px = (p[0][i] + p[2][i]) + p[4][i];
+          const double py = (p[1][i] + p[3][i]) + p[5][i];
           d[i] = std::hypot(px, py);
         }
         break;
@@ -538,16 +603,19 @@ void VFusedPlan::ExecStrip(const VColumn* cols, int base, int w,
 #undef HEPQ_FUSED_LANES
 
 void VFusedPlan::Run(const VColumn* cols, int n, VScratch* scratch,
-                     double* out) const {
+                     double* const* outs) const {
   if (n <= 0) return;
   const bool traced = obs::TracingActive();
   const int64_t t0 = traced ? obs::NowNs() : 0;
   double* const t = scratch->Block(num_temps_);
-  const double* const res = t + result_temp_ * kW;
+  const size_t num_results = result_temps_.size();
   for (int base = 0; base < n; base += kW) {
     const int w = std::min(kW, n - base);
     ExecStrip(cols, base, w, t);
-    std::memcpy(out + base, res, static_cast<size_t>(w) * sizeof(double));
+    for (size_t k = 0; k < num_results; ++k) {
+      std::memcpy(outs[k] + base, t + result_temps_[k] * kW,
+                  static_cast<size_t>(w) * sizeof(double));
+    }
   }
   if (traced) {
     const uint64_t lanes = static_cast<uint64_t>(n);
@@ -566,7 +634,7 @@ int VFusedPlan::RunGate(const VColumn* cols, int n, VScratch* scratch,
   const bool traced = obs::TracingActive();
   const int64_t t0 = traced ? obs::NowNs() : 0;
   double* const t = scratch->Block(num_temps_);
-  const double* const res = t + result_temp_ * kW;
+  const double* const res = t + result_temps_[0] * kW;
   int count = 0;
   for (int base = 0; base < n; base += kW) {
     const int w = std::min(kW, n - base);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "columnar/builder.h"
+#include "core/physics.h"
 #include "engine/flat.h"
 #include "fileio/writer.h"
 
@@ -515,6 +516,173 @@ TEST(FlatEmitterTest, ZeroUnnestEmitsOneRowPerEvent) {
   EXPECT_EQ(result.histograms[0].num_entries(), 4u);
   ExpectSameParts(result.histograms[0], met);
   ExpectSameParts(result.histograms[1], event);
+}
+
+// ---------------------------------------------------------------------------
+// Projection runs. The simd tier compiles each maximal run of consecutive
+// projections into one multi-result program (shared subexpressions, later
+// projections reading earlier results from registers); these pin that
+// against the interpreter and a brute-force oracle, bit for bit.
+// ---------------------------------------------------------------------------
+
+/// A (pt, eta, phi, mass) quad built from the edge file's Jet members, so
+/// the kinematic calls see varied, exactly reproducible inputs.
+std::vector<FlatExprPtr> JetQuad(const std::string& alias) {
+  return {FlatCol(alias + ".pt"),
+          FlatBin(BinOp::kMul, FlatCol(alias + ".id"), FlatLit(0.25)),
+          FlatBin(BinOp::kSub, FlatCol(alias + ".good"), FlatLit(0.5)),
+          FlatBin(BinOp::kMul, FlatCol(alias + ".pt"), FlatLit(0.125))};
+}
+
+PtEtaPhiM OracleJet(int e, uint32_t k) {
+  const double pt = JetPt(e, k);
+  return {pt, JetId(e, k) * 0.25, JetGood(e, k) - 0.5, pt * 0.125};
+}
+
+TEST(FlatProjectionRunTest, LaterProjectionsReadEarlierResultsOfTheRun) {
+  // One run: m3 and pt3 share the three jets' Cartesian components, b
+  // reads m3 and c reads b — from registers, not stale chunk columns. The
+  // fills follow the run directly (ungrouped).
+  FlatPipeline pipeline("run");
+  for (const char* alias : {"a", "b", "c"}) {
+    pipeline.AddUnnest(UnnestList{"Jet", {"pt", "id", "good"}, alias});
+  }
+  pipeline.AddFilter(FlatAnd(FlatLt(FlatCol("a.idx"), FlatCol("b.idx")),
+                             FlatLt(FlatCol("b.idx"), FlatCol("c.idx"))));
+  std::vector<FlatExprPtr> trijet = JetQuad("a");
+  for (const char* alias : {"b", "c"}) {
+    const std::vector<FlatExprPtr> q = JetQuad(alias);
+    trijet.insert(trijet.end(), q.begin(), q.end());
+  }
+  pipeline.AddProject("m3", FlatCall(Fn::kInvMass3, trijet));
+  pipeline.AddProject("pt3", FlatCall(Fn::kSumPt3, trijet));
+  pipeline.AddProject("b", FlatBin(BinOp::kMul, FlatCol("m3"), FlatLit(2.0)));
+  pipeline.AddProject("c",
+                      FlatBin(BinOp::kAdd, FlatCol("b"), FlatCol("a.pt")));
+  const std::vector<ColumnFill> fills = {
+      {"m3", {"m3", "", 50, 0, 150}},
+      {"pt3", {"pt3", "", 50, 0, 100}},
+      {"b", {"b", "", 50, 0, 300}},
+      {"c", {"c", "", 50, 0, 350}},
+  };
+  for (const ColumnFill& f : fills) {
+    pipeline.AddHistogram(f.spec, FlatCol(f.column));
+  }
+  const FlatQueryResult result = RunBothTiers(&pipeline);
+
+  std::vector<Histogram1D> want;
+  for (const ColumnFill& f : fills) want.emplace_back(f.spec);
+  for (int e = 0; e < kEdgeEvents; ++e) {
+    const uint32_t n = kJets[e];
+    for (uint32_t i = 0; i < n; ++i) {
+      for (uint32_t j = i + 1; j < n; ++j) {
+        for (uint32_t k = j + 1; k < n; ++k) {
+          const PtEtaPhiM a = OracleJet(e, i), b = OracleJet(e, j),
+                          c = OracleJet(e, k);
+          const double m3 = InvariantMass3(a, b, c);
+          want[0].Fill(m3);
+          want[1].Fill(AddPtEtaPhiM3(a, b, c).pt);
+          want[2].Fill(m3 * 2.0);
+          want[3].Fill(m3 * 2.0 + static_cast<double>(JetPt(e, i)));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(result.histograms[0].num_entries(), 9880u + 1u);
+  for (size_t h = 0; h < want.size(); ++h) {
+    ExpectSameParts(result.histograms[h], want[h]);
+  }
+}
+
+TEST(FlatProjectionRunTest, FilterSplitsRunsAndLaterRunsReadScatteredResults) {
+  // Two runs split by a filter: the second run reads the first's columns
+  // through the narrowed selection (scattered to their row positions), and
+  // the GROUP BY consumes both.
+  FlatPipeline pipeline("split");
+  pipeline.AddUnnest(UnnestList{"Jet", {"pt", "id"}, "a"});
+  pipeline.AddUnnest(UnnestList{"Jet", {"pt", "id"}, "b"});
+  pipeline.AddProject("s", FlatBin(BinOp::kAdd, FlatCol("a.pt"),
+                                   FlatCol("b.pt")));
+  pipeline.AddProject("d", FlatBin(BinOp::kMul, FlatCol("s"), FlatLit(0.5)));
+  pipeline.AddFilter(FlatGt(FlatCol("d"), FlatLit(16.0)));
+  pipeline.AddProject("x", FlatBin(BinOp::kSub, FlatCol("d"),
+                                   FlatCol("a.pt")));
+  pipeline.AddProject("f", FlatBin(BinOp::kAdd,
+                                   FlatBin(BinOp::kMul, FlatCol("x"),
+                                           FlatCol("x")),
+                                   FlatCol("s")));
+  pipeline.AddAggregate(FlatAggSpec{FlatAggKind::kCount, "", "", "n"});
+  pipeline.AddAggregate(FlatAggSpec{FlatAggKind::kSum, "f", "", "sum_f"});
+  pipeline.AddAggregate(
+      FlatAggSpec{FlatAggKind::kMinBy, "x", "f", "x_at_min"});
+  pipeline.AddHistogram({"n", "", 100, 0, 2000}, FlatCol("n"));
+  pipeline.AddHistogram({"sum_f", "", 100, 0, 1e6}, FlatCol("sum_f"));
+  pipeline.AddHistogram({"x", "", 40, -10, 10}, FlatCol("x_at_min"));
+  const FlatQueryResult result = RunBothTiers(&pipeline);
+
+  Histogram1D n(result.histograms[0].spec());
+  Histogram1D sum_f(result.histograms[1].spec());
+  Histogram1D x_at_min(result.histograms[2].spec());
+  for (int e = 0; e < kEdgeEvents; ++e) {
+    double count = 0.0, sum = 0.0, best = 0.0;
+    double best_key = std::numeric_limits<double>::infinity();
+    for (uint32_t i = 0; i < kJets[e]; ++i) {
+      for (uint32_t j = 0; j < kJets[e]; ++j) {
+        const double s =
+            static_cast<double>(JetPt(e, i)) + static_cast<double>(JetPt(e, j));
+        const double d = s * 0.5;
+        if (!(d > 16.0)) continue;
+        const double x = d - static_cast<double>(JetPt(e, i));
+        const double f = x * x + s;
+        count += 1.0;
+        sum += f;
+        if (f < best_key) {
+          best_key = f;
+          best = x;
+        }
+      }
+    }
+    if (count == 0.0) continue;
+    n.Fill(count);
+    sum_f.Fill(sum);
+    x_at_min.Fill(best);
+  }
+  EXPECT_GT(result.groups, 0);
+  ExpectSameParts(result.histograms[0], n);
+  ExpectSameParts(result.histograms[1], sum_f);
+  ExpectSameParts(result.histograms[2], x_at_min);
+}
+
+TEST(FlatPipelineTest, WrongCallArityFailsAtPreparationOnBothTiers) {
+  // 13 arguments used to overflow FlatCallExpr::Eval's 12-slot buffer and
+  // too few read uninitialized lanes; Resolve now rejects both, in every
+  // expression position and on both tiers, before any row is read.
+  const auto cols = [](size_t n) {
+    return std::vector<FlatExprPtr>(n, FlatCol("j.pt"));
+  };
+  for (const ExprTier tier : {ExprTier::kInterpret, ExprTier::kSimd}) {
+    for (int where = 0; where < 3; ++where) {
+      SCOPED_TRACE(std::string(ExprTierName(tier)) + " position " +
+                   std::to_string(where));
+      FlatPipeline pipeline("arity");
+      pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "j"});
+      if (where == 0) {
+        pipeline.AddProject("m", FlatCall(Fn::kInvMass3, cols(13)));
+      } else if (where == 1) {
+        pipeline.AddFilter(FlatGt(FlatCall(Fn::kDeltaR, {}), FlatLit(0.0)));
+      }
+      pipeline.AddHistogram(
+          {"x", "", 10, 0, 1},
+          where == 2 ? FlatCall(Fn::kSumPt3, cols(11)) : FlatCol("j.pt"));
+      pipeline.set_expr_tier(tier);
+      auto reader = LaqReader::Open(TinyFile()).ValueOrDie();
+      const auto result = pipeline.Execute(reader.get());
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalid);
+      EXPECT_NE(result.status().ToString().find("arguments, got"),
+                std::string::npos);
+    }
+  }
 }
 
 }  // namespace

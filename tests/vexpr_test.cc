@@ -42,7 +42,7 @@ TEST(VProgramBuilderTest, FoldsConstantSubtrees) {
   ASSERT_TRUE(b.IsConst(r, &v));
   EXPECT_EQ(v, 5.0);
   // Only the materialized result constant reaches the instruction stream.
-  EXPECT_EQ(b.Finish(r).num_instrs(), 1);
+  EXPECT_EQ(b.Finish({r}).num_instrs(), 1);
 }
 
 TEST(VProgramBuilderTest, FoldingMatchesInterpreterHelpers) {
@@ -53,6 +53,76 @@ TEST(VProgramBuilderTest, FoldingMatchesInterpreterHelpers) {
   EXPECT_EQ(Bits(v), Bits(DeltaPhi(0.5, 0.2)));
   ASSERT_TRUE(b.IsConst(b.Op(VOp::kSqrt, {b.Const(2.0)}), &v));
   EXPECT_EQ(Bits(v), Bits(std::sqrt(2.0)));
+  // A decomposed kinematic call folds component by component to the
+  // helper's exact bits.
+  const PtEtaPhiM j1{41.5, 0.7, -2.1, 4.2}, j2{33.0, -1.3, 0.4, 7.9},
+      j3{25.25, 2.2, 3.0, 1.1};
+  std::vector<int> args;
+  for (const PtEtaPhiM& j : {j1, j2, j3}) {
+    for (const double x : {j.pt, j.eta, j.phi, j.mass}) {
+      args.push_back(b.Const(x));
+    }
+  }
+  ASSERT_TRUE(b.IsConst(b.Call(Fn::kInvMass3, args), &v));
+  EXPECT_EQ(Bits(v), Bits(InvariantMass3(j1, j2, j3)));
+  ASSERT_TRUE(b.IsConst(b.Call(Fn::kSumPt3, args), &v));
+  EXPECT_EQ(Bits(v), Bits(AddPtEtaPhiM3(j1, j2, j3).pt));
+}
+
+TEST(VProgramBuilderTest, KinematicCallsShareComponentOps) {
+  // InvMass3 and SumPt3 over the same 12 registers in one program: CSE
+  // converts each particle once, so the program holds exactly 12 component
+  // instructions (px, py, pz, E per particle) and two results.
+  VProgramBuilder b;
+  std::vector<int> args;
+  for (int s = 0; s < 12; ++s) args.push_back(b.Load(s));
+  const int mass = b.Call(Fn::kInvMass3, args);
+  const int pt = b.Call(Fn::kSumPt3, args);
+  const VProgram p = b.Finish({mass, pt});
+  int components = 0;
+  for (const VInstr& in : p.code()) {
+    if (in.op == VOp::kPx || in.op == VOp::kPy || in.op == VOp::kPz ||
+        in.op == VOp::kE) {
+      ++components;
+    }
+  }
+  SCOPED_TRACE(p.ToString());
+  EXPECT_EQ(components, 12);
+  EXPECT_EQ(p.num_results(), 2);
+  EXPECT_NE(p.ToString().find("ret r"), std::string::npos);
+  // SumPt3 alone never computes pz or E.
+  VProgramBuilder alone;
+  std::vector<int> loads;
+  for (int s = 0; s < 12; ++s) loads.push_back(alone.Load(s));
+  const VProgram q = alone.Finish({alone.Call(Fn::kSumPt3, loads)});
+  for (const VInstr& in : q.code()) {
+    EXPECT_NE(in.op, VOp::kPz);
+    EXPECT_NE(in.op, VOp::kE);
+  }
+}
+
+TEST(VProgramBuilderTest, MultiResultProgramWritesEveryOutput) {
+  // Three results, one of them a bare load and one shared with another's
+  // subtree: each output gets its own values.
+  VProgramBuilder b;
+  const int x = b.Load(0);
+  const int sq = b.Op(VOp::kMul, {x, x});
+  const int plus = b.Op(VOp::kAdd, {sq, b.Const(1.0)});
+  const VProgram p = b.Finish({plus, x, sq});
+  ASSERT_EQ(p.num_results(), 3);
+  std::vector<double> in(130);
+  for (size_t i = 0; i < in.size(); ++i) in[i] = 0.5 * static_cast<double>(i);
+  VColumn col;
+  col.data = in.data();
+  std::vector<double> o0(in.size()), o1(in.size()), o2(in.size());
+  double* outs[] = {o0.data(), o1.data(), o2.data()};
+  VScratch scratch;
+  p.Run(&col, static_cast<int>(in.size()), &scratch, outs);
+  for (size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ(o0[i], in[i] * in[i] + 1.0);
+    EXPECT_EQ(o1[i], in[i]);
+    EXPECT_EQ(o2[i], in[i] * in[i]);
+  }
 }
 
 TEST(VProgramBuilderTest, CseMergesIdenticalSubcomputations) {
@@ -61,13 +131,13 @@ TEST(VProgramBuilderTest, CseMergesIdenticalSubcomputations) {
   const int c = b.Op(VOp::kMul, {b.Load(0), b.Load(0)});
   EXPECT_EQ(a, c);
   // load, mul, add — the repeated mul and loads were merged.
-  EXPECT_EQ(b.Finish(b.Op(VOp::kAdd, {a, c})).num_instrs(), 3);
+  EXPECT_EQ(b.Finish({b.Op(VOp::kAdd, {a, c})}).num_instrs(), 3);
 }
 
 TEST(VProgramBuilderTest, ToStringDisassembles) {
   VProgramBuilder b;
   const std::string text =
-      b.Finish(b.Op(VOp::kGt, {b.Load(1), b.Const(40.0)})).ToString();
+      b.Finish({b.Op(VOp::kGt, {b.Load(1), b.Const(40.0)})}).ToString();
   EXPECT_NE(text.find("load slot1"), std::string::npos);
   EXPECT_NE(text.find("const 40"), std::string::npos);
   EXPECT_NE(text.find("gt"), std::string::npos);
@@ -87,7 +157,7 @@ TEST(FusionPassTest, ImmediateAndCompareMaskFusion) {
   const int cut = b.Op(
       VOp::kAnd, {b.Op(VOp::kGt, {b.Load(0), b.Const(40.0)}),
                   b.Op(VOp::kLt, {b.Load(1), b.Const(2.5)})});
-  const VProgram p = b.Finish(cut);
+  const VProgram p = b.Finish({cut});
   ASSERT_NE(p.fused(), nullptr);
   const std::string text = p.fused()->ToString();
   SCOPED_TRACE(text);
@@ -106,7 +176,7 @@ TEST(FusionPassTest, NanImmediatesAreNeverFolded) {
   VProgramBuilder b;
   const int r = b.Op(
       VOp::kAdd, {b.Load(0), b.Const(std::numeric_limits<double>::quiet_NaN())});
-  const VProgram p = b.Finish(r);
+  const VProgram p = b.Finish({r});
   ASSERT_NE(p.fused(), nullptr);
   const std::string text = p.fused()->ToString();
   SCOPED_TRACE(text);
@@ -120,7 +190,7 @@ TEST(FusionPassTest, GatherAbsorbsSingleUseLoadsOfCartesianKernels) {
   VProgramBuilder b;
   std::vector<int> args;
   for (int s = 0; s < 8; ++s) args.push_back(b.Load(s));
-  const VProgram p = b.Finish(b.Op(VOp::kMassOfSum2, args));
+  const VProgram p = b.Finish({b.Op(VOp::kMassOfSum2, args)});
   ASSERT_NE(p.fused(), nullptr);
   const std::string text = p.fused()->ToString();
   SCOPED_TRACE(text);
@@ -137,7 +207,7 @@ TEST(FusionPassTest, GatherAbsorptionRejectsSharedLoads) {
   VProgramBuilder b;
   std::vector<int> args;
   for (int s = 0; s < 8; ++s) args.push_back(b.Load(s % 4));
-  const VProgram p = b.Finish(b.Op(VOp::kMassOfSum2, args));
+  const VProgram p = b.Finish({b.Op(VOp::kMassOfSum2, args)});
   ASSERT_NE(p.fused(), nullptr);
   const std::string text = p.fused()->ToString();
   SCOPED_TRACE(text);
@@ -156,53 +226,106 @@ TEST(PhysicsTest, DeltaPhiIsTotalOnNonFiniteInput) {
   EXPECT_TRUE(std::isnan(DeltaPhi(std::nan(""), 0.0)));
 }
 
-TEST(VProgramTest, SumPt3KernelMatchesAddPtEtaPhiM3Pt) {
-  // The simd sum_pt3 kernel computes only hypot of the summed px/py; it
-  // must stay bit-equal to the full AddPtEtaPhiM3(...).pt on adversarial
-  // lanes (NaN, +-inf, -0.0, pt = 0, |eta| > 700 where sinh overflows,
-  // phi = +-pi) and at widths around the 64-lane strip.
+double BitsToDouble(uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+TEST(VProgramTest, ComponentOpsMatchPhysicsHelpersBitForBit) {
+  // One program over three (pt, eta, phi, mass) particles returning the
+  // twelve components, InvMass3, SumPt3 and InvMass2 of the first two:
+  // every output must equal ToPxPyPzE / InvariantMass3 /
+  // AddPtEtaPhiM3(...).pt / InvariantMass2 bit for bit, on lanes built to
+  // hit the bitwise repeat reuse of kPx/kPy/kPz: runs of identical
+  // particles (also across the 64-lane strip boundary), neighbours that
+  // differ only by -0.0 vs +0.0 in pt, eta or phi, NaNs with distinct
+  // payloads, +-inf, denormals and |eta| > 700 where sinh overflows.
   VProgramBuilder b;
   std::vector<int> args;
   for (int s = 0; s < 12; ++s) args.push_back(b.Load(s));
-  const VProgram p = b.Finish(b.Op(VOp::kSumPt3, args));
-  ASSERT_NE(p.fused(), nullptr);
-  ASSERT_NE(p.fused()->ToString().find("sum_pt3"), std::string::npos)
-      << p.fused()->ToString();
+  std::vector<int> results;
+  for (size_t g = 0; g < 3; ++g) {
+    const int pt = args[4 * g], eta = args[4 * g + 1], phi = args[4 * g + 2];
+    const int px = b.Op(VOp::kPx, {pt, phi});
+    const int py = b.Op(VOp::kPy, {pt, phi});
+    const int pz = b.Op(VOp::kPz, {pt, eta});
+    const int e = b.Op(VOp::kE, {px, py, pz, args[4 * g + 3]});
+    results.insert(results.end(), {px, py, pz, e});
+  }
+  results.push_back(b.Call(Fn::kInvMass3, args));
+  results.push_back(b.Call(Fn::kSumPt3, args));
+  results.push_back(b.Call(
+      Fn::kInvMass2, std::vector<int>(args.begin(), args.begin() + 8)));
+  const VProgram p = b.Finish(results);
+  ASSERT_EQ(p.num_results(), 15);
 
   const double inf = std::numeric_limits<double>::infinity();
   const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
                              inf,
                              -inf,
-                             -0.0,
-                             0.0,
+                             4.9e-324,
+                             -2.2e-310,
                              710.0,
                              -800.0,
                              M_PI,
-                             -M_PI};
+                             -M_PI,
+                             0.0,
+                             -0.0};
   constexpr int kSpecials = sizeof(specials) / sizeof(specials[0]);
   std::mt19937 rng(20120601);
   std::uniform_real_distribution<double> pt(0.0, 200.0);
   std::uniform_real_distribution<double> eta(-5.0, 5.0);
   std::uniform_real_distribution<double> phi(-M_PI, M_PI);
   std::uniform_real_distribution<double> mass(0.0, 30.0);
+  std::uniform_int_distribution<int> pick(0, 99);
+  // A NaN field of particle g on lane i takes payload (g + i) % 3, so
+  // neighbouring lanes and the three particles of a lane differ in
+  // payload, while the fields of one particle share one. Which payload
+  // survives when two different NaNs meet inside one conversion is left
+  // open by IEEE 754 (x86 keeps the first operand's, and compilers order
+  // commutative operands per call site); see DESIGN.md.
+  const double payloads[3] = {BitsToDouble(0x7ff8000000000001ULL),
+                              BitsToDouble(0x7ff80000deadbeefULL),
+                              BitsToDouble(0xfff8000000000abcULL)};
+  const auto fresh = [&](int i, int g, int c) {
+    double v;
+    switch (c) {
+      case 0: v = pt(rng); break;
+      case 1: v = eta(rng); break;
+      case 2: v = phi(rng); break;
+      default: v = mass(rng); break;
+    }
+    if (pick(rng) >= 20) return v;
+    v = specials[pick(rng) % kSpecials];
+    return std::isnan(v) ? payloads[(g + i) % 3] : v;
+  };
   for (const int width : {1, 63, 64, 65, 200}) {
     SCOPED_TRACE("width " + std::to_string(width));
     // columns[k] is slot k: (pt, eta, phi, mass) of particles 1, 2, 3.
     std::vector<std::vector<double>> columns(12,
                                              std::vector<double>(width));
     for (int i = 0; i < width; ++i) {
-      for (int k = 0; k < 12; ++k) {
-        double v;
-        switch (k % 4) {
-          case 0: v = pt(rng); break;
-          case 1: v = eta(rng); break;
-          case 2: v = phi(rng); break;
-          default: v = mass(rng); break;
+      for (int g = 0; g < 3; ++g) {
+        double* q[4];
+        for (int c = 0; c < 4; ++c) {
+          q[c] = &columns[static_cast<size_t>(4 * g + c)]
+                         [static_cast<size_t>(i)];
         }
-        // A third of the fields, spread over every slot and lane, take a
-        // special value instead.
-        if ((i * 12 + k) % 3 == 0) v = specials[(i * 7 + k) % kSpecials];
-        columns[static_cast<size_t>(k)][static_cast<size_t>(i)] = v;
+        const int roll = pick(rng);
+        // Lanes 60..70 repeat lane 59, across the strip boundary at 64.
+        if (i > 0 && (roll < 45 || (i >= 60 && i <= 70))) {
+          for (int c = 0; c < 4; ++c) *q[c] = q[c][-1];
+        } else if (i > 0 && roll < 75) {
+          // The previous particle with one of pt, eta, phi (c = 0, 1, 2)
+          // set to +0.0, or flipped to the other zero if it already is
+          // one — so neighbours equal under == but not bitwise occur.
+          for (int c = 0; c < 4; ++c) *q[c] = q[c][-1];
+          const int c = (roll - 45) % 3;
+          *q[c] = q[c][-1] == 0.0 && !std::signbit(q[c][-1]) ? -0.0 : 0.0;
+        } else {
+          for (int c = 0; c < 4; ++c) *q[c] = fresh(i, g, c);
+        }
       }
     }
     std::vector<VColumn> cols(12);
@@ -211,27 +334,69 @@ TEST(VProgramTest, SumPt3KernelMatchesAddPtEtaPhiM3Pt) {
       cols[k].data = columns[k].data();
     }
     VScratch scratch;
-    std::vector<double> out(static_cast<size_t>(width));
-    p.Run(cols.data(), width, &scratch, out.data());
+    std::vector<std::vector<double>> out(
+        results.size(), std::vector<double>(static_cast<size_t>(width)));
+    std::vector<double*> outs;
+    for (auto& o : out) outs.push_back(o.data());
+    p.Run(cols.data(), width, &scratch, outs.data());
     for (int i = 0; i < width; ++i) {
       const auto at = [&](int k) {
         return columns[static_cast<size_t>(k)][static_cast<size_t>(i)];
       };
-      const double want = AddPtEtaPhiM3({at(0), at(1), at(2), at(3)},
-                                        {at(4), at(5), at(6), at(7)},
-                                        {at(8), at(9), at(10), at(11)})
-                              .pt;
-      EXPECT_EQ(Bits(out[static_cast<size_t>(i)]), Bits(want))
-          << "lane " << i << ": " << out[static_cast<size_t>(i)] << " vs "
-          << want;
+      const PtEtaPhiM j[3] = {{at(0), at(1), at(2), at(3)},
+                              {at(4), at(5), at(6), at(7)},
+                              {at(8), at(9), at(10), at(11)}};
+      std::vector<double> want;
+      for (const PtEtaPhiM& particle : j) {
+        const PxPyPzE v = particle.ToPxPyPzE();
+        want.insert(want.end(), {v.px, v.py, v.pz, v.e});
+      }
+      want.push_back(InvariantMass3(j[0], j[1], j[2]));
+      want.push_back(AddPtEtaPhiM3(j[0], j[1], j[2]).pt);
+      want.push_back(InvariantMass2(j[0], j[1]));
+      for (size_t r = 0; r < want.size(); ++r) {
+        EXPECT_EQ(Bits(out[r][static_cast<size_t>(i)]), Bits(want[r]))
+            << "lane " << i << " result " << r << ": "
+            << out[r][static_cast<size_t>(i)] << " vs " << want[r];
+      }
     }
   }
+}
+
+TEST(VProgramTest, RepeatReuseDistinguishesSignedZeros) {
+  // Lane pairs equal under == but not bitwise: the second lane must get
+  // its own px/py/pz, not the first lane's (-0.0 * cos(phi) is -0.0).
+  VProgramBuilder b;
+  const int pt = b.Load(0), eta = b.Load(1), phi = b.Load(2);
+  const VProgram p = b.Finish({b.Op(VOp::kPx, {pt, phi}),
+                               b.Op(VOp::kPy, {pt, phi}),
+                               b.Op(VOp::kPz, {pt, eta})});
+  const std::vector<double> pts = {0.0, -0.0, 5.0, 5.0, 5.0, 5.0};
+  const std::vector<double> etas = {1.0, 1.0, 0.0, -0.0, 0.5, 0.5};
+  const std::vector<double> phis = {0.3, 0.3, 0.2, 0.2, 0.0, -0.0};
+  VColumn cols[3];
+  cols[0].data = pts.data();
+  cols[1].data = etas.data();
+  cols[2].data = phis.data();
+  std::vector<double> px(6), py(6), pz(6);
+  double* outs[] = {px.data(), py.data(), pz.data()};
+  VScratch scratch;
+  p.Run(cols, 6, &scratch, outs);
+  for (size_t i = 0; i < 6; ++i) {
+    const PxPyPzE want = PtEtaPhiM{pts[i], etas[i], phis[i], 1.0}.ToPxPyPzE();
+    EXPECT_EQ(Bits(px[i]), Bits(want.px)) << "lane " << i;
+    EXPECT_EQ(Bits(py[i]), Bits(want.py)) << "lane " << i;
+    EXPECT_EQ(Bits(pz[i]), Bits(want.pz)) << "lane " << i;
+  }
+  EXPECT_TRUE(std::signbit(px[1]));
+  EXPECT_TRUE(std::signbit(pz[3]));
+  EXPECT_TRUE(std::signbit(py[5]));
 }
 
 TEST(VProgramTest, RunsGathersAndSplats) {
   VProgramBuilder b;
   const int r = b.Op(VOp::kAdd, {b.Load(0), b.Const(1.5)});
-  const VProgram p = b.Finish(r);
+  const VProgram p = b.Finish({r});
   const float data[4] = {1.0f, 2.0f, 3.0f, 4.0f};
   const uint32_t idx[3] = {3, 0, 2};
   VColumn col;
@@ -647,6 +812,52 @@ TEST(CompiledKernelTest, GateMatchesEvalPlusCompactionAcrossDensities) {
   }
 }
 
+TEST(CallArityTest, WrongArgumentCountsAreRejectedAtPreparation) {
+  // 13 arguments used to overflow the evaluators' 12-slot argument
+  // buffers, too few read uninitialized lanes: every preparation path
+  // (the kernel compiler, and EventQuery on both tiers) must reject them
+  // with Invalid before anything evaluates.
+  const auto lits = [](size_t n) {
+    return std::vector<ExprPtr>(n, Lit(1.5));
+  };
+  const std::vector<ExprPtr> bad = {
+      Call(Fn::kInvMass3, lits(13)),
+      Call(Fn::kSumPt3, lits(11)),
+      Call(Fn::kDeltaR, {}),
+      Abs(Call(Fn::kInvMass2, lits(7))),
+      AggOverList(AggKind::kCount, 0, 1,
+                  Gt(Call(Fn::kSqrt, lits(2)), Lit(0.0)), nullptr),
+  };
+  std::mt19937 data_rng(5);
+  const RecordBatchPtr batch = RandomBatch(&data_rng, 8);
+  for (const ExprPtr& e : bad) {
+    SCOPED_TRACE(e->ToString());
+    const auto kernel = CompiledExprKernel::Compile(e);
+    ASSERT_FALSE(kernel.ok());
+    EXPECT_EQ(kernel.status().code(), StatusCode::kInvalid);
+    EXPECT_NE(kernel.status().ToString().find("arguments, got"),
+              std::string::npos);
+    for (const ExprTier tier : {ExprTier::kInterpret, ExprTier::kSimd}) {
+      for (const bool as_stage : {true, false}) {
+        EventQuery query("arity");
+        query.DeclareList("Jet", {"pt", "eta", "phi", "mass", "charge"});
+        query.DeclareScalar("MET.pt");
+        if (as_stage) {
+          query.AddStage(Ge(e, Lit(0.0)));
+          query.AddHistogram({"x", "", 10, 0, 10}, Lit(1.0));
+        } else {
+          query.AddHistogram({"x", "", 10, 0, 10}, e);
+        }
+        query.set_expr_tier(tier);
+        EventQueryResult result = query.MakeResult();
+        EXPECT_EQ(query.ExecuteBatch(*batch, &result).code(),
+                  StatusCode::kInvalid)
+            << ExprTierName(tier) << (as_stage ? " stage" : " fill");
+      }
+    }
+  }
+}
+
 TEST(BindingsTest, NonPrimitiveLeafRejectedAtBindWithTypeName) {
   std::mt19937 data_rng(3);
   const RecordBatchPtr batch = RandomBatch(&data_rng, 4);
@@ -675,7 +886,7 @@ TEST(ExprTierTest, NamesRoundTripAndUnknownNamesAreRejected) {
 
 // ---------------------------------------------------------------------------
 // Golden agreement: 8 queries x both plan shapes x both execution tiers x
-// {1, 4} threads, all bit-identical.
+// {1, 3, 4} threads, all bit-identical (3 splits the row groups unevenly).
 // ---------------------------------------------------------------------------
 
 const std::string& GoldenDataset() {
@@ -712,7 +923,7 @@ TEST_P(CompiledInterpretedGolden, BitIdenticalAcrossExecModeAndThreads) {
         queries::RunAdlQuery(engine, q, GoldenDataset(), ref_options);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     for (const ExprTier tier : {ExprTier::kInterpret, ExprTier::kSimd}) {
-      for (const int threads : {1, 4}) {
+      for (const int threads : {1, 3, 4}) {
         if (tier == ExprTier::kInterpret && threads == 1)
           continue;  // the reference run
         queries::RunOptions options;
