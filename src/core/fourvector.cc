@@ -12,13 +12,20 @@ PtEtaPhiM PxPyPzE::ToPtEtaPhiM() const {
   return {Pt(), Eta(), Phi(), Mass()};
 }
 
+[[gnu::noinline]] double MomentumComponent(double pt, double factor) {
+  return pt * factor;
+}
+
+[[gnu::noinline]] double CartesianE(double px, double py, double pz,
+                                    double mass) {
+  return std::sqrt(px * px + py * py + pz * pz + mass * mass);
+}
+
 PxPyPzE PtEtaPhiM::ToPxPyPzE() const {
-  const double px = pt * std::cos(phi);
-  const double py = pt * std::sin(phi);
-  const double pz = pt * std::sinh(eta);
-  const double e =
-      std::sqrt(px * px + py * py + pz * pz + mass * mass);
-  return {px, py, pz, e};
+  const double px = MomentumComponent(pt, std::cos(phi));
+  const double py = MomentumComponent(pt, std::sin(phi));
+  const double pz = MomentumComponent(pt, std::sinh(eta));
+  return {px, py, pz, CartesianE(px, py, pz, mass)};
 }
 
 }  // namespace hepq

@@ -7,6 +7,19 @@ namespace hepq {
 
 struct PtEtaPhiM;
 
+/// The arithmetic of PtEtaPhiM::ToPxPyPzE, one body each: a momentum
+/// component pt * f, where f is cos(phi), sin(phi) or sinh(eta), and
+/// E = sqrt(px^2 + py^2 + pz^2 + m^2). Defined out of line and never
+/// inlined (fourvector.cc), so the conversion, the interpreter through it
+/// and the expression VM's component kernels (engine/vexpr) all run the
+/// same compiled instructions. Operand order is the compiler's choice per
+/// body, and it decides which payload survives when two NaNs meet; one
+/// body means one choice, so every caller agrees to the bit. The libm
+/// factor stays with the caller, where cos and sin of one phi may share
+/// one sincos call.
+double MomentumComponent(double pt, double factor);
+double CartesianE(double px, double py, double pz, double mass);
+
 /// Relativistic four-momentum in Cartesian representation (px, py, pz, E).
 /// This is the representation in which four-momenta add component-wise; HEP
 /// detectors, however, measure in the cylindrical (pt, eta, phi, m) basis,
@@ -44,10 +57,10 @@ struct PtEtaPhiM {
   double phi = 0.0;
   double mass = 0.0;
 
-  /// Defined out of line (fourvector.cc) on purpose: the interpreter and
-  /// the vectorized expression VM (engine/vexpr) both convert through this
-  /// one definition, which keeps their results bit-identical no matter how
-  /// each caller's translation unit would have contracted the FP math.
+  /// Built from MomentumComponent and CartesianE, the definitions the
+  /// vectorized expression VM (engine/vexpr) calls too, which keeps the
+  /// two bit-identical no matter how each caller's translation unit would
+  /// have compiled the FP math.
   PxPyPzE ToPxPyPzE() const;
 
   /// Vector-space transform, piece-wise addition, reverse transform — the

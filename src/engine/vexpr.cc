@@ -122,51 +122,6 @@ uint64_t DoubleBits(double v) {
   return bits;
 }
 
-// The largest operand count of any opcode (kMassOfSum3).
-constexpr int kMaxVOpArgs = 12;
-
-int VOpArity(VOp op) {
-  switch (op) {
-    case VOp::kConst:
-    case VOp::kLoad:
-      return 0;
-    case VOp::kAbs:
-    case VOp::kSqrt:
-    case VOp::kNot:
-      return 1;
-    case VOp::kAdd:
-    case VOp::kSub:
-    case VOp::kMul:
-    case VOp::kDiv:
-    case VOp::kLt:
-    case VOp::kLe:
-    case VOp::kGt:
-    case VOp::kGe:
-    case VOp::kEq:
-    case VOp::kNe:
-    case VOp::kAnd:
-    case VOp::kOr:
-    case VOp::kMin2:
-    case VOp::kMax2:
-    case VOp::kDeltaPhi:
-    case VOp::kPx:
-    case VOp::kPy:
-    case VOp::kPz:
-      return 2;
-    case VOp::kDeltaR:
-    case VOp::kTransverseMass:
-    case VOp::kE:
-      return 4;
-    case VOp::kPtOfSum3:
-      return 6;
-    case VOp::kMassOfSum2:
-      return 8;
-    case VOp::kMassOfSum3:
-      return 12;
-  }
-  return 0;
-}
-
 // CSE key tags; kept distinct from VOp values used in op keys.
 constexpr uint64_t kKeyConst = ~uint64_t{0};
 constexpr uint64_t kKeyLoad = ~uint64_t{1};
@@ -221,13 +176,13 @@ void VProgramBuilder::Materialize(int reg) {
 }
 
 int VProgramBuilder::Op(VOp op, const std::vector<int>& arg_regs) {
-  assert(static_cast<int>(arg_regs.size()) == VOpArity(op));
   // Constant folding: if every argument is a known constant, apply the
-  // exact scalar semantics now and emit nothing. Only a well-formed op
-  // folds, so `vals` is never over- or under-filled.
-  bool all_const = static_cast<int>(arg_regs.size()) == VOpArity(op);
-  double vals[kMaxVOpArgs];
-  for (size_t k = 0; all_const && k < arg_regs.size(); ++k) {
+  // exact scalar semantics now and emit nothing. `vals` fits the widest
+  // opcode, kMassOfSum3; call arity is checked when a query is prepared.
+  assert(arg_regs.size() <= 12);
+  bool all_const = true;
+  double vals[12];
+  for (size_t k = 0; k < arg_regs.size(); ++k) {
     const auto& rc = reg_const_[static_cast<size_t>(arg_regs[k])];
     if (!rc.first) {
       all_const = false;

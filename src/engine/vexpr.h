@@ -65,11 +65,12 @@ enum class VOp : uint8_t {
   kDeltaR,
   kTransverseMass,
   // Cartesian components of one (pt, eta, phi, mass) particle, each one
-  // line of PtEtaPhiM::ToPxPyPzE (core/fourvector.cc) operation for
-  // operation: px = pt*cos(phi), py = pt*sin(phi), pz = pt*sinh(eta),
-  // E = sqrt(px*px + py*py + pz*pz + m*m). The kinematic calls lower to
-  // these (VProgramBuilder::Call), so CSE converts a particle once per
-  // lane however many kinematic consumers the program has.
+  // line of PtEtaPhiM::ToPxPyPzE through the same out-of-line bodies
+  // (core/fourvector.cc): px = pt*cos(phi), py = pt*sin(phi),
+  // pz = pt*sinh(eta), E = sqrt(px*px + py*py + pz*pz + m*m). The
+  // kinematic calls lower to these (VProgramBuilder::Call), so CSE
+  // converts a particle once per lane however many kinematic consumers
+  // the program has.
   kPx,  // (pt, phi)
   kPy,  // (pt, phi)
   kPz,  // (pt, eta)

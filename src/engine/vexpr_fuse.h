@@ -47,10 +47,10 @@ namespace hepq::engine {
 // The Cartesian combination kernels (kMassOfSum2/3, kPtOfSum3) become
 // structure-of-arrays loops over the strip whose inline math repeats the
 // core/physics helper sequences operation for operation, and the
-// component kernels (kPx/kPy/kPz/kE) repeat PtEtaPhiM::ToPxPyPzE line by
-// line; vexpr_kernels.cc is compiled with -ffp-contract=off (as are
-// physics.cc/fourvector.cc) so no build can contract them differently
-// than the helpers. Everything else about bit-identity is structural:
+// component kernels (kPx/kPy/kPz/kE) call the out-of-line bodies
+// PtEtaPhiM::ToPxPyPzE is built from; vexpr_kernels.cc is compiled with
+// -ffp-contract=off (as are physics.cc/fourvector.cc) so no build can
+// contract them differently than the helpers. Everything else about bit-identity is structural:
 // same ops, same operand order, same per-lane evaluation order, no
 // reassociation — reductions never enter the VM, so the fused tier
 // introduces no reduction-order hazard.
@@ -131,7 +131,7 @@ enum class MOp : uint8_t {
   kDeltaPhi,
   kDeltaR,
   kTransverseMass,
-  // Cartesian components (ToPxPyPzE line by line); kPx/kPy/kPz call libm
+  // Cartesian components (ToPxPyPzE's bodies); kPx/kPy/kPz call libm
   // and reuse the previous lane's result on bitwise-repeated operands
   kPx,
   kPy,

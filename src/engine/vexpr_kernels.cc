@@ -5,15 +5,15 @@
 // operation sequence of the corresponding VOpApply case (which mirrors the
 // interpreter's switch in expr.cc) — same operand order, same comparison
 // forms, same out-of-line helper calls. The component kernels
-// (kPx/kPy/kPz/kE) repeat one line each of PtEtaPhiM::ToPxPyPzE in
-// core/fourvector.cc, and the structure-of-arrays Cartesian kernels inline
-// the operation sequences of MassOfSum2/3 and PtOfSum3 from
-// core/physics.cc verbatim. This file, physics.cc, and fourvector.cc are
-// all compiled with -ffp-contract=off (see the CMakeLists), so no build
-// mode can contract a*b+c into an FMA here while the helper keeps separate
-// rounding, or vice versa. Do not reassociate, hoist, or "simplify" any
-// arithmetic in this file without re-running the interpret-vs-simd
-// agreement matrix in vexpr_test.
+// (kPx/kPy/kPz/kE) call MomentumComponent and CartesianE, the
+// out-of-line bodies PtEtaPhiM::ToPxPyPzE is built from, and the
+// structure-of-arrays Cartesian kernels inline the operation sequences of
+// MassOfSum2/3 and PtOfSum3 from core/physics.cc verbatim. This file,
+// physics.cc, and fourvector.cc are all compiled with -ffp-contract=off
+// (see the CMakeLists), so no build mode can contract a*b+c into an FMA
+// here while the helper keeps separate rounding, or vice versa. Do not
+// reassociate, hoist, or "simplify" any arithmetic in this file without
+// re-running the interpret-vs-simd agreement matrix in vexpr_test.
 //
 // The full-strip bodies run with a constant trip count (kVexprBlockLanes)
 // over 64-byte-aligned temporaries, which is what lets the compiler
@@ -25,6 +25,7 @@
 #include <cstring>
 #include <limits>
 
+#include "core/fourvector.h"
 #include "core/physics.h"
 #include "engine/vexpr_fuse.h"
 #include "obs/trace.h"
@@ -109,13 +110,16 @@ inline double TransverseMassLane(double pt1, double phi1, double pt2,
   return arg > 0.0 ? std::sqrt(arg) : 0.0;
 }
 
-// The four lines of PtEtaPhiM::ToPxPyPzE (core/fourvector.cc), one
-// opcode each, in the same operation order.
-inline double PxLane(double pt, double phi) { return pt * std::cos(phi); }
-inline double PyLane(double pt, double phi) { return pt * std::sin(phi); }
-inline double PzLane(double pt, double eta) { return pt * std::sinh(eta); }
-inline double ELane(double px, double py, double pz, double mass) {
-  return std::sqrt(px * px + py * py + pz * pz + mass * mass);
+// The three libm-calling lines of PtEtaPhiM::ToPxPyPzE: the factor here,
+// the product through the one body core/fourvector.cc also uses.
+inline double PxLane(double pt, double phi) {
+  return MomentumComponent(pt, std::cos(phi));
+}
+inline double PyLane(double pt, double phi) {
+  return MomentumComponent(pt, std::sin(phi));
+}
+inline double PzLane(double pt, double eta) {
+  return MomentumComponent(pt, std::sinh(eta));
 }
 
 // Bitwise operand equality: memcmp, not ==. -0.0 == +0.0, yet
@@ -191,7 +195,7 @@ double VOpApply(VOp op, const double* v) {
     case VOp::kPx: return PxLane(v[0], v[1]);
     case VOp::kPy: return PyLane(v[0], v[1]);
     case VOp::kPz: return PzLane(v[0], v[1]);
-    case VOp::kE: return ELane(v[0], v[1], v[2], v[3]);
+    case VOp::kE: return CartesianE(v[0], v[1], v[2], v[3]);
     case VOp::kMassOfSum2:
       return MassOfSum2({v[0], v[1], v[2], v[3]}, {v[4], v[5], v[6], v[7]});
     case VOp::kMassOfSum3:
@@ -438,9 +442,9 @@ void VFusedPlan::ExecStrip(const VColumn* cols, int base, int w,
           d[i] = TransverseMassLane(a[i], b[i], c[i], (t + ia[3] * kW)[i]);
         }
         break;
-      // Cartesian components. The libm-calling three reuse the previous
-      // lane's result on bitwise-repeated operands; E is a sqrt of
-      // products, cheap enough to recompute and vectorizable.
+      // Cartesian components, through the compiled bodies ToPxPyPzE
+      // (core/fourvector.cc) uses. The libm-calling three reuse the
+      // previous lane's result on bitwise-repeated operands.
       case MOp::kPx:
         RepeatReuseLanes<PxLane>(a, b, w, d);
         break;
@@ -452,7 +456,7 @@ void VFusedPlan::ExecStrip(const VColumn* cols, int base, int w,
         break;
       case MOp::kE: {
         const double* const m = t + ia[3] * kW;
-        HEPQ_FUSED_LANES(d[i] = ELane(a[i], b[i], c[i], m[i]));
+        for (int i = 0; i < w; ++i) d[i] = CartesianE(a[i], b[i], c[i], m[i]);
         break;
       }
       // Structure-of-arrays Cartesian kernels. Args are (px, py, pz, e)

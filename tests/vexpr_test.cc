@@ -279,15 +279,17 @@ TEST(VProgramTest, ComponentOpsMatchPhysicsHelpersBitForBit) {
   std::uniform_real_distribution<double> phi(-M_PI, M_PI);
   std::uniform_real_distribution<double> mass(0.0, 30.0);
   std::uniform_int_distribution<int> pick(0, 99);
-  // A NaN field of particle g on lane i takes payload (g + i) % 3, so
-  // neighbouring lanes and the three particles of a lane differ in
-  // payload, while the fields of one particle share one. Which payload
-  // survives when two different NaNs meet inside one conversion is left
-  // open by IEEE 754 (x86 keeps the first operand's, and compilers order
-  // commutative operands per call site); see DESIGN.md.
-  const double payloads[3] = {BitsToDouble(0x7ff8000000000001ULL),
+  // A fresh field is a NaN one time in four. NaN field c of particle g
+  // on lane i takes payload (i + 4g + c) % 5, so the four fields of a
+  // particle, the three particles of a lane and neighbouring lanes all
+  // differ in payload, and two different NaNs often meet inside one
+  // conversion: the result must keep the one ToPxPyPzE keeps. The last
+  // two payloads are signalling NaNs.
+  const double payloads[5] = {BitsToDouble(0x7ff8000000000001ULL),
                               BitsToDouble(0x7ff80000deadbeefULL),
-                              BitsToDouble(0xfff8000000000abcULL)};
+                              BitsToDouble(0xfff8000000000abcULL),
+                              BitsToDouble(0x7ff4000000000077ULL),
+                              BitsToDouble(0xfff0000000c0ffeeULL)};
   const auto fresh = [&](int i, int g, int c) {
     double v;
     switch (c) {
@@ -296,9 +298,9 @@ TEST(VProgramTest, ComponentOpsMatchPhysicsHelpersBitForBit) {
       case 2: v = phi(rng); break;
       default: v = mass(rng); break;
     }
-    if (pick(rng) >= 20) return v;
-    v = specials[pick(rng) % kSpecials];
-    return std::isnan(v) ? payloads[(g + i) % 3] : v;
+    const int roll = pick(rng);
+    if (roll < 25) return payloads[(i + 4 * g + c) % 5];
+    return roll < 40 ? specials[pick(rng) % kSpecials] : v;
   };
   for (const int width : {1, 63, 64, 65, 200}) {
     SCOPED_TRACE("width " + std::to_string(width));
