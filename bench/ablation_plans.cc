@@ -2,7 +2,8 @@
 // isolates ONE variable:
 //   1. plan shape  — array expressions inside the scan (BigQuery shape)
 //                    vs CROSS JOIN UNNEST + GROUP BY (Presto shape), both
-//                    reading through the SAME pushdown-enabled reader;
+//                    scanning with the SAME pushdown-enabled reader
+//                    options on 1 thread;
 //   2. struct projection pushdown — the same per-event plan through a
 //                    reader with pushdown on vs off;
 //   3. execution model — columnar expressions vs boxed items for the same
@@ -26,7 +27,6 @@
 #include "queries/adl.h"
 #include "queries/builders.h"
 
-using hepq::LaqReader;
 using hepq::ReaderOptions;
 using hepq::queries::BuildAdlEventQuery;
 using hepq::queries::BuildAdlFlatPipeline;
@@ -54,20 +54,18 @@ int main() {
   const std::string path = hepq::bench::BenchDataset(events);
 
   hepq::bench::PrintHeaderLine(
-      "Ablation 1: plan shape (same reader, pushdown ON)");
+      "Ablation 1: plan shape (same reader options, pushdown ON, 1 thread)");
   std::printf("%-6s %18s %18s %14s %18s\n", "Query", "expr-plan cpu[s]",
               "unnest-plan cpu[s]", "slowdown", "rows materialized");
   for (int q = 2; q <= 6; ++q) {
     auto expr_query = BuildAdlEventQuery(q);
     expr_query.status().Check();
-    auto reader1 = LaqReader::Open(path).ValueOrDie();
-    auto expr_result = expr_query->Execute(reader1.get());
+    auto expr_result = expr_query->Execute(path, ReaderOptions{}, 1);
     expr_result.status().Check();
 
     auto flat_query = BuildAdlFlatPipeline(q);
     flat_query.status().Check();
-    auto reader2 = LaqReader::Open(path).ValueOrDie();
-    auto flat_result = flat_query->Execute(reader2.get());
+    auto flat_result = flat_query->Execute(path, ReaderOptions{}, 1);
     flat_result.status().Check();
 
     std::printf("Q%-5d %18.4f %18.4f %13.1fx %18llu\n", q,
@@ -89,11 +87,9 @@ int main() {
     without.struct_projection_pushdown = false;
     auto query = BuildAdlEventQuery(q);
     query.status().Check();
-    auto reader_on = LaqReader::Open(path, with).ValueOrDie();
-    auto on = query->Execute(reader_on.get());
+    auto on = query->Execute(path, with, 1);
     on.status().Check();
-    auto reader_off = LaqReader::Open(path, without).ValueOrDie();
-    auto off = query->Execute(reader_off.get());
+    auto off = query->Execute(path, without, 1);
     off.status().Check();
     std::printf("Q%-5d %16.4f %16.4f %16llu %16llu\n", q, on->cpu_seconds,
                 off->cpu_seconds,

@@ -74,8 +74,9 @@ int main() {
                       150.0},
                      pair_mass);
 
-  auto reader = hepq::LaqReader::Open(*path).ValueOrDie();
-  auto result = query.Execute(reader.get()).ValueOrDie();
+  auto result =
+      query.Execute(*path, hepq::ReaderOptions{}, /*num_threads=*/1)
+          .ValueOrDie();
 
   std::printf("events: %lld, with OS dimuon: %lld\n",
               static_cast<long long>(result.events_processed),

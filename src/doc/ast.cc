@@ -1,6 +1,9 @@
 #include "doc/ast.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 
 namespace hepq::doc {
@@ -382,6 +385,37 @@ class QuantifiedExpr final : public DocExpr {
   DocExprPtr predicate_;
 };
 
+/// Exact group-by key of an atomic item, following JSONiq/XQuery
+/// deep-equal: numbers group by value, never by a rounded text form, so
+/// -0 groups with +0 and all NaNs form one group.
+Result<std::string> GroupKey(const Item& item) {
+  std::string key(1, static_cast<char>(item.kind()));
+  switch (item.kind()) {
+    case Item::Kind::kNull:
+      break;
+    case Item::Kind::kBool:
+      key += item.AsBool() ? '1' : '0';
+      break;
+    case Item::Kind::kNumber: {
+      double value = item.AsDouble();
+      if (std::isnan(value)) value = std::numeric_limits<double>::quiet_NaN();
+      if (value == 0.0) value = 0.0;
+      char bytes[sizeof(value)];
+      std::memcpy(bytes, &value, sizeof(value));
+      key.append(bytes, sizeof(value));
+      break;
+    }
+    case Item::Kind::kString:
+      key += item.AsString();
+      break;
+    case Item::Kind::kArray:
+    case Item::Kind::kObject:
+      return Status::TypeError(
+          "group by key must be a singleton atomic value");
+  }
+  return key;
+}
+
 class FlworExpr final : public DocExpr {
  public:
   FlworExpr(std::vector<FlworClause> clauses, DocExprPtr return_expr,
@@ -508,7 +542,7 @@ class FlworExpr final : public DocExpr {
     };
     HEPQ_RETURN_NOT_OK(collect(0));
 
-    // Group by the serialized atomic key, preserving first-seen order.
+    // Group by the exact atomic key, preserving first-seen order.
     size_t group_slot = 0;
     for (size_t v = 0; v < bound_vars_.size(); ++v) {
       if (bound_vars_[v] == group_var) group_slot = v;
@@ -522,7 +556,8 @@ class FlworExpr final : public DocExpr {
         return Status::TypeError(
             "group by key must be a singleton atomic value");
       }
-      const std::string key = key_seq.front()->ToJson();
+      std::string key;
+      HEPQ_ASSIGN_OR_RETURN(key, GroupKey(*key_seq.front()));
       auto [it, inserted] = groups.try_emplace(key);
       if (inserted) {
         key_order.push_back(key);

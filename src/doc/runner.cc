@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "core/stopwatch.h"
 #include "doc/convert.h"
 #include "doc/functions.h"
 #include "exec/exec.h"
@@ -542,77 +541,37 @@ ScanPredicateSet ExtractDocScanPredicates(const DocQuery& query) {
   return out;
 }
 
-Result<RecordBatchPtr> ReadGroup(LaqReader* reader, const DocQuery& query,
-                                 const ScanPredicateSet& preds, int group,
-                                 ScratchBuffers* scratch) {
-  // Full-width read unless the query carries a projection (Rumble only
-  // pushes projections for the simplest queries, paper Figure 4b).
-  if (query.projection.empty()) {
-    std::vector<std::string> all;
-    for (const Field& f : reader->schema().fields()) all.push_back(f.name);
-    return reader->ReadRowGroupFiltered(group, all, preds, scratch);
-  }
-  return reader->ReadRowGroupFiltered(group, query.projection, preds,
-                                      scratch);
-}
-
 }  // namespace
 
 Result<DocQueryResult> RunDocQuery(const std::string& path,
                                    ReaderOptions reader_options,
                                    int num_threads, const DocQuery& query) {
-  obs::ScopedSpan run_span("run", obs::Stage::kRun);
   EnsureDocFunctionsRegistered();
   DocQueryResult result = EmptyResult(query);
-  Stopwatch wall;
-  const double cpu0 = ProcessCpuSeconds();
-
-  exec::DatasetLayout layout;
-  HEPQ_ASSIGN_OR_RETURN(layout,
-                        exec::ResolveDatasetLayout(path, reader_options));
-  exec::WorkerReaders readers(&layout, reader_options,
-                              std::max(num_threads, 1));
-  std::vector<exec::RowGroupTask> tasks = exec::MakeRowGroupTasks(layout);
-  const int workers = exec::EffectiveWorkers(num_threads, tasks.size());
-
-  const ScanPredicateSet preds = ExtractDocScanPredicates(query);
-  std::vector<DocQueryResult> partials(layout.groups.size());
-  for (DocQueryResult& p : partials) p = EmptyResult(query);
-  HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
-      workers, std::move(tasks), [&](int worker, int g) -> Status {
-        const exec::DatasetLayout::Group& loc =
-            layout.groups[static_cast<size_t>(g)];
-        LaqReader* reader;
-        HEPQ_ASSIGN_OR_RETURN(reader, readers.reader(worker, loc.file));
-        RecordBatchPtr batch;
-        HEPQ_ASSIGN_OR_RETURN(batch, ReadGroup(reader, query, preds,
-                                               loc.local_group,
-                                               readers.scratch(worker)));
-        if (batch == nullptr) {
-          partials[static_cast<size_t>(g)].events_processed += loc.num_rows;
-          return Status::OK();
-        }
-        return RunBatch(query, *batch, &partials[static_cast<size_t>(g)]);
-      }));
-  {
-    // Two-level deterministic merge (per-file subtotal in local group
-    // order, then file order) — matches the scatter/gather coordinator's
-    // association exactly, so P-process runs are bit-identical (see
-    // exec::DatasetLayout).
-    obs::ScopedSpan merge_span("merge", obs::Stage::kMerge);
-    size_t g = 0;
-    for (int file = 0; file < layout.num_files(); ++file) {
-      DocQueryResult file_total = EmptyResult(query);
-      for (; g < partials.size() && layout.groups[g].file == file; ++g) {
-        HEPQ_RETURN_NOT_OK(MergeResult(&file_total, partials[g]));
-      }
-      HEPQ_RETURN_NOT_OK(MergeResult(&result, file_total));
-    }
-  }
-
-  result.wall_seconds = wall.Seconds();
-  result.cpu_seconds = ProcessCpuSeconds() - cpu0;
-  result.scan = readers.TotalScanStats();
+  exec::DatasetScan<DocQueryResult> scan;
+  // Full-width read (an empty projection) unless the query carries one:
+  // Rumble only pushes projections for the simplest queries (paper
+  // Figure 4b).
+  scan.projection = query.projection;
+  scan.predicates = ExtractDocScanPredicates(query);
+  scan.make_partial = [&] { return EmptyResult(query); };
+  scan.process = [&](const exec::ScanGroup&, const RecordBatch& batch,
+                     DocQueryResult* partial) {
+    return RunBatch(query, batch, partial);
+  };
+  scan.pruned = [](const exec::DatasetLayout::Group& loc,
+                   DocQueryResult* partial) {
+    partial->events_processed += loc.num_rows;
+  };
+  scan.merge = [](DocQueryResult* from, DocQueryResult* into) {
+    return MergeResult(into, *from);
+  };
+  exec::RunTotals totals;
+  HEPQ_ASSIGN_OR_RETURN(totals, exec::ScanDataset(path, reader_options,
+                                                  num_threads, scan, &result));
+  result.wall_seconds = totals.wall_seconds;
+  result.cpu_seconds = totals.cpu_seconds;
+  result.scan = std::move(totals.scan);
   return result;
 }
 

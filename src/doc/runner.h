@@ -39,9 +39,8 @@ struct DocQueryResult {
 /// paper's setup: the scan reads the *entire* file (no projection
 /// pushdown), every event is boxed into an item tree, and a tree-walking
 /// interpreter evaluates the query per event. `path` is scanned through
-/// the shared row-group runtime with up to `num_threads` workers, each
-/// with its own reader and scratch buffers; per-group partials merge in
-/// group order, so results are bit-identical for any thread count.
+/// exec::ScanDataset with up to `num_threads` workers, so results are
+/// bit-identical for any thread count.
 Result<DocQueryResult> RunDocQuery(const std::string& path,
                                    ReaderOptions reader_options,
                                    int num_threads, const DocQuery& query);

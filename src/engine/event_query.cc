@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "core/stopwatch.h"
 #include "engine/vexpr.h"
 #include "exec/exec.h"
 #include "obs/trace.h"
@@ -455,114 +454,32 @@ Status EventQueryResult::Merge(const EventQueryResult& other) {
   return Status::OK();
 }
 
-Result<EventQueryResult> EventQuery::Execute(LaqReader* reader) const {
-  obs::ScopedSpan run_span("run", obs::Stage::kRun);
-  EventQueryResult result = MakeResult();
-  const std::vector<std::string> projection = Projection();
-  const ScanPredicateSet preds = ScanPredicates();
-  reader->ResetScanStats();
-  Stopwatch wall;
-  const double cpu0 = ProcessCpuSeconds();
-  const int num_groups = reader->num_row_groups();
-  std::vector<EventQueryResult> partials(static_cast<size_t>(num_groups));
-  for (EventQueryResult& p : partials) p = MakeResult();
-  HEPQ_RETURN_NOT_OK(EnsurePrepared());
-  ScratchBuffers scratch;
-  VexprScratch vexpr_scratch;
-  HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
-      /*num_threads=*/1, exec::MakeRowGroupTasks(reader->metadata()),
-      [&](int /*worker*/, int g) -> Status {
-        RecordBatchPtr batch;
-        HEPQ_ASSIGN_OR_RETURN(
-            batch, reader->ReadRowGroupFiltered(g, projection, preds,
-                                                &scratch));
-        EventQueryResult& partial = partials[static_cast<size_t>(g)];
-        if (batch == nullptr) {
-          // Pruned group: every row provably fails a gating predicate.
-          partial.events_processed +=
-              reader->metadata().row_groups[static_cast<size_t>(g)].num_rows;
-          return Status::OK();
-        }
-        return ExecuteBatch(*batch, &partial, &vexpr_scratch);
-      }));
-  {
-    obs::ScopedSpan merge_span("merge", obs::Stage::kMerge);
-    for (const EventQueryResult& p : partials) {
-      HEPQ_RETURN_NOT_OK(result.Merge(p));
-    }
-  }
-  result.wall_seconds = wall.Seconds();
-  result.cpu_seconds = ProcessCpuSeconds() - cpu0;
-  result.scan = reader->scan_stats();
-  return result;
-}
-
 Result<EventQueryResult> EventQuery::Execute(const std::string& path,
                                              ReaderOptions reader_options,
                                              int num_threads) const {
-  obs::ScopedSpan run_span("run", obs::Stage::kRun);
   EventQueryResult result = MakeResult();
-  const std::vector<std::string> projection = Projection();
-  const ScanPredicateSet preds = ScanPredicates();
-  Stopwatch wall;
-  const double cpu0 = ProcessCpuSeconds();
-
-  // Resolving the layout up front (a footer read per dataset file) gives
-  // us the global row-group map; workers open shard readers lazily on
-  // their first task touching each file.
-  exec::DatasetLayout layout;
-  HEPQ_ASSIGN_OR_RETURN(layout,
-                        exec::ResolveDatasetLayout(path, reader_options));
-  exec::WorkerReaders readers(&layout, reader_options,
-                              std::max(num_threads, 1));
-  std::vector<exec::RowGroupTask> tasks = exec::MakeRowGroupTasks(layout);
-  const int workers = exec::EffectiveWorkers(num_threads, tasks.size());
-
-  std::vector<EventQueryResult> partials(layout.groups.size());
-  for (EventQueryResult& p : partials) p = MakeResult();
-  HEPQ_RETURN_NOT_OK(EnsurePrepared());
-  HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
-      workers, std::move(tasks), [&](int worker, int g) -> Status {
-        const exec::DatasetLayout::Group& loc =
-            layout.groups[static_cast<size_t>(g)];
-        LaqReader* reader;
-        HEPQ_ASSIGN_OR_RETURN(reader, readers.reader(worker, loc.file));
-        RecordBatchPtr batch;
-        HEPQ_ASSIGN_OR_RETURN(
-            batch,
-            reader->ReadRowGroupFiltered(loc.local_group, projection, preds,
-                                         readers.scratch(worker)));
-        EventQueryResult& partial = partials[static_cast<size_t>(g)];
-        if (batch == nullptr) {
-          partial.events_processed += loc.num_rows;
-          return Status::OK();
-        }
-        // The VM's per-worker buffers live in the exec runtime's scratch
-        // slot, reused across every row group this worker processes.
-        std::shared_ptr<void>& slot = readers.engine_scratch(worker);
-        if (slot == nullptr) slot = std::make_shared<VexprScratch>();
-        return ExecuteBatch(*batch, &partial,
-                            static_cast<VexprScratch*>(slot.get()));
-      }));
-  {
-    // Two-level deterministic merge: group partials fold into a per-file
-    // subtotal in local group order, subtotals fold into the result in
-    // file order. The scatter/gather coordinator reproduces exactly this
-    // association from per-shard results, so P-process runs are
-    // bit-identical to this path (see exec::DatasetLayout).
-    obs::ScopedSpan merge_span("merge", obs::Stage::kMerge);
-    size_t g = 0;
-    for (int f = 0; f < layout.num_files(); ++f) {
-      EventQueryResult file_total = MakeResult();
-      for (; g < layout.groups.size() && layout.groups[g].file == f; ++g) {
-        HEPQ_RETURN_NOT_OK(file_total.Merge(partials[g]));
-      }
-      HEPQ_RETURN_NOT_OK(result.Merge(file_total));
-    }
-  }
-  result.wall_seconds = wall.Seconds();
-  result.cpu_seconds = ProcessCpuSeconds() - cpu0;
-  result.scan = readers.TotalScanStats();
+  exec::DatasetScan<EventQueryResult> scan;
+  scan.projection = Projection();
+  scan.predicates = ScanPredicates();
+  scan.plan = [&](const exec::DatasetLayout&) { return EnsurePrepared(); };
+  scan.make_partial = [&] { return MakeResult(); };
+  scan.process = [&](const exec::ScanGroup& group, const RecordBatch& batch,
+                     EventQueryResult* partial) {
+    return ExecuteBatch(batch, partial, group.WorkerState<VexprScratch>());
+  };
+  scan.pruned = [](const exec::DatasetLayout::Group& loc,
+                   EventQueryResult* partial) {
+    partial->events_processed += loc.num_rows;
+  };
+  scan.merge = [](EventQueryResult* from, EventQueryResult* into) {
+    return into->Merge(*from);
+  };
+  exec::RunTotals totals;
+  HEPQ_ASSIGN_OR_RETURN(totals, exec::ScanDataset(path, reader_options,
+                                                  num_threads, scan, &result));
+  result.wall_seconds = totals.wall_seconds;
+  result.cpu_seconds = totals.cpu_seconds;
+  result.scan = std::move(totals.scan);
   return result;
 }
 

@@ -96,14 +96,9 @@ class EventQuery {
   /// EXPLAIN-style plan rendering: declarations, stages, and fills.
   std::string Explain() const;
 
-  /// Runs the query over all row groups of `reader`, single-threaded but
-  /// through the shared row-group runtime (per-group partials merged in
-  /// group order, pooled decode buffers).
-  Result<EventQueryResult> Execute(LaqReader* reader) const;
-
-  /// Parallel execution: scans `path` with up to `num_threads` workers of
-  /// the shared pool, each with its own reader and scratch buffers.
-  /// Results are bit-identical to the single-threaded overload.
+  /// Scans `path` (a .laq file or a shard directory) through
+  /// exec::ScanDataset with up to `num_threads` workers of the shared
+  /// pool. Results are bit-identical for any thread count.
   Result<EventQueryResult> Execute(const std::string& path,
                                    ReaderOptions reader_options,
                                    int num_threads) const;
@@ -140,7 +135,7 @@ class EventQuery {
 
   /// Checks every call's arity on first use (both tiers) and compiles the
   /// stages and fills to VM programs (simd tier only). Safe to race;
-  /// Execute paths call it before fanning out.
+  /// Execute calls it before fanning out.
   Status EnsurePrepared() const;
 
   std::string name_;

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/physics.h"
-#include "core/stopwatch.h"
 #include "engine/vexpr.h"
 #include "exec/exec.h"
 #include "obs/trace.h"
@@ -654,519 +653,445 @@ struct CompiledStep {
   std::vector<size_t> out_columns;
 };
 
-}  // namespace
-
-struct FlatPipeline::ScanSource {
-  int num_threads = 1;
-  const exec::DatasetLayout* layout = nullptr;
-  std::function<Result<LaqReader*>(int worker, int file)> reader;
-  std::function<ScratchBuffers*(int worker)> scratch;
-  std::function<FlatWorkerScratch*(int worker)> worker_scratch;
-  std::function<ScanStats()> scan_stats;
+/// One row group's partial state; a fresh one is also each file's
+/// subtotal in the merge. GROUP BY event can be split per row group
+/// because an event's flat rows all come from the one row group holding
+/// the event.
+struct GroupPartial {
+  GroupPartial(const EventAggregator& proto,
+               const std::vector<Histogram1D>& histo_specs)
+      : aggregator(proto), histos(histo_specs) {}
+  EventAggregator aggregator;
+  std::vector<Histogram1D> histos;
+  int64_t events = 0;
+  int64_t groups = 0;
+  uint64_t rows_materialized = 0;
+  uint64_t cells_materialized = 0;
 };
 
-Result<FlatQueryResult> FlatPipeline::Execute(LaqReader* reader) const {
-  reader->ResetScanStats();
-  ScratchBuffers scratch;
-  FlatWorkerScratch worker_scratch;
-  const exec::DatasetLayout layout =
-      exec::MakeSingleFileLayout("<open reader>", reader->metadata());
-  ScanSource source;
-  source.num_threads = 1;
-  source.layout = &layout;
-  source.reader = [reader](int, int) -> Result<LaqReader*> { return reader; };
-  source.scratch = [&scratch](int) { return &scratch; };
-  source.worker_scratch = [&worker_scratch](int) { return &worker_scratch; };
-  source.scan_stats = [reader]() { return reader->scan_stats(); };
-  return ExecuteImpl(&source);
-}
+}  // namespace
 
 Result<FlatQueryResult> FlatPipeline::Execute(const std::string& path,
                                               ReaderOptions reader_options,
                                               int num_threads) const {
-  exec::DatasetLayout layout;
-  HEPQ_ASSIGN_OR_RETURN(layout,
-                        exec::ResolveDatasetLayout(path, reader_options));
-  exec::WorkerReaders readers(&layout, reader_options,
-                              std::max(num_threads, 1));
-  ScanSource source;
-  source.num_threads = num_threads;
-  source.layout = &layout;
-  source.reader = [&readers](int worker, int file) {
-    return readers.reader(worker, file);
-  };
-  source.scratch = [&readers](int worker) { return readers.scratch(worker); };
-  source.worker_scratch = [&readers](int worker) -> FlatWorkerScratch* {
-    std::shared_ptr<void>& slot = readers.engine_scratch(worker);
-    if (slot == nullptr) slot = std::make_shared<FlatWorkerScratch>();
-    return static_cast<FlatWorkerScratch*>(slot.get());
-  };
-  source.scan_stats = [&readers] { return readers.TotalScanStats(); };
-  return ExecuteImpl(&source);
-}
-
-Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
-  obs::ScopedSpan run_span("run", obs::Stage::kRun);
-  FlatQueryResult result;
-  for (const auto& [spec, expr] : fills_) {
-    result.histograms.emplace_back(spec);
-  }
-  Stopwatch wall;
-  const double cpu0 = ProcessCpuSeconds();
-  obs::ScopedSpan plan_span("flat_compile", obs::Stage::kPlan);
-
-  // ---- layout of the flat chunk (shared by every worker's chunk) ----
-  FlatBatch layout;
-  layout.names.push_back("__event");
-  for (const UnnestList& u : unnests_) {
-    layout.names.push_back(u.alias + ".idx");
-    for (const std::string& member : u.members) {
-      layout.names.push_back(u.alias + "." + member);
-    }
-  }
-  for (const std::string& scalar : keep_scalars_) {
-    layout.names.push_back(scalar);
-  }
-  const size_t base_columns = layout.names.size();
-  // Projections extend the layout in step order.
-  for (const Step& step : steps_) {
-    if (!step.is_filter) layout.names.push_back(step.name);
-  }
-  layout.columns.resize(layout.names.size());
-
-  // Resolve all flat-row expressions against the final layout. Resolve
-  // mutates the shared expression nodes, so it must finish before the
-  // parallel scan starts; Eval afterwards is const and thread-safe.
-  for (const Step& step : steps_) {
-    HEPQ_RETURN_NOT_OK(step.expr->Resolve(layout));
-  }
+  std::vector<Histogram1D> empty_histos;
+  for (const auto& [spec, expr] : fills_) empty_histos.emplace_back(spec);
   const bool grouped = !aggregates_.empty();
-  EventAggregator prototype(aggregates_);
-  if (grouped) {
-    HEPQ_RETURN_NOT_OK(prototype.Resolve(layout));
-  }
-
-  // HAVING and fills run over the aggregate output when grouped.
-  FlatBatch agg_layout;
-  if (grouped) {
-    agg_layout.names.push_back("__event");
-    for (const FlatAggSpec& spec : aggregates_) {
-      agg_layout.names.push_back(spec.output);
-    }
-    agg_layout.columns.resize(agg_layout.names.size());
-  }
-  const FlatBatch& sink_layout = grouped ? agg_layout : layout;
-  for (const FlatExprPtr& predicate : having_) {
-    HEPQ_RETURN_NOT_OK(predicate->Resolve(sink_layout));
-  }
-  for (const auto& [spec, expr] : fills_) {
-    HEPQ_RETURN_NOT_OK(expr->Resolve(sink_layout));
-  }
-  if (!grouped && !having_.empty()) {
-    return Status::Invalid("HAVING requires aggregates");
-  }
-
-  // ---- compile the hot flat-row expressions to VM programs ----
-  // Each filter is one gate program. Each maximal run of consecutive
-  // projections is ONE program with a result per projection, so the
-  // builder's CSE shares subexpressions across the run (Q6's mass_diff
-  // and trijet_pt convert each jet to Cartesian components once), and a
-  // projection that reads an earlier one of the same run takes its
-  // register rather than a column load. When ungrouped, the fills are one
-  // program too; HAVING and grouped fills run over the tiny per-event
-  // aggregate output where batching buys nothing, so they stay on the
-  // interpreter. Input slot ids are the chunk column indices, so a worker
-  // binds a program by pointing VColumns at its chunk's columns through
-  // its selection vector. Programs are immutable after this block and
-  // shared by all workers; each worker brings its own VexprScratch.
   const bool compiled = expr_tier_ == ExprTier::kSimd;
+  EventAggregator prototype(aggregates_);
+  // Set by the plan step: the flat chunk layout (shared by every worker's
+  // chunk), the compiled programs, the storage declarations, and each
+  // row group's first global event id.
+  FlatBatch layout;
+  size_t base_columns = 0;
   std::vector<CompiledStep> step_programs;
   VProgram fill_program;
-  if (compiled) {
-    size_t next_column = base_columns;
-    for (size_t s = 0; s < steps_.size();) {
-      VProgramBuilder builder;
-      std::vector<int> results;
-      CompiledStep step;
-      if (steps_[s].is_filter) {
-        int reg;
-        HEPQ_ASSIGN_OR_RETURN(reg, steps_[s++].expr->Lower(&builder));
-        results.push_back(reg);
-      } else {
-        for (; s < steps_.size() && !steps_[s].is_filter; ++s) {
-          int reg;
-          HEPQ_ASSIGN_OR_RETURN(reg, steps_[s].expr->Lower(&builder));
-          builder.BindSlot(static_cast<int>(next_column), reg);
-          results.push_back(reg);
-          step.out_columns.push_back(next_column++);
-        }
-      }
-      step.program = builder.Finish(results);
-      step_programs.push_back(std::move(step));
-    }
-    if (!grouped && !fills_.empty()) {
-      VProgramBuilder builder;
-      std::vector<int> results;
-      for (const auto& [spec, expr] : fills_) {
-        int reg;
-        HEPQ_ASSIGN_OR_RETURN(reg, expr->Lower(&builder));
-        results.push_back(reg);
-      }
-      fill_program = builder.Finish(results);
-    }
-  }
-
-  // ---- declarations for the storage bindings ----
   std::vector<ListDecl> list_decls;
-  for (const UnnestList& u : unnests_) {
-    list_decls.push_back(ListDecl{u.column, u.members, {}});
-  }
   std::vector<ScalarDecl> scalar_decls;
-  for (const std::string& s : keep_scalars_) {
-    scalar_decls.push_back(ScalarDecl{s});
-  }
+  std::vector<int64_t> event_base;
 
-  plan_span.End();
+  exec::DatasetScan<GroupPartial> scan;
+  scan.projection = Projection();
+  scan.predicates = ScanPredicates();
+  scan.plan = [&](const exec::DatasetLayout& dataset) -> Status {
+    obs::ScopedSpan plan_span("flat_compile", obs::Stage::kPlan);
 
-  const exec::DatasetLayout& layout_map = *source->layout;
-  const size_t num_groups = layout_map.groups.size();
-  // Event ids are global row numbers across the whole dataset: per-group
-  // bases accumulated over the layout's file-major group order.
-  std::vector<int64_t> event_base(num_groups + 1, 0);
-  for (size_t g = 0; g < num_groups; ++g) {
-    event_base[g + 1] = event_base[g] + layout_map.groups[g].num_rows;
-  }
-
-  // Per-row-group partial state, merged in ascending group order below.
-  // GROUP BY event can be split this way because an event's flat rows all
-  // come from the one row group holding the event.
-  struct GroupPartial {
-    GroupPartial(const EventAggregator& proto,
-                 const std::vector<Histogram1D>& histo_specs)
-        : aggregator(proto), histos(histo_specs) {}
-    EventAggregator aggregator;
-    std::vector<Histogram1D> histos;
-    int64_t events = 0;
-    uint64_t rows_materialized = 0;
-    uint64_t cells_materialized = 0;
-  };
-  std::vector<GroupPartial> partials;
-  partials.reserve(num_groups);
-  for (size_t g = 0; g < num_groups; ++g) {
-    partials.emplace_back(prototype, result.histograms);
-  }
-
-  // ---- scan ----
-  const std::vector<std::string> projection = Projection();
-  const ScanPredicateSet preds = ScanPredicates();
-  HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
-      source->num_threads, exec::MakeRowGroupTasks(layout_map),
-      [&](int worker, int g) -> Status {
-        const exec::DatasetLayout::Group& loc =
-            layout_map.groups[static_cast<size_t>(g)];
-        LaqReader* reader;
-        HEPQ_ASSIGN_OR_RETURN(reader, source->reader(worker, loc.file));
-        RecordBatchPtr batch;
-        HEPQ_ASSIGN_OR_RETURN(
-            batch,
-            reader->ReadRowGroupFiltered(loc.local_group, projection, preds,
-                                         source->scratch(worker)));
-        if (batch == nullptr) {
-          // Pruned group: no event in it can emit an output row, but the
-          // events were still processed.
-          partials[static_cast<size_t>(g)].events = loc.num_rows;
-          return Status::OK();
-        }
-        BatchBindings bindings;
-        HEPQ_ASSIGN_OR_RETURN(
-            bindings, BatchBindings::Bind(*batch, list_decls, scalar_decls));
-        GroupPartial& p = partials[static_cast<size_t>(g)];
-        FlatWorkerScratch* ws = source->worker_scratch(worker);
-        // The worker's chunk columns are sized to capacity once per run;
-        // rows past num_rows are stale and never read.
-        FlatBatch& chunk = ws->chunk;
-        if (chunk.columns.empty()) {
-          chunk = layout;
-          for (auto& column : chunk.columns) column.resize(kChunkRows);
-        }
-        chunk.num_rows = 0;
-        VexprScratch* vs = compiled ? &ws->vexpr : nullptr;
-
-        auto flush_interpreted = [&]() -> Status {
-          if (chunk.num_rows == 0) return Status::OK();
-          obs::ScopedSpan flush_span("flat_flush", obs::Stage::kExpr);
-          // Apply projections and filters in order. Filters compact all
-          // columns materialized so far — the real cost of filtering flat
-          // data.
-          size_t live_columns = base_columns;
-          for (const Step& step : steps_) {
-            if (!step.is_filter) {
-              auto& out = chunk.columns[live_columns];
-              for (size_t row = 0; row < chunk.num_rows; ++row) {
-                out[row] = step.expr->Eval(chunk, row);
-              }
-              ++live_columns;
-              continue;
-            }
-            size_t kept = 0;
-            for (size_t row = 0; row < chunk.num_rows; ++row) {
-              if (!step.expr->EvalBool(chunk, row)) continue;
-              if (kept != row) {
-                for (size_t c = 0; c < live_columns; ++c) {
-                  chunk.columns[c][kept] = chunk.columns[c][row];
-                }
-              }
-              ++kept;
-            }
-            chunk.num_rows = kept;
-          }
-          if (grouped) {
-            p.aggregator.Consume(chunk, /*event_col=*/0);
-          } else {
-            for (size_t f = 0; f < fills_.size(); ++f) {
-              for (size_t row = 0; row < chunk.num_rows; ++row) {
-                p.histos[f].Fill(fills_[f].second->Eval(chunk, row));
-              }
-            }
-          }
-          chunk.num_rows = 0;
-          return Status::OK();
-        };
-
-        // Compiled flush: run each step's program over the live lanes.
-        // Filters narrow the selection vector instead of compacting every
-        // materialized column, so downstream steps, fills, and the GROUP
-        // BY consume shrink without the interpreter path's O(columns)
-        // rewrite per filter. Lane order stays ascending, so group
-        // insertion order and fill order match the compacting path and
-        // results are bit-identical.
-        auto flush_compiled = [&]() -> Status {
-          if (chunk.num_rows == 0) return Status::OK();
-          obs::ScopedSpan flush_span("flat_flush", obs::Stage::kExpr);
-          VexprScratch::Scope scope(vs);
-          std::vector<uint32_t>* sel = vs->AcquireU32();
-          std::vector<uint32_t>* gate = vs->AcquireU32();
-          std::vector<double>* vals = vs->AcquireF64();
-          std::vector<VColumn>* cols = vs->AcquireCols();
-          std::vector<double*>& outs = ws->outs;
-          cols->assign(chunk.columns.size(), VColumn{});
-          const uint32_t* sel_ptr = nullptr;  // null: all rows live
-          size_t live = chunk.num_rows;
-          auto bind_cols = [&]() {
-            for (size_t c = 0; c < chunk.columns.size(); ++c) {
-              (*cols)[c].type = TypeId::kFloat64;
-              (*cols)[c].data = chunk.columns[c].data();
-              (*cols)[c].index = sel_ptr;
-            }
-          };
-          for (const CompiledStep& step : step_programs) {
-            bind_cols();
-            if (!step.out_columns.empty()) {
-              // A projection run: one program pass, one output per
-              // projection. Dense selections write straight into the
-              // chunk columns; otherwise each result scatters through the
-              // selection so later gathers see it at its row position
-              // (dead rows stay unwritten, and unread).
-              const size_t num_out = step.out_columns.size();
-              outs.resize(num_out);
-              if (sel_ptr == nullptr) {
-                for (size_t k = 0; k < num_out; ++k) {
-                  outs[k] = chunk.columns[step.out_columns[k]].data();
-                }
-              } else {
-                vals->resize(num_out * live);
-                for (size_t k = 0; k < num_out; ++k) {
-                  outs[k] = vals->data() + k * live;
-                }
-              }
-              step.program.Run(cols->data(), static_cast<int>(live),
-                               &vs->vm, outs.data());
-              if (sel_ptr != nullptr) {
-                for (size_t k = 0; k < num_out; ++k) {
-                  double* out = chunk.columns[step.out_columns[k]].data();
-                  for (size_t i = 0; i < live; ++i) {
-                    out[sel_ptr[i]] = outs[k][i];
-                  }
-                }
-              }
-              continue;
-            }
-            // Fused gate: the passing lane positions come out of the VM
-            // directly (no 0/1 vector). When the selection is still dense
-            // (sel_ptr null, the common first-filter case) lane positions
-            // ARE row indices; otherwise remap through the old selection —
-            // the gate output is ascending, so the rewrite is in-place.
-            if (sel_ptr == nullptr) {
-              sel->resize(live);
-              const int kept = step.program.RunGate(
-                  cols->data(), static_cast<int>(live), &vs->vm,
-                  /*negate=*/false, sel->data());
-              sel->resize(static_cast<size_t>(kept));
-            } else {
-              gate->resize(live);
-              const int kept = step.program.RunGate(
-                  cols->data(), static_cast<int>(live), &vs->vm,
-                  /*negate=*/false, gate->data());
-              for (int i = 0; i < kept; ++i) (*sel)[i] = (*sel)[(*gate)[i]];
-              sel->resize(static_cast<size_t>(kept));
-            }
-            sel_ptr = sel->data();
-            live = sel->size();
-            if (live == 0) break;
-          }
-          if (live > 0) {
-            if (grouped) {
-              p.aggregator.Consume(chunk, /*event_col=*/0, sel_ptr, live);
-            } else if (!fills_.empty()) {
-              // All fills in one program pass, then each histogram fills
-              // in lane order, as the per-fill interpreter loop does.
-              vals->resize(fills_.size() * live);
-              outs.resize(fills_.size());
-              for (size_t f = 0; f < fills_.size(); ++f) {
-                outs[f] = vals->data() + f * live;
-              }
-              bind_cols();
-              fill_program.Run(cols->data(), static_cast<int>(live), &vs->vm,
-                               outs.data());
-              for (size_t f = 0; f < fills_.size(); ++f) {
-                for (size_t i = 0; i < live; ++i) {
-                  p.histos[f].Fill(outs[f][i]);
-                }
-              }
-            }
-          }
-          chunk.num_rows = 0;
-          return Status::OK();
-        };
-
-        auto flush_chunk = [&]() -> Status {
-          return compiled ? flush_compiled() : flush_interpreted();
-        };
-
-        obs::ScopedSpan loop_span("unnest_emit", obs::Stage::kEventLoop);
-        if (loop_span.active()) {
-          loop_span.set_worker(worker);
-          loop_span.set_group(g);
-        }
-        // Full Cartesian product of the unnest lists, exactly like chained
-        // CROSS JOIN UNNEST; symmetric dedup (idx1 < idx2) happens in
-        // WHERE. An odometer walks the outer lists; for each position of
-        // theirs the innermost list is one contiguous run of elements,
-        // written column-at-a-time: event-constant and outer-alias columns
-        // are fills, the inner ordinal an iota, each inner member one
-        // converting copy. A run is cut wherever the chunk fills up.
-        const size_t n_unnests = unnests_.size();
-        std::vector<const ListBinding*> lists(n_unnests);
-        for (size_t u = 0; u < n_unnests; ++u) {
-          lists[u] = &bindings.list(static_cast<int>(u));
-        }
-        std::vector<double*> cols(base_columns);
-        for (size_t c = 0; c < base_columns; ++c) {
-          cols[c] = chunk.columns[c].data();
-        }
-        std::vector<uint32_t> begin(n_unnests), end(n_unnests),
-            cursor(n_unnests);
-        // Writes rows [at, at + n) with the inner list (if any) at
-        // elements [first, first + n).
-        auto write_run = [&](uint32_t row, double event_id, uint32_t first,
-                             size_t n) {
-          const size_t at = chunk.num_rows;
-          size_t c = 0;
-          std::fill_n(cols[c++] + at, n, event_id);
-          for (size_t u = 0; u < n_unnests; ++u) {
-            const std::vector<MemberAccessor>& members = lists[u]->members;
-            if (u + 1 < n_unnests) {
-              const uint32_t i = cursor[u];
-              std::fill_n(cols[c++] + at, n,
-                          static_cast<double>(i - begin[u]));
-              for (const MemberAccessor& m : members) {
-                std::fill_n(cols[c++] + at, n, m.Get(i));
-              }
-              continue;
-            }
-            double* idx = cols[c++] + at;
-            for (size_t k = 0; k < n; ++k) {
-              idx[k] = static_cast<double>(first - begin[u] + k);
-            }
-            for (const MemberAccessor& m : members) {
-              m.GetRange(first, n, cols[c++] + at);
-            }
-          }
-          for (size_t s = 0; s < keep_scalars_.size(); ++s) {
-            std::fill_n(cols[c++] + at, n,
-                        bindings.scalar(static_cast<int>(s)).Get(row));
-          }
-          chunk.num_rows += n;
-          p.rows_materialized += n;
-          p.cells_materialized += n * base_columns;
-        };
-
-        const int64_t rows = batch->num_rows();
-        for (int64_t r = 0; r < rows; ++r) {
-          const uint32_t row = static_cast<uint32_t>(r);
-          const double event_id =
-              static_cast<double>(event_base[static_cast<size_t>(g)] + r);
-          bool empty = false;
-          for (size_t u = 0; u < n_unnests; ++u) {
-            begin[u] = cursor[u] = lists[u]->begin(row);
-            end[u] = lists[u]->end(row);
-            empty = empty || begin[u] == end[u];
-          }
-          if (empty) continue;
-          const uint32_t inner_begin = n_unnests > 0 ? begin.back() : 0;
-          const uint32_t inner_end = n_unnests > 0 ? end.back() : 1;
-          while (true) {
-            for (uint32_t i = inner_begin; i < inner_end;) {
-              const size_t n = std::min<size_t>(inner_end - i,
-                                                kChunkRows - chunk.num_rows);
-              write_run(row, event_id, i, n);
-              i += static_cast<uint32_t>(n);
-              if (chunk.num_rows == kChunkRows) {
-                HEPQ_RETURN_NOT_OK(flush_chunk());
-              }
-            }
-            // Advance the outer lists' odometer; done when it wraps.
-            size_t u = n_unnests > 0 ? n_unnests - 1 : 0;
-            while (u > 0 && ++cursor[u - 1] == end[u - 1]) {
-              cursor[u - 1] = begin[u - 1];
-              --u;
-            }
-            if (u == 0) break;
-          }
-        }
-        HEPQ_RETURN_NOT_OK(flush_chunk());
-        p.events = rows;
-        return Status::OK();
-      }));
-
-  // ---- two-level deterministic merge ----
-  // Group partials fold into a per-file histogram subtotal in local group
-  // order, subtotals fold into the result in file order — the exact FP
-  // association a scatter/gather coordinator reproduces when it merges
-  // per-shard worker results, so P-process runs stay bit-identical (see
-  // exec::DatasetLayout).
-  obs::ScopedSpan merge_span("merge", obs::Stage::kMerge);
-  size_t gi = 0;
-  for (int file = 0; file < layout_map.num_files(); ++file) {
-    std::vector<Histogram1D> file_histos;
-    file_histos.reserve(fills_.size());
-    for (const auto& [spec, expr] : fills_) file_histos.emplace_back(spec);
-    for (; gi < num_groups && layout_map.groups[gi].file == file; ++gi) {
-      GroupPartial& p = partials[gi];
-      result.events_processed += p.events;
-      result.rows_materialized += p.rows_materialized;
-      result.cells_materialized += p.cells_materialized;
-      if (!grouped) {
-        for (size_t f = 0; f < fills_.size(); ++f) {
-          HEPQ_RETURN_NOT_OK(file_histos[f].Merge(p.histos[f]));
-        }
-        continue;
+    // ---- layout of the flat chunk ----
+    layout.names.push_back("__event");
+    for (const UnnestList& u : unnests_) {
+      layout.names.push_back(u.alias + ".idx");
+      for (const std::string& member : u.members) {
+        layout.names.push_back(u.alias + "." + member);
       }
-      // Event keys are disjoint across row groups, so concatenating the
-      // per-group aggregate outputs in group order reproduces the
-      // sequential scan's group order exactly.
-      FlatBatch groups = p.aggregator.Finish();
-      result.groups += static_cast<int64_t>(groups.num_rows);
+    }
+    for (const std::string& scalar : keep_scalars_) {
+      layout.names.push_back(scalar);
+    }
+    base_columns = layout.names.size();
+    // Projections extend the layout in step order.
+    for (const Step& step : steps_) {
+      if (!step.is_filter) layout.names.push_back(step.name);
+    }
+    layout.columns.resize(layout.names.size());
+
+    // Resolve all flat-row expressions against the final layout. Resolve
+    // mutates the shared expression nodes, so it must finish before the
+    // parallel scan starts; Eval afterwards is const and thread-safe.
+    for (const Step& step : steps_) {
+      HEPQ_RETURN_NOT_OK(step.expr->Resolve(layout));
+    }
+    if (grouped) {
+      HEPQ_RETURN_NOT_OK(prototype.Resolve(layout));
+    }
+
+    // HAVING and fills run over the aggregate output when grouped.
+    FlatBatch agg_layout;
+    if (grouped) {
+      agg_layout.names.push_back("__event");
+      for (const FlatAggSpec& spec : aggregates_) {
+        agg_layout.names.push_back(spec.output);
+      }
+      agg_layout.columns.resize(agg_layout.names.size());
+    }
+    const FlatBatch& sink_layout = grouped ? agg_layout : layout;
+    for (const FlatExprPtr& predicate : having_) {
+      HEPQ_RETURN_NOT_OK(predicate->Resolve(sink_layout));
+    }
+    for (const auto& [spec, expr] : fills_) {
+      HEPQ_RETURN_NOT_OK(expr->Resolve(sink_layout));
+    }
+    if (!grouped && !having_.empty()) {
+      return Status::Invalid("HAVING requires aggregates");
+    }
+
+    // ---- compile the hot flat-row expressions to VM programs ----
+    // Each filter is one gate program. Each maximal run of consecutive
+    // projections is ONE program with a result per projection, so the
+    // builder's CSE shares subexpressions across the run (Q6's mass_diff
+    // and trijet_pt convert each jet to Cartesian components once), and a
+    // projection that reads an earlier one of the same run takes its
+    // register rather than a column load. When ungrouped, the fills are one
+    // program too; HAVING and grouped fills run over the tiny per-event
+    // aggregate output where batching buys nothing, so they stay on the
+    // interpreter. Input slot ids are the chunk column indices, so a worker
+    // binds a program by pointing VColumns at its chunk's columns through
+    // its selection vector. Programs are immutable after this block and
+    // shared by all workers; each worker brings its own VexprScratch.
+    if (compiled) {
+      size_t next_column = base_columns;
+      for (size_t s = 0; s < steps_.size();) {
+        VProgramBuilder builder;
+        std::vector<int> results;
+        CompiledStep step;
+        if (steps_[s].is_filter) {
+          int reg;
+          HEPQ_ASSIGN_OR_RETURN(reg, steps_[s++].expr->Lower(&builder));
+          results.push_back(reg);
+        } else {
+          for (; s < steps_.size() && !steps_[s].is_filter; ++s) {
+            int reg;
+            HEPQ_ASSIGN_OR_RETURN(reg, steps_[s].expr->Lower(&builder));
+            builder.BindSlot(static_cast<int>(next_column), reg);
+            results.push_back(reg);
+            step.out_columns.push_back(next_column++);
+          }
+        }
+        step.program = builder.Finish(results);
+        step_programs.push_back(std::move(step));
+      }
+      if (!grouped && !fills_.empty()) {
+        VProgramBuilder builder;
+        std::vector<int> results;
+        for (const auto& [spec, expr] : fills_) {
+          int reg;
+          HEPQ_ASSIGN_OR_RETURN(reg, expr->Lower(&builder));
+          results.push_back(reg);
+        }
+        fill_program = builder.Finish(results);
+      }
+    }
+
+    // ---- declarations for the storage bindings ----
+    for (const UnnestList& u : unnests_) {
+      list_decls.push_back(ListDecl{u.column, u.members, {}});
+    }
+    for (const std::string& s : keep_scalars_) {
+      scalar_decls.push_back(ScalarDecl{s});
+    }
+
+    // Event ids are global row numbers across the whole dataset: per-group
+    // bases accumulated over the layout's file-major group order.
+    event_base.assign(dataset.groups.size() + 1, 0);
+    for (size_t g = 0; g < dataset.groups.size(); ++g) {
+      event_base[g + 1] = event_base[g] + dataset.groups[g].num_rows;
+    }
+    return Status::OK();
+  };
+  scan.make_partial = [&] { return GroupPartial(prototype, empty_histos); };
+  scan.pruned = [](const exec::DatasetLayout::Group& loc, GroupPartial* p) {
+    // No event in a pruned group can emit an output row, but the events
+    // were still processed.
+    p->events = loc.num_rows;
+  };
+  scan.process = [&](const exec::ScanGroup& group, const RecordBatch& batch,
+                     GroupPartial* partial) -> Status {
+    const int worker = group.worker;
+    const int g = group.group;
+    BatchBindings bindings;
+    HEPQ_ASSIGN_OR_RETURN(
+        bindings, BatchBindings::Bind(batch, list_decls, scalar_decls));
+    GroupPartial& p = *partial;
+    FlatWorkerScratch* ws = group.WorkerState<FlatWorkerScratch>();
+    // The worker's chunk columns are sized to capacity once per run;
+    // rows past num_rows are stale and never read.
+    FlatBatch& chunk = ws->chunk;
+    if (chunk.columns.empty()) {
+      chunk = layout;
+      for (auto& column : chunk.columns) column.resize(kChunkRows);
+    }
+    chunk.num_rows = 0;
+    VexprScratch* vs = compiled ? &ws->vexpr : nullptr;
+
+    auto flush_interpreted = [&]() -> Status {
+      if (chunk.num_rows == 0) return Status::OK();
+      obs::ScopedSpan flush_span("flat_flush", obs::Stage::kExpr);
+      // Apply projections and filters in order. Filters compact all
+      // columns materialized so far — the real cost of filtering flat
+      // data.
+      size_t live_columns = base_columns;
+      for (const Step& step : steps_) {
+        if (!step.is_filter) {
+          auto& out = chunk.columns[live_columns];
+          for (size_t row = 0; row < chunk.num_rows; ++row) {
+            out[row] = step.expr->Eval(chunk, row);
+          }
+          ++live_columns;
+          continue;
+        }
+        size_t kept = 0;
+        for (size_t row = 0; row < chunk.num_rows; ++row) {
+          if (!step.expr->EvalBool(chunk, row)) continue;
+          if (kept != row) {
+            for (size_t c = 0; c < live_columns; ++c) {
+              chunk.columns[c][kept] = chunk.columns[c][row];
+            }
+          }
+          ++kept;
+        }
+        chunk.num_rows = kept;
+      }
+      if (grouped) {
+        p.aggregator.Consume(chunk, /*event_col=*/0);
+      } else {
+        for (size_t f = 0; f < fills_.size(); ++f) {
+          for (size_t row = 0; row < chunk.num_rows; ++row) {
+            p.histos[f].Fill(fills_[f].second->Eval(chunk, row));
+          }
+        }
+      }
+      chunk.num_rows = 0;
+      return Status::OK();
+    };
+
+    // Compiled flush: run each step's program over the live lanes.
+    // Filters narrow the selection vector instead of compacting every
+    // materialized column, so downstream steps, fills, and the GROUP
+    // BY consume shrink without the interpreter path's O(columns)
+    // rewrite per filter. Lane order stays ascending, so group
+    // insertion order and fill order match the compacting path and
+    // results are bit-identical.
+    auto flush_compiled = [&]() -> Status {
+      if (chunk.num_rows == 0) return Status::OK();
+      obs::ScopedSpan flush_span("flat_flush", obs::Stage::kExpr);
+      VexprScratch::Scope scope(vs);
+      std::vector<uint32_t>* sel = vs->AcquireU32();
+      std::vector<uint32_t>* gate = vs->AcquireU32();
+      std::vector<double>* vals = vs->AcquireF64();
+      std::vector<VColumn>* cols = vs->AcquireCols();
+      std::vector<double*>& outs = ws->outs;
+      cols->assign(chunk.columns.size(), VColumn{});
+      const uint32_t* sel_ptr = nullptr;  // null: all rows live
+      size_t live = chunk.num_rows;
+      auto bind_cols = [&]() {
+        for (size_t c = 0; c < chunk.columns.size(); ++c) {
+          (*cols)[c].type = TypeId::kFloat64;
+          (*cols)[c].data = chunk.columns[c].data();
+          (*cols)[c].index = sel_ptr;
+        }
+      };
+      for (const CompiledStep& step : step_programs) {
+        bind_cols();
+        if (!step.out_columns.empty()) {
+          // A projection run: one program pass, one output per
+          // projection. Dense selections write straight into the
+          // chunk columns; otherwise each result scatters through the
+          // selection so later gathers see it at its row position
+          // (dead rows stay unwritten, and unread).
+          const size_t num_out = step.out_columns.size();
+          outs.resize(num_out);
+          if (sel_ptr == nullptr) {
+            for (size_t k = 0; k < num_out; ++k) {
+              outs[k] = chunk.columns[step.out_columns[k]].data();
+            }
+          } else {
+            vals->resize(num_out * live);
+            for (size_t k = 0; k < num_out; ++k) {
+              outs[k] = vals->data() + k * live;
+            }
+          }
+          step.program.Run(cols->data(), static_cast<int>(live),
+                           &vs->vm, outs.data());
+          if (sel_ptr != nullptr) {
+            for (size_t k = 0; k < num_out; ++k) {
+              double* out = chunk.columns[step.out_columns[k]].data();
+              for (size_t i = 0; i < live; ++i) {
+                out[sel_ptr[i]] = outs[k][i];
+              }
+            }
+          }
+          continue;
+        }
+        // Fused gate: the passing lane positions come out of the VM
+        // directly (no 0/1 vector). When the selection is still dense
+        // (sel_ptr null, the common first-filter case) lane positions
+        // ARE row indices; otherwise remap through the old selection —
+        // the gate output is ascending, so the rewrite is in-place.
+        if (sel_ptr == nullptr) {
+          sel->resize(live);
+          const int kept = step.program.RunGate(
+              cols->data(), static_cast<int>(live), &vs->vm,
+              /*negate=*/false, sel->data());
+          sel->resize(static_cast<size_t>(kept));
+        } else {
+          gate->resize(live);
+          const int kept = step.program.RunGate(
+              cols->data(), static_cast<int>(live), &vs->vm,
+              /*negate=*/false, gate->data());
+          for (int i = 0; i < kept; ++i) (*sel)[i] = (*sel)[(*gate)[i]];
+          sel->resize(static_cast<size_t>(kept));
+        }
+        sel_ptr = sel->data();
+        live = sel->size();
+        if (live == 0) break;
+      }
+      if (live > 0) {
+        if (grouped) {
+          p.aggregator.Consume(chunk, /*event_col=*/0, sel_ptr, live);
+        } else if (!fills_.empty()) {
+          // All fills in one program pass, then each histogram fills
+          // in lane order, as the per-fill interpreter loop does.
+          vals->resize(fills_.size() * live);
+          outs.resize(fills_.size());
+          for (size_t f = 0; f < fills_.size(); ++f) {
+            outs[f] = vals->data() + f * live;
+          }
+          bind_cols();
+          fill_program.Run(cols->data(), static_cast<int>(live), &vs->vm,
+                           outs.data());
+          for (size_t f = 0; f < fills_.size(); ++f) {
+            for (size_t i = 0; i < live; ++i) {
+              p.histos[f].Fill(outs[f][i]);
+            }
+          }
+        }
+      }
+      chunk.num_rows = 0;
+      return Status::OK();
+    };
+
+    auto flush_chunk = [&]() -> Status {
+      return compiled ? flush_compiled() : flush_interpreted();
+    };
+
+    obs::ScopedSpan loop_span("unnest_emit", obs::Stage::kEventLoop);
+    if (loop_span.active()) {
+      loop_span.set_worker(worker);
+      loop_span.set_group(g);
+    }
+    // Full Cartesian product of the unnest lists, exactly like chained
+    // CROSS JOIN UNNEST; symmetric dedup (idx1 < idx2) happens in
+    // WHERE. An odometer walks the outer lists; for each position of
+    // theirs the innermost list is one contiguous run of elements,
+    // written column-at-a-time: event-constant and outer-alias columns
+    // are fills, the inner ordinal an iota, each inner member one
+    // converting copy. A run is cut wherever the chunk fills up.
+    const size_t n_unnests = unnests_.size();
+    std::vector<const ListBinding*> lists(n_unnests);
+    for (size_t u = 0; u < n_unnests; ++u) {
+      lists[u] = &bindings.list(static_cast<int>(u));
+    }
+    std::vector<double*> cols(base_columns);
+    for (size_t c = 0; c < base_columns; ++c) {
+      cols[c] = chunk.columns[c].data();
+    }
+    std::vector<uint32_t> begin(n_unnests), end(n_unnests),
+        cursor(n_unnests);
+    // Writes rows [at, at + n) with the inner list (if any) at
+    // elements [first, first + n).
+    auto write_run = [&](uint32_t row, double event_id, uint32_t first,
+                         size_t n) {
+      const size_t at = chunk.num_rows;
+      size_t c = 0;
+      std::fill_n(cols[c++] + at, n, event_id);
+      for (size_t u = 0; u < n_unnests; ++u) {
+        const std::vector<MemberAccessor>& members = lists[u]->members;
+        if (u + 1 < n_unnests) {
+          const uint32_t i = cursor[u];
+          std::fill_n(cols[c++] + at, n,
+                      static_cast<double>(i - begin[u]));
+          for (const MemberAccessor& m : members) {
+            std::fill_n(cols[c++] + at, n, m.Get(i));
+          }
+          continue;
+        }
+        double* idx = cols[c++] + at;
+        for (size_t k = 0; k < n; ++k) {
+          idx[k] = static_cast<double>(first - begin[u] + k);
+        }
+        for (const MemberAccessor& m : members) {
+          m.GetRange(first, n, cols[c++] + at);
+        }
+      }
+      for (size_t s = 0; s < keep_scalars_.size(); ++s) {
+        std::fill_n(cols[c++] + at, n,
+                    bindings.scalar(static_cast<int>(s)).Get(row));
+      }
+      chunk.num_rows += n;
+      p.rows_materialized += n;
+      p.cells_materialized += n * base_columns;
+    };
+
+    const int64_t rows = batch.num_rows();
+    for (int64_t r = 0; r < rows; ++r) {
+      const uint32_t row = static_cast<uint32_t>(r);
+      const double event_id =
+          static_cast<double>(event_base[static_cast<size_t>(g)] + r);
+      bool empty = false;
+      for (size_t u = 0; u < n_unnests; ++u) {
+        begin[u] = cursor[u] = lists[u]->begin(row);
+        end[u] = lists[u]->end(row);
+        empty = empty || begin[u] == end[u];
+      }
+      if (empty) continue;
+      const uint32_t inner_begin = n_unnests > 0 ? begin.back() : 0;
+      const uint32_t inner_end = n_unnests > 0 ? end.back() : 1;
+      while (true) {
+        for (uint32_t i = inner_begin; i < inner_end;) {
+          const size_t n = std::min<size_t>(inner_end - i,
+                                            kChunkRows - chunk.num_rows);
+          write_run(row, event_id, i, n);
+          i += static_cast<uint32_t>(n);
+          if (chunk.num_rows == kChunkRows) {
+            HEPQ_RETURN_NOT_OK(flush_chunk());
+          }
+        }
+        // Advance the outer lists' odometer; done when it wraps.
+        size_t u = n_unnests > 0 ? n_unnests - 1 : 0;
+        while (u > 0 && ++cursor[u - 1] == end[u - 1]) {
+          cursor[u - 1] = begin[u - 1];
+          --u;
+        }
+        if (u == 0) break;
+      }
+    }
+    HEPQ_RETURN_NOT_OK(flush_chunk());
+    p.events = rows;
+    return Status::OK();
+  };
+  // One fold serves both merge levels. Grouped: the aggregates finish
+  // into HAVING and the fills (event keys are disjoint across row groups,
+  // so finishing them in group order reproduces the sequential scan's
+  // group order; a file subtotal's aggregator never consumed a row and
+  // finishes empty). The histograms then merge (a grouped row group's are
+  // still empty, and adding empty accumulators is exact).
+  scan.merge = [&](GroupPartial* from, GroupPartial* into) -> Status {
+    into->events += from->events;
+    into->groups += from->groups;
+    into->rows_materialized += from->rows_materialized;
+    into->cells_materialized += from->cells_materialized;
+    if (grouped) {
+      FlatBatch groups = from->aggregator.Finish();
+      into->groups += static_cast<int64_t>(groups.num_rows);
       for (size_t row = 0; row < groups.num_rows; ++row) {
         bool pass = true;
         for (const FlatExprPtr& predicate : having_) {
@@ -1177,20 +1102,29 @@ Result<FlatQueryResult> FlatPipeline::ExecuteImpl(ScanSource* source) const {
         }
         if (!pass) continue;
         for (size_t f = 0; f < fills_.size(); ++f) {
-          file_histos[f].Fill(fills_[f].second->Eval(groups, row));
+          into->histos[f].Fill(fills_[f].second->Eval(groups, row));
         }
       }
     }
     for (size_t f = 0; f < fills_.size(); ++f) {
-      HEPQ_RETURN_NOT_OK(result.histograms[f].Merge(file_histos[f]));
+      HEPQ_RETURN_NOT_OK(into->histos[f].Merge(from->histos[f]));
     }
-  }
+    return Status::OK();
+  };
 
-  merge_span.End();
-
-  result.wall_seconds = wall.Seconds();
-  result.cpu_seconds = ProcessCpuSeconds() - cpu0;
-  result.scan = source->scan_stats();
+  GroupPartial total(prototype, empty_histos);
+  exec::RunTotals totals;
+  HEPQ_ASSIGN_OR_RETURN(totals, exec::ScanDataset(path, reader_options,
+                                                  num_threads, scan, &total));
+  FlatQueryResult result;
+  result.histograms = std::move(total.histos);
+  result.events_processed = total.events;
+  result.rows_materialized = total.rows_materialized;
+  result.cells_materialized = total.cells_materialized;
+  result.groups = total.groups;
+  result.wall_seconds = totals.wall_seconds;
+  result.cpu_seconds = totals.cpu_seconds;
+  result.scan = std::move(totals.scan);
   return result;
 }
 

@@ -165,14 +165,10 @@ class FlatPipeline {
   void set_expr_tier(ExprTier tier) { expr_tier_ = tier; }
   ExprTier expr_tier() const { return expr_tier_; }
 
-  /// Runs the pipeline over all row groups of `reader`, single-threaded
-  /// but through the shared row-group runtime.
-  Result<FlatQueryResult> Execute(LaqReader* reader) const;
-
-  /// Parallel execution: scans `path` with up to `num_threads` workers,
-  /// each with its own reader, scratch buffers, and per-row-group
+  /// Scans `path` (a .laq file or a shard directory) through
+  /// exec::ScanDataset with up to `num_threads` workers, with per-row-group
   /// aggregation state (sound because every event's rows live in exactly
-  /// one row group). Results are bit-identical to the overload above.
+  /// one row group). Results are bit-identical for any thread count.
   Result<FlatQueryResult> Execute(const std::string& path,
                                   ReaderOptions reader_options,
                                   int num_threads) const;
@@ -196,11 +192,6 @@ class FlatPipeline {
     std::string name;  // projection output column
     FlatExprPtr expr;
   };
-  /// Where ExecuteImpl gets readers/scratch/metadata from; defined in
-  /// flat.cc (wraps either one caller-owned reader or a per-worker set).
-  struct ScanSource;
-  Result<FlatQueryResult> ExecuteImpl(ScanSource* source) const;
-
   std::string name_;
   std::vector<UnnestList> unnests_;
   std::vector<std::string> keep_scalars_;

@@ -109,62 +109,32 @@ std::vector<RowGroupTask> MakeRowGroupTasks(const FileMetadata& metadata) {
   return tasks;
 }
 
-namespace {
-
-void AppendFileGroups(DatasetLayout* layout, int file,
-                      const FileMetadata& metadata) {
-  for (size_t g = 0; g < metadata.row_groups.size(); ++g) {
-    DatasetLayout::Group group;
-    group.file = file;
-    group.local_group = static_cast<int>(g);
-    group.num_rows = metadata.row_groups[g].num_rows;
-    for (const ChunkMeta& chunk : metadata.row_groups[g].chunks) {
-      group.bytes += chunk.compressed_size;
-    }
-    layout->total_rows += group.num_rows;
-    layout->groups.push_back(group);
-  }
-}
-
-}  // namespace
-
 Result<DatasetLayout> ResolveDatasetLayout(const std::string& path,
                                            const ReaderOptions& options) {
   DatasetLayout layout;
   HEPQ_ASSIGN_OR_RETURN(layout.files, ShardFiles(path));
-  Schema first_schema;
   for (size_t f = 0; f < layout.files.size(); ++f) {
     std::unique_ptr<LaqReader> reader;
     HEPQ_ASSIGN_OR_RETURN(reader,
                           LaqReader::Open(layout.files[f], options));
     if (f == 0) {
-      first_schema = reader->schema();
-    } else if (!reader->schema().Equals(first_schema)) {
+      layout.schema = reader->schema();
+    } else if (!reader->schema().Equals(layout.schema)) {
       return Status::Invalid("dataset file '" + layout.files[f] +
                              "' has a different schema than '" +
                              layout.files[0] + "'");
     }
-    AppendFileGroups(&layout, static_cast<int>(f), reader->metadata());
+    const FileMetadata& metadata = reader->metadata();
+    for (const RowGroupTask& task : MakeRowGroupTasks(metadata)) {
+      const int64_t rows =
+          metadata.row_groups[static_cast<size_t>(task.group)].num_rows;
+      layout.groups.push_back(
+          DatasetLayout::Group{static_cast<int>(f), task.group, rows,
+                               task.bytes});
+      layout.total_rows += rows;
+    }
   }
   return layout;
-}
-
-DatasetLayout MakeSingleFileLayout(const std::string& path,
-                                   const FileMetadata& metadata) {
-  DatasetLayout layout;
-  layout.files.push_back(path);
-  AppendFileGroups(&layout, 0, metadata);
-  return layout;
-}
-
-std::vector<RowGroupTask> MakeRowGroupTasks(const DatasetLayout& layout) {
-  std::vector<RowGroupTask> tasks;
-  tasks.reserve(layout.groups.size());
-  for (size_t g = 0; g < layout.groups.size(); ++g) {
-    tasks.push_back(
-        RowGroupTask{static_cast<int>(g), layout.groups[g].bytes});
-  }
-  return tasks;
 }
 
 void SortLpt(std::vector<RowGroupTask>* tasks) {

@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "core/status.h"
+#include "core/stopwatch.h"
 #include "fileio/reader.h"
+#include "obs/trace.h"
 
 namespace hepq::exec {
 
@@ -20,9 +22,10 @@ namespace hepq::exec {
 // SQL plan shapes, doc). Row groups are the scheduling unit, as in ROOT's
 // implicit MT and every system of the paper; the work queue is LPT-ordered
 // by row-group byte size so the largest groups start first and stragglers
-// are minimized. Each row group accumulates into its own result slot and
-// the caller merges slots in row-group order, which makes results
-// bit-identical for 1 vs N threads regardless of scheduling.
+// are minimized. ScanDataset (bottom of this header) is the one scan
+// driver: it owns the run window, the layout, the scheduling and the
+// two-level merge that makes results bit-identical for any thread or
+// process count.
 
 /// A reusable fixed-size pool of worker threads. Workers are started once
 /// and parked between jobs, replacing the per-Execute thread spawning the
@@ -86,14 +89,9 @@ std::vector<RowGroupTask> MakeRowGroupTasks(const FileMetadata& metadata);
 
 /// Resolved physical layout of a dataset: one .laq file, or every shard of
 /// a dataset directory, with row groups numbered globally in file-major
-/// order (file order is the sorted shard list — the same order
-/// DatasetReader, the scatter/gather coordinator, and the tools use). The
-/// layout is the frontends' one source of truth for scheduling and for
-/// the two-level deterministic merge: per-group partials fold into a
-/// per-file subtotal in local group order, and file subtotals fold into
-/// the result in file order. A P-process scatter/gather run gathers
-/// exactly those per-file subtotals in the same order, so single-process
-/// and multi-process results are bit-identical by construction.
+/// order (file order is the sorted shard list — the same order the
+/// scatter/gather coordinator and the tools use). It is ScanDataset's
+/// source of truth for scheduling and for the merge.
 struct DatasetLayout {
   struct Group {
     int file = 0;         // index into `files`
@@ -104,6 +102,7 @@ struct DatasetLayout {
   std::vector<std::string> files;
   std::vector<Group> groups;  // global group order: file-major
   int64_t total_rows = 0;
+  Schema schema;  // shared by every file
 
   int num_files() const { return static_cast<int>(files.size()); }
   int num_groups() const { return static_cast<int>(groups.size()); }
@@ -114,13 +113,6 @@ struct DatasetLayout {
 /// share the first file's schema.
 Result<DatasetLayout> ResolveDatasetLayout(const std::string& path,
                                            const ReaderOptions& options);
-
-/// Layout of one already-open file (the single-reader execution paths).
-DatasetLayout MakeSingleFileLayout(const std::string& path,
-                                   const FileMetadata& metadata);
-
-/// Tasks for every global row group of `layout`.
-std::vector<RowGroupTask> MakeRowGroupTasks(const DatasetLayout& layout);
 
 /// LPT (longest processing time first) order: descending byte size, ties
 /// broken by ascending group index so the order is deterministic.
@@ -208,6 +200,134 @@ class WorkerReaders {
   ReaderOptions options_;
   std::vector<Slot> slots_;
 };
+
+/// One row group handed to a frontend's process callback.
+struct ScanGroup {
+  int worker = 0;
+  int group = 0;  // global index into DatasetLayout::groups
+  std::shared_ptr<void>* engine_scratch = nullptr;
+
+  /// The worker's engine state of type T (WorkerReaders::engine_scratch),
+  /// created on the worker's first row group and reused for the rest of
+  /// the run.
+  template <typename T>
+  T* WorkerState() const {
+    if (*engine_scratch == nullptr) *engine_scratch = std::make_shared<T>();
+    return static_cast<T*>(engine_scratch->get());
+  }
+};
+
+/// Totals of one run window (see ScanDataset).
+struct RunTotals {
+  double wall_seconds = 0.0;
+  double cpu_seconds = 0.0;  // process CPU: every worker thread's time
+  ScanStats scan;
+};
+
+/// A frontend's part of a dataset scan: only what is its own. `Partial`
+/// is the per-row-group accumulator; fresh ones also serve as the
+/// per-file subtotals.
+template <typename Partial>
+struct DatasetScan {
+  /// Columns to read (empty reads every column) and the sargable
+  /// predicates the reader prunes row groups and pages with.
+  std::vector<std::string> projection;
+  ScanPredicateSet predicates;
+  /// Optional planning step, run once the layout is known and before any
+  /// row group is read.
+  std::function<Status(const DatasetLayout&)> plan;
+  std::function<Partial()> make_partial;
+  /// Processes one decoded row group into its partial.
+  std::function<Status(const ScanGroup&, const RecordBatch&, Partial*)>
+      process;
+  /// Credits a row group the zone maps pruned (every row provably fails
+  /// the predicates, so no process call sees it).
+  std::function<void(const DatasetLayout::Group&, Partial*)> pruned;
+  /// Folds `from` into `into`: a group into its file's subtotal, and a
+  /// file subtotal into the result.
+  std::function<Status(Partial* from, Partial* into)> merge;
+};
+
+/// The one dataset scan driver every frontend runs on. In order, inside a
+/// single run window (the `run` span, wall clock and process CPU start
+/// before the first footer read and stop after the merge):
+///   1. resolve `path`'s layout (an `open` span), then scan.plan;
+///   2. read every row group with up to `num_threads` workers of the shared
+///      pool — per-worker readers and scratch, LPT order, the smallest
+///      failing group's error (RunRowGroups) — into its own partial;
+///   3. merge (a `merge` span): group partials fold into a fresh per-file
+///      subtotal in local group order, and each subtotal (empty shards
+///      included) folds into `*result` in file order.
+/// Step 3 is the one merge rule of the repository. Partials never depend
+/// on scheduling, so the association alone fixes every floating-point bit:
+/// a run is bit-identical for any thread count, and a P-process scatter
+/// run, which gathers the same per-file subtotals in the same file order,
+/// is bit-identical to a single-process one.
+template <typename Partial>
+Result<RunTotals> ScanDataset(const std::string& path,
+                              const ReaderOptions& options, int num_threads,
+                              const DatasetScan<Partial>& scan,
+                              Partial* result) {
+  obs::ScopedSpan run_span("run", obs::Stage::kRun);
+  Stopwatch wall;
+  const double cpu0 = ProcessCpuSeconds();
+  DatasetLayout layout;
+  {
+    obs::ScopedSpan open_span("open_dataset", obs::Stage::kOpen);
+    HEPQ_ASSIGN_OR_RETURN(layout, ResolveDatasetLayout(path, options));
+  }
+  if (scan.plan) HEPQ_RETURN_NOT_OK(scan.plan(layout));
+  std::vector<std::string> columns = scan.projection;
+  if (columns.empty()) {
+    for (const Field& field : layout.schema.fields()) {
+      columns.push_back(field.name);
+    }
+  }
+  std::vector<Partial> partials;
+  std::vector<RowGroupTask> tasks;
+  for (size_t g = 0; g < layout.groups.size(); ++g) {
+    partials.push_back(scan.make_partial());
+    tasks.push_back(RowGroupTask{static_cast<int>(g), layout.groups[g].bytes});
+  }
+  const int workers = EffectiveWorkers(num_threads, tasks.size());
+  WorkerReaders readers(&layout, options, workers);
+  HEPQ_RETURN_NOT_OK(RunRowGroups(
+      workers, std::move(tasks), [&](int worker, int g) -> Status {
+        const DatasetLayout::Group& loc =
+            layout.groups[static_cast<size_t>(g)];
+        Partial* partial = &partials[static_cast<size_t>(g)];
+        LaqReader* reader;
+        HEPQ_ASSIGN_OR_RETURN(reader, readers.reader(worker, loc.file));
+        RecordBatchPtr batch;
+        HEPQ_ASSIGN_OR_RETURN(
+            batch, reader->ReadRowGroupFiltered(loc.local_group, columns,
+                                                scan.predicates,
+                                                readers.scratch(worker)));
+        if (batch == nullptr) {
+          scan.pruned(loc, partial);
+          return Status::OK();
+        }
+        return scan.process(
+            ScanGroup{worker, g, &readers.engine_scratch(worker)},
+            *batch, partial);
+      }));
+  {
+    obs::ScopedSpan merge_span("merge", obs::Stage::kMerge);
+    size_t g = 0;
+    for (int file = 0; file < layout.num_files(); ++file) {
+      Partial subtotal = scan.make_partial();
+      for (; g < partials.size() && layout.groups[g].file == file; ++g) {
+        HEPQ_RETURN_NOT_OK(scan.merge(&partials[g], &subtotal));
+      }
+      HEPQ_RETURN_NOT_OK(scan.merge(&subtotal, result));
+    }
+  }
+  RunTotals totals;
+  totals.scan = readers.TotalScanStats();
+  totals.wall_seconds = wall.Seconds();
+  totals.cpu_seconds = ProcessCpuSeconds() - cpu0;
+  return totals;
+}
 
 }  // namespace hepq::exec
 

@@ -115,76 +115,4 @@ Result<uint64_t> DatasetVersion(const std::string& path) {
   return h;
 }
 
-Result<std::unique_ptr<DatasetReader>> DatasetReader::Open(
-    const std::vector<std::string>& paths, ReaderOptions options) {
-  if (paths.empty()) {
-    return Status::Invalid("data set needs at least one file");
-  }
-  auto dataset = std::unique_ptr<DatasetReader>(new DatasetReader());
-  dataset->group_offsets_.push_back(0);
-  for (const std::string& path : paths) {
-    std::unique_ptr<LaqReader> reader;
-    HEPQ_ASSIGN_OR_RETURN(reader, LaqReader::Open(path, options));
-    if (!dataset->files_.empty() &&
-        !reader->schema().Equals(dataset->files_.front()->schema())) {
-      return Status::Invalid("file '" + path +
-                             "' has a different schema than the first "
-                             "file of the data set");
-    }
-    dataset->total_row_groups_ += reader->num_row_groups();
-    dataset->total_rows_ += reader->total_rows();
-    dataset->group_offsets_.push_back(dataset->total_row_groups_);
-    dataset->files_.push_back(std::move(reader));
-  }
-  return dataset;
-}
-
-Result<std::unique_ptr<DatasetReader>> DatasetReader::OpenDirectory(
-    const std::string& directory, ReaderOptions options) {
-  std::vector<std::string> paths;
-  HEPQ_ASSIGN_OR_RETURN(paths, ListLaqFiles(directory));
-  return Open(paths, options);
-}
-
-Result<std::pair<int, int>> DatasetReader::Locate(int index) const {
-  if (index < 0 || index >= total_row_groups_) {
-    return Status::OutOfRange("row group index out of range");
-  }
-  // group_offsets_ is sorted; find the owning file.
-  const auto it = std::upper_bound(group_offsets_.begin(),
-                                   group_offsets_.end(), index);
-  const int file = static_cast<int>(it - group_offsets_.begin()) - 1;
-  return std::make_pair(file,
-                        index - group_offsets_[static_cast<size_t>(file)]);
-}
-
-Result<RecordBatchPtr> DatasetReader::ReadRowGroup(
-    int index, const std::vector<std::string>& projection) {
-  std::pair<int, int> location;
-  HEPQ_ASSIGN_OR_RETURN(location, Locate(index));
-  return files_[static_cast<size_t>(location.first)]->ReadRowGroup(
-      location.second, projection);
-}
-
-Result<RecordBatchPtr> DatasetReader::ReadRowGroup(int index) {
-  std::pair<int, int> location;
-  HEPQ_ASSIGN_OR_RETURN(location, Locate(index));
-  return files_[static_cast<size_t>(location.first)]->ReadRowGroup(
-      location.second);
-}
-
-ScanStats DatasetReader::scan_stats() const {
-  ScanStats total;
-  for (const auto& file : files_) {
-    total.Add(file->scan_stats());
-  }
-  return total;
-}
-
-void DatasetReader::ResetScanStats() {
-  for (auto& file : files_) {
-    file->ResetScanStats();
-  }
-}
-
 }  // namespace hepq

@@ -114,6 +114,17 @@ Result<std::string> CanonicalPlanText(EngineKind engine, int q) {
 
 }  // namespace
 
+ReaderOptions ReaderOptionsFor(EngineKind engine, const RunOptions& options) {
+  ReaderOptions reader;
+  reader.struct_projection_pushdown = engine != EngineKind::kPrestoShape;
+  reader.validate_checksums = options.validate_checksums;
+  reader.scan_pushdown = options.scan_pushdown;
+  reader.late_materialization = options.late_materialization;
+  reader.footer_cache = options.footer_cache;
+  reader.chunk_cache = options.chunk_cache;
+  return reader;
+}
+
 Result<QueryRunOutput> RunAdlQuery(EngineKind engine, int q,
                                    const std::string& path,
                                    const RunOptions& options) {

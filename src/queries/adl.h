@@ -57,9 +57,9 @@ struct QueryRunOutput {
 };
 
 struct RunOptions {
-  /// Reader behaviour is forced per engine (pushdown on for BigQuery/RDF,
-  /// off for Presto shape, full scans for Doc); checksum validation and
-  /// threads are caller-controlled. All four engines scan row groups in
+  /// Reader behaviour is forced per engine (ReaderOptionsFor; Doc also
+  /// reads full width); checksum validation and threads are
+  /// caller-controlled. All four engines scan row groups in
   /// parallel with up to `num_threads` workers of the shared pool;
   /// results are bit-identical for any thread count.
   int num_threads = 1;
@@ -95,6 +95,12 @@ struct RunOptions {
   /// bytes; regenerating the dataset changes its version and misses.
   std::shared_ptr<cache::ResultCache> result_cache;
 };
+
+/// Reader options of `engine`'s scan under `options`: struct projection
+/// pushdown is on for every engine but the Presto shape (Presto/Athena
+/// cannot push projections into structs, paper §4.3); checksums, pruning,
+/// late materialization and the caches follow `options`.
+ReaderOptions ReaderOptionsFor(EngineKind engine, const RunOptions& options);
 
 /// Runs ADL query `q` (1..8) with the given engine over the data set at
 /// `path`. All engines produce identical histograms up to floating-point

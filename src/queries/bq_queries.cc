@@ -187,29 +187,22 @@ Result<engine::EventQuery> BuildAdlEventQuery(int q) {
   }
 }
 
-Result<QueryRunOutput> RunAdlQueryBq(int q, const std::string& path,
-                                     const RunOptions& options) {
+Result<QueryRunOutput> RunAdlEventQuery(int q, const std::string& path,
+                                        const ReaderOptions& reader_options,
+                                        const RunOptions& options) {
   engine::EventQuery query("");
   HEPQ_ASSIGN_OR_RETURN(query, BuildAdlEventQuery(q));
   query.set_expr_tier(options.expr_tier);
-  ReaderOptions reader_options;
-  reader_options.struct_projection_pushdown = true;
-  reader_options.validate_checksums = options.validate_checksums;
-  reader_options.scan_pushdown = options.scan_pushdown;
-  reader_options.late_materialization = options.late_materialization;
-  reader_options.footer_cache = options.footer_cache;
-  reader_options.chunk_cache = options.chunk_cache;
   engine::EventQueryResult result;
   HEPQ_ASSIGN_OR_RETURN(
       result, query.Execute(path, reader_options, options.num_threads));
-  QueryRunOutput out;
-  out.histograms = std::move(result.histograms);
-  out.events_processed = result.events_processed;
-  out.wall_seconds = result.wall_seconds;
-  out.cpu_seconds = result.cpu_seconds;
-  out.ops = result.ops;
-  out.scan = result.scan;
-  return out;
+  return ToRunOutput(result, result.ops);
+}
+
+Result<QueryRunOutput> RunAdlQueryBq(int q, const std::string& path,
+                                     const RunOptions& options) {
+  return RunAdlEventQuery(
+      q, path, ReaderOptionsFor(EngineKind::kBigQueryShape, options), options);
 }
 
 }  // namespace hepq::queries

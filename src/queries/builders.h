@@ -1,6 +1,10 @@
 #ifndef HEPQUERY_QUERIES_BUILDERS_H_
 #define HEPQUERY_QUERIES_BUILDERS_H_
 
+#include <cstdint>
+#include <string>
+#include <utility>
+
 #include "core/status.h"
 #include "doc/runner.h"
 #include "engine/event_query.h"
@@ -24,6 +28,26 @@ Result<engine::FlatPipeline> BuildAdlFlatPipeline(int q);
 
 /// Builds ADL query `q` as a JSONiq-style FLWOR document query.
 Result<doc::DocQuery> BuildAdlDocQuery(int q);
+
+/// Runs BuildAdlEventQuery(q) with `reader_options`: the BigQuery shape,
+/// and the Presto shape's array-function fallback.
+Result<QueryRunOutput> RunAdlEventQuery(int q, const std::string& path,
+                                        const ReaderOptions& reader_options,
+                                        const RunOptions& options);
+
+/// The engine-neutral output of a frontend's result, moved out of it;
+/// `ops` is that engine's Table 2 counter.
+template <typename EngineResult>
+QueryRunOutput ToRunOutput(EngineResult& result, uint64_t ops) {
+  QueryRunOutput out;
+  out.histograms = std::move(result.histograms);
+  out.events_processed = result.events_processed;
+  out.wall_seconds = result.wall_seconds;
+  out.cpu_seconds = result.cpu_seconds;
+  out.ops = ops;
+  out.scan = std::move(result.scan);
+  return out;
+}
 
 }  // namespace hepq::queries
 

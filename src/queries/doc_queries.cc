@@ -243,24 +243,12 @@ Result<QueryRunOutput> RunAdlQueryDoc(int q, const std::string& path,
                                       const RunOptions& options) {
   doc::DocQuery query;
   HEPQ_ASSIGN_OR_RETURN(query, BuildAdlDocQuery(q));
-  ReaderOptions reader_options;
-  reader_options.validate_checksums = options.validate_checksums;
-  reader_options.scan_pushdown = options.scan_pushdown;
-  reader_options.late_materialization = options.late_materialization;
-  reader_options.footer_cache = options.footer_cache;
-  reader_options.chunk_cache = options.chunk_cache;
   doc::DocQueryResult result;
   HEPQ_ASSIGN_OR_RETURN(
       result,
-      doc::RunDocQuery(path, reader_options, options.num_threads, query));
-  QueryRunOutput out;
-  out.histograms = std::move(result.histograms);
-  out.events_processed = result.events_processed;
-  out.wall_seconds = result.wall_seconds;
-  out.cpu_seconds = result.cpu_seconds;
-  out.ops = result.interpreter_steps;
-  out.scan = result.scan;
-  return out;
+      doc::RunDocQuery(path, ReaderOptionsFor(EngineKind::kDoc, options),
+                       options.num_threads, query));
+  return ToRunOutput(result, result.interpreter_steps);
 }
 
 }  // namespace hepq::queries

@@ -146,17 +146,9 @@ Result<engine::FlatPipeline> BuildAdlFlatPipeline(int q) {
 
 Result<QueryRunOutput> RunAdlQueryPresto(int q, const std::string& path,
                                          const RunOptions& options) {
-  // Presto/Athena cannot push projections into structs (Java Parquet
-  // limitation, paper §4.3): every member of a touched struct is read.
-  ReaderOptions reader_options;
-  reader_options.struct_projection_pushdown = false;
-  reader_options.validate_checksums = options.validate_checksums;
-  reader_options.scan_pushdown = options.scan_pushdown;
-  reader_options.late_materialization = options.late_materialization;
-  reader_options.footer_cache = options.footer_cache;
-  reader_options.chunk_cache = options.chunk_cache;
-
-  QueryRunOutput out;
+  // Every member of a touched struct is read (see ReaderOptionsFor).
+  const ReaderOptions reader_options =
+      ReaderOptionsFor(EngineKind::kPrestoShape, options);
   auto flat_result = BuildAdlFlatPipeline(q);
   if (flat_result.ok()) {
     flat_result->set_expr_tier(options.expr_tier);
@@ -164,30 +156,12 @@ Result<QueryRunOutput> RunAdlQueryPresto(int q, const std::string& path,
     HEPQ_ASSIGN_OR_RETURN(
         result,
         flat_result->Execute(path, reader_options, options.num_threads));
-    out.histograms = std::move(result.histograms);
-    out.events_processed = result.events_processed;
-    out.wall_seconds = result.wall_seconds;
-    out.cpu_seconds = result.cpu_seconds;
-    out.ops = result.rows_materialized;
-    out.scan = result.scan;
-    return out;
+    return ToRunOutput(result, result.rows_materialized);
   }
   if (flat_result.status().code() != StatusCode::kNotImplemented) {
     return flat_result.status();
   }
-  engine::EventQuery query("");
-  HEPQ_ASSIGN_OR_RETURN(query, BuildAdlEventQuery(q));
-  query.set_expr_tier(options.expr_tier);
-  engine::EventQueryResult result;
-  HEPQ_ASSIGN_OR_RETURN(
-      result, query.Execute(path, reader_options, options.num_threads));
-  out.histograms = std::move(result.histograms);
-  out.events_processed = result.events_processed;
-  out.wall_seconds = result.wall_seconds;
-  out.cpu_seconds = result.cpu_seconds;
-  out.ops = result.ops;
-  out.scan = result.scan;
-  return out;
+  return RunAdlEventQuery(q, path, reader_options, options);
 }
 
 }  // namespace hepq::queries

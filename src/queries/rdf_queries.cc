@@ -71,11 +71,7 @@ Result<QueryRunOutput> RunAdlQueryRdf(int q, const std::string& path,
                                       const RunOptions& options) {
   rdf::RdfOptions rdf_options;
   rdf_options.num_threads = options.num_threads;
-  rdf_options.reader.validate_checksums = options.validate_checksums;
-  rdf_options.reader.scan_pushdown = options.scan_pushdown;
-  rdf_options.reader.late_materialization = options.late_materialization;
-  rdf_options.reader.footer_cache = options.footer_cache;
-  rdf_options.reader.chunk_cache = options.chunk_cache;
+  rdf_options.reader = ReaderOptionsFor(EngineKind::kRdf, options);
   std::unique_ptr<RDataFrame> df;
   HEPQ_ASSIGN_OR_RETURN(df, RDataFrame::Open(path, rdf_options));
   const std::vector<HistogramSpec> specs = AdlHistogramSpecs(q);

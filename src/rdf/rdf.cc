@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/stopwatch.h"
 #include "exec/exec.h"
 #include "obs/trace.h"
 
@@ -94,18 +93,15 @@ SumHandle RNode::Sum(std::function<double(const EventView&)> value) {
 
 Result<std::unique_ptr<RDataFrame>> RDataFrame::Open(const std::string& path,
                                                      RdfOptions options) {
-  // `path` is a .laq file or a sharded dataset directory. The resolved
-  // layout is the run's source of truth; the first file stays open as the
-  // schema source for leaf declarations (all shards share its schema —
-  // ResolveDatasetLayout enforces that).
+  // `path` is a .laq file or a sharded dataset directory. This schema-time
+  // resolution checks the shards share one schema, which leaf
+  // declarations are typed against, and gives the dataset's shape; Run
+  // scans through exec::ScanDataset, which resolves the layout again
+  // inside the run window.
   exec::DatasetLayout layout;
   HEPQ_ASSIGN_OR_RETURN(layout,
                         exec::ResolveDatasetLayout(path, options.reader));
-  std::unique_ptr<LaqReader> reader;
-  HEPQ_ASSIGN_OR_RETURN(reader,
-                        LaqReader::Open(layout.files[0], options.reader));
-  auto df = std::unique_ptr<RDataFrame>(
-      new RDataFrame(std::move(reader), options));
+  auto df = std::unique_ptr<RDataFrame>(new RDataFrame(options));
   df->path_ = path;
   df->layout_ = std::move(layout);
   return df;
@@ -127,7 +123,7 @@ Status RDataFrame::DeclareLeaf(const std::string& leaf_path, bool particle,
       return Status::OK();
     }
   }
-  const Schema& schema = reader_->schema();
+  const Schema& schema = layout_.schema;
   const size_t dot = leaf_path.find('.');
   const std::string column = dot == std::string::npos
                                  ? leaf_path
@@ -328,49 +324,13 @@ Status RDataFrame::ProcessRowGroup(
 Status RDataFrame::Run() {
   if (ran_) return Status::Invalid("RDataFrame::Run called twice");
   ran_ = true;
-  obs::ScopedSpan run_span("run", obs::Stage::kRun);
-  Stopwatch wall;
-  const double cpu0 = ProcessCpuSeconds();
 
-  std::vector<std::string> projection;
-  for (const DeclaredLeaf& leaf : leaves_) projection.push_back(leaf.path);
-  if (projection.empty()) {
-    // Actions that touch no columns (e.g. a bare Count) still need a scan
-    // driver; read the cheapest scalar column.
-    projection.push_back(reader_->schema().field(0).name);
-  }
-
-  results_.assign(bookings_.size(), Histogram1D{});
-  count_results_.assign(bookings_.size(), 0);
-  sum_results_.assign(bookings_.size(), 0.0);
   node_counters_.assign(nodes_.size(), NodeCounters{});
+  std::vector<Histogram1D> empty_histos(bookings_.size());
   for (size_t b = 0; b < bookings_.size(); ++b) {
     if (!bookings_[b].is_count && !bookings_[b].is_sum) {
-      results_[b] = Histogram1D(bookings_[b].spec);
+      empty_histos[b] = Histogram1D(bookings_[b].spec);
     }
-  }
-
-  const int num_groups = layout_.num_groups();
-  std::vector<exec::RowGroupTask> tasks = exec::MakeRowGroupTasks(layout_);
-  const int workers =
-      exec::EffectiveWorkers(options_.num_threads, tasks.size());
-
-  // Every row group accumulates into its own slot; the merge below runs in
-  // ascending group order. Scheduling therefore never changes the result:
-  // 1 and N threads are bit-identical.
-  struct GroupPartial {
-    std::vector<Histogram1D> histos;
-    std::vector<int64_t> counts;
-    std::vector<double> sums;
-    std::vector<NodeCounters> nodes;
-    int64_t events = 0;
-  };
-  std::vector<GroupPartial> partials(static_cast<size_t>(num_groups));
-  for (GroupPartial& p : partials) {
-    p.histos = results_;
-    p.counts.assign(bookings_.size(), 0);
-    p.sums.assign(bookings_.size(), 0.0);
-    p.nodes.assign(nodes_.size(), NodeCounters{});
   }
 
   // Scan hint: the hint of a filter sitting directly below the root and
@@ -401,88 +361,86 @@ Status RDataFrame::Run() {
       }
     }
   }
-  const ScanPredicateSet no_hint;
-  const ScanPredicateSet& preds =
-      hint_node >= 0 ? nodes_[static_cast<size_t>(hint_node)].hint : no_hint;
 
-  exec::WorkerReaders readers(&layout_, options_.reader, workers);
-  HEPQ_RETURN_NOT_OK(exec::RunRowGroups(
-      workers, std::move(tasks), [&](int worker, int g) -> Status {
-        const exec::DatasetLayout::Group& loc =
-            layout_.groups[static_cast<size_t>(g)];
-        LaqReader* reader;
-        HEPQ_ASSIGN_OR_RETURN(reader, readers.reader(worker, loc.file));
-        RecordBatchPtr batch;
-        HEPQ_ASSIGN_OR_RETURN(
-            batch,
-            reader->ReadRowGroupFiltered(loc.local_group, projection, preds,
-                                         readers.scratch(worker)));
-        GroupPartial& p = partials[static_cast<size_t>(g)];
-        if (batch == nullptr) {
-          // Pruned group: every row reaches the hinted filter and fails
-          // it, so only that node's examined counter moves.
-          p.events = loc.num_rows;
-          p.nodes[static_cast<size_t>(hint_node)].examined += loc.num_rows;
-          return Status::OK();
-        }
-        obs::ScopedSpan loop_span("rdf_event_loop", obs::Stage::kEventLoop);
-        if (loop_span.active()) {
-          loop_span.set_worker(worker);
-          loop_span.set_group(g);
-        }
-        HEPQ_RETURN_NOT_OK(
-            ProcessRowGroup(*batch, &p.histos, &p.counts, &p.sums, &p.nodes));
-        p.events = batch->num_rows();
-        return Status::OK();
-      }));
-
-  {
-    // Two-level deterministic merge: per-file subtotals in local group
-    // order, then file subtotals in file order — the FP association a
-    // scatter/gather coordinator reproduces from per-shard worker results,
-    // keeping P-process runs bit-identical (see exec::DatasetLayout).
-    // Histograms AND sums are FP; counts and node counters are integers
-    // but flow through the same structure for uniformity.
-    obs::ScopedSpan merge_span("merge", obs::Stage::kMerge);
-    const std::vector<Histogram1D> histo_proto = results_;
-    size_t g = 0;
-    for (int file = 0; file < layout_.num_files(); ++file) {
-      std::vector<Histogram1D> file_histos = histo_proto;
-      std::vector<int64_t> file_counts(bookings_.size(), 0);
-      std::vector<double> file_sums(bookings_.size(), 0.0);
-      for (; g < partials.size() && layout_.groups[g].file == file; ++g) {
-        const GroupPartial& p = partials[g];
-        for (size_t b = 0; b < bookings_.size(); ++b) {
-          if (bookings_[b].is_count) {
-            file_counts[b] += p.counts[b];
-          } else if (bookings_[b].is_sum) {
-            file_sums[b] += p.sums[b];
-          } else {
-            HEPQ_RETURN_NOT_OK(file_histos[b].Merge(p.histos[b]));
-          }
-        }
-        for (size_t n = 0; n < nodes_.size(); ++n) {
-          node_counters_[n].examined += p.nodes[n].examined;
-          node_counters_[n].passed += p.nodes[n].passed;
-        }
-        run_stats_.events_processed += p.events;
-      }
-      for (size_t b = 0; b < bookings_.size(); ++b) {
-        if (bookings_[b].is_count) {
-          count_results_[b] += file_counts[b];
-        } else if (bookings_[b].is_sum) {
-          sum_results_[b] += file_sums[b];
-        } else {
-          HEPQ_RETURN_NOT_OK(results_[b].Merge(file_histos[b]));
-        }
+  // Histograms AND sums are FP; counts and node counters are integers but
+  // flow through the same two-level merge for uniformity.
+  struct Partial {
+    std::vector<Histogram1D> histos;
+    std::vector<int64_t> counts;
+    std::vector<double> sums;
+    std::vector<NodeCounters> nodes;
+    int64_t events = 0;
+  };
+  exec::DatasetScan<Partial> scan;
+  for (const DeclaredLeaf& leaf : leaves_) scan.projection.push_back(leaf.path);
+  if (scan.projection.empty()) {
+    // Actions that touch no columns (e.g. a bare Count) still need a scan
+    // driver; read the cheapest scalar column.
+    scan.projection.push_back(layout_.schema.field(0).name);
+  }
+  if (hint_node >= 0) {
+    scan.predicates = nodes_[static_cast<size_t>(hint_node)].hint;
+  }
+  scan.plan = [&](const exec::DatasetLayout& layout) {
+    run_stats_.row_groups = layout.num_groups();
+    return Status::OK();
+  };
+  scan.make_partial = [&] {
+    Partial p;
+    p.histos = empty_histos;
+    p.counts.assign(bookings_.size(), 0);
+    p.sums.assign(bookings_.size(), 0.0);
+    p.nodes.assign(nodes_.size(), NodeCounters{});
+    return p;
+  };
+  scan.process = [&](const exec::ScanGroup& group, const RecordBatch& batch,
+                     Partial* p) -> Status {
+    obs::ScopedSpan loop_span("rdf_event_loop", obs::Stage::kEventLoop);
+    if (loop_span.active()) {
+      loop_span.set_worker(group.worker);
+      loop_span.set_group(group.group);
+    }
+    HEPQ_RETURN_NOT_OK(
+        ProcessRowGroup(batch, &p->histos, &p->counts, &p->sums, &p->nodes));
+    p->events = batch.num_rows();
+    return Status::OK();
+  };
+  scan.pruned = [&](const exec::DatasetLayout::Group& loc, Partial* p) {
+    // Every row reaches the hinted filter and fails it, so only that
+    // node's examined counter moves.
+    p->events = loc.num_rows;
+    p->nodes[static_cast<size_t>(hint_node)].examined += loc.num_rows;
+  };
+  scan.merge = [&](Partial* from, Partial* into) -> Status {
+    for (size_t b = 0; b < bookings_.size(); ++b) {
+      if (bookings_[b].is_count) {
+        into->counts[b] += from->counts[b];
+      } else if (bookings_[b].is_sum) {
+        into->sums[b] += from->sums[b];
+      } else {
+        HEPQ_RETURN_NOT_OK(into->histos[b].Merge(from->histos[b]));
       }
     }
-  }
-  run_stats_.scan = readers.TotalScanStats();
-
-  run_stats_.wall_seconds = wall.Seconds();
-  run_stats_.cpu_seconds = ProcessCpuSeconds() - cpu0;
-  run_stats_.row_groups = num_groups;
+    for (size_t n = 0; n < nodes_.size(); ++n) {
+      into->nodes[n].examined += from->nodes[n].examined;
+      into->nodes[n].passed += from->nodes[n].passed;
+    }
+    into->events += from->events;
+    return Status::OK();
+  };
+  Partial total = scan.make_partial();
+  exec::RunTotals totals;
+  HEPQ_ASSIGN_OR_RETURN(totals,
+                        exec::ScanDataset(path_, options_.reader,
+                                          options_.num_threads, scan, &total));
+  results_ = std::move(total.histos);
+  count_results_ = std::move(total.counts);
+  sum_results_ = std::move(total.sums);
+  node_counters_ = std::move(total.nodes);
+  run_stats_.events_processed = total.events;
+  run_stats_.scan = std::move(totals.scan);
+  run_stats_.wall_seconds = totals.wall_seconds;
+  run_stats_.cpu_seconds = totals.cpu_seconds;
   return Status::OK();
 }
 

@@ -259,8 +259,7 @@ class RDataFrame {
   struct Booking;
   struct Node;
 
-  explicit RDataFrame(std::unique_ptr<LaqReader> reader, RdfOptions options)
-      : reader_(std::move(reader)), options_(options) {
+  explicit RDataFrame(RdfOptions options) : options_(options) {
     nodes_.push_back(Node{});  // root
   }
 
@@ -313,9 +312,8 @@ class RDataFrame {
                          std::vector<double>* sums,
                          std::vector<NodeCounters>* node_counters) const;
 
-  std::unique_ptr<LaqReader> reader_;  // first dataset file (schema source)
   std::string path_;
-  exec::DatasetLayout layout_;
+  exec::DatasetLayout layout_;  // schema-time layout (see Open)
   RdfOptions options_;
   std::vector<DeclaredLeaf> leaves_;
   std::vector<internal::DefineSlot> defines_;

@@ -4,6 +4,7 @@
 
 #include "columnar/builder.h"
 #include "datagen/generator.h"
+#include "exec/exec.h"
 #include "fileio/dataset_reader.h"
 #include "fileio/writer.h"
 
@@ -37,21 +38,29 @@ class DatasetReaderTest : public ::testing::Test {
 
 std::string* DatasetReaderTest::dir_ = nullptr;
 
-TEST_F(DatasetReaderTest, OpenDirectoryFindsAllParts) {
-  auto dataset = DatasetReader::OpenDirectory(*dir_);
-  ASSERT_TRUE(dataset.ok());
-  EXPECT_EQ((*dataset)->num_files(), 3);
-  EXPECT_EQ((*dataset)->num_row_groups(), 6);
-  EXPECT_EQ((*dataset)->total_rows(), 1800);
-  EXPECT_TRUE((*dataset)->schema().Equals(*EventGenerator::CmsSchema()));
+TEST_F(DatasetReaderTest, ShardFilesListsPartsInNameOrder) {
+  const auto shards = ShardFiles(*dir_);
+  ASSERT_TRUE(shards.ok()) << shards.status().message();
+  EXPECT_EQ(*shards, (std::vector<std::string>{*dir_ + "/part-0.laq",
+                                               *dir_ + "/part-1.laq",
+                                               *dir_ + "/part-2.laq"}));
+  EXPECT_EQ(*ShardFiles((*shards)[1]),
+            std::vector<std::string>{(*shards)[1]});
 }
 
-TEST_F(DatasetReaderTest, GlobalRowGroupsSpanFiles) {
-  auto dataset = DatasetReader::OpenDirectory(*dir_).ValueOrDie();
+TEST_F(DatasetReaderTest, LayoutNumbersRowGroupsAcrossFiles) {
+  auto layout = exec::ResolveDatasetLayout(*dir_, ReaderOptions{});
+  ASSERT_TRUE(layout.ok()) << layout.status().message();
+  EXPECT_EQ(layout->num_files(), 3);
+  EXPECT_EQ(layout->total_rows, 1800);
+  EXPECT_TRUE(layout->schema.Equals(*EventGenerator::CmsSchema()));
   // Events were generated sequentially, so the first event id of global
   // group g is 300 * g regardless of file boundaries.
-  for (int g = 0; g < dataset->num_row_groups(); ++g) {
-    auto batch = dataset->ReadRowGroup(g, {"event"});
+  ASSERT_EQ(layout->num_groups(), 6);
+  for (int g = 0; g < layout->num_groups(); ++g) {
+    const exec::DatasetLayout::Group& loc = layout->groups[g];
+    auto reader = LaqReader::Open(layout->files[loc.file]).ValueOrDie();
+    auto batch = reader->ReadRowGroup(loc.local_group, {"event"});
     ASSERT_TRUE(batch.ok()) << "group " << g;
     EXPECT_EQ((*batch)->num_rows(), 300);
     const auto& ids =
@@ -60,50 +69,17 @@ TEST_F(DatasetReaderTest, GlobalRowGroupsSpanFiles) {
   }
 }
 
-TEST_F(DatasetReaderTest, OutOfRangeGroup) {
-  auto dataset = DatasetReader::OpenDirectory(*dir_).ValueOrDie();
-  EXPECT_EQ(dataset->ReadRowGroup(6).status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_EQ(dataset->ReadRowGroup(-1).status().code(),
-            StatusCode::kOutOfRange);
-}
-
-TEST_F(DatasetReaderTest, ScanStatsAggregateAcrossFiles) {
-  auto dataset = DatasetReader::OpenDirectory(*dir_).ValueOrDie();
-  for (int g = 0; g < dataset->num_row_groups(); ++g) {
-    ASSERT_TRUE(dataset->ReadRowGroup(g, {"MET.pt"}).ok());
-  }
-  const ScanStats stats = dataset->scan_stats();
-  EXPECT_EQ(stats.values_read, 1800u);
-  EXPECT_GT(stats.storage_bytes, 0u);
-  dataset->ResetScanStats();
-  EXPECT_EQ(dataset->scan_stats().values_read, 0u);
-}
-
-TEST_F(DatasetReaderTest, RejectsSchemaMismatch) {
-  const std::string other = ::testing::TempDir() + "/other_schema.laq";
-  auto schema = std::make_shared<Schema>(
-      std::vector<Field>{{"x", DataType::Int32()}});
-  auto batch =
-      RecordBatch::Make(schema, {MakeInt32Array({1})}).ValueOrDie();
-  WriteLaqFile(other, schema, {RecordBatchPtr(batch)}).Check();
-  auto dataset =
-      DatasetReader::Open({*dir_ + "/part-0.laq", other});
-  EXPECT_EQ(dataset.status().code(), StatusCode::kInvalid);
-}
-
 TEST_F(DatasetReaderTest, ErrorsOnEmptyInputs) {
-  EXPECT_FALSE(DatasetReader::Open({}).ok());
   // A nonexistent directory and a directory with no .laq files both fail
   // with Invalid, and the message names the offending path.
   const std::string missing = ::testing::TempDir() + "/no_such";
-  const auto no_such = DatasetReader::OpenDirectory(missing);
+  const auto no_such = ListLaqFiles(missing);
   EXPECT_EQ(no_such.status().code(), StatusCode::kInvalid);
   EXPECT_NE(no_such.status().message().find(missing), std::string::npos)
       << no_such.status().message();
   const std::string empty_dir = ::testing::TempDir() + "/hepq_empty_dir";
   ::mkdir(empty_dir.c_str(), 0755);
-  const auto empty = DatasetReader::OpenDirectory(empty_dir);
+  const auto empty = ListLaqFiles(empty_dir);
   EXPECT_EQ(empty.status().code(), StatusCode::kInvalid);
   EXPECT_NE(empty.status().message().find(empty_dir), std::string::npos)
       << empty.status().message();
@@ -112,7 +88,7 @@ TEST_F(DatasetReaderTest, ErrorsOnEmptyInputs) {
       << empty.status().message();
 }
 
-TEST_F(DatasetReaderTest, OpenDirectoryRejectsSchemaMismatch) {
+TEST_F(DatasetReaderTest, LayoutRejectsSchemaMismatch) {
   const std::string mixed_dir = ::testing::TempDir() + "/hepq_mixed_schema";
   ::mkdir(mixed_dir.c_str(), 0755);
   auto schema = std::make_shared<Schema>(
@@ -125,18 +101,10 @@ TEST_F(DatasetReaderTest, OpenDirectoryRejectsSchemaMismatch) {
   WriteLaqFile(mixed_dir + "/b.laq", EventGenerator::CmsSchema(),
                {generator.GenerateBatch(10)})
       .Check();
-  const auto dataset = DatasetReader::OpenDirectory(mixed_dir);
-  EXPECT_EQ(dataset.status().code(), StatusCode::kInvalid);
-  EXPECT_NE(dataset.status().message().find("schema"), std::string::npos)
-      << dataset.status().message();
-}
-
-TEST_F(DatasetReaderTest, PerFilePruningStillAvailable) {
-  auto dataset = DatasetReader::OpenDirectory(*dir_).ValueOrDie();
-  // File 0 holds events 0..599: pruning on its reader works as usual.
-  auto groups = dataset->file(0).SelectRowGroups("event", 0.0, 100.0);
-  ASSERT_TRUE(groups.ok());
-  EXPECT_EQ(*groups, std::vector<int>{0});
+  const auto layout = exec::ResolveDatasetLayout(mixed_dir, ReaderOptions{});
+  EXPECT_EQ(layout.status().code(), StatusCode::kInvalid);
+  EXPECT_NE(layout.status().message().find("schema"), std::string::npos)
+      << layout.status().message();
 }
 
 }  // namespace

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -289,6 +291,30 @@ TEST_F(DocTest, GroupByHistogramIdiom) {
   }
 }
 
+TEST_F(DocTest, GroupByKeysOnExactAtomicValue) {
+  auto flwor = DFlwor(
+      {For("x", DVar("v")), Let("k", DVar("x")), GroupBy("k")},
+      DCall("count", {DVar("x")}));
+  auto group_sizes = [&](Sequence values) {
+    std::vector<double> sizes;
+    for (const ItemPtr& count : EvalWith(flwor, "v", std::move(values))) {
+      sizes.push_back(count->AsDouble());
+    }
+    return sizes;
+  };
+  // Keys equal to 6 significant digits stay apart; -0 groups with +0 and
+  // every NaN with every other NaN (JSONiq/XQuery deep-equal).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(group_sizes({Item::Number(1234567), Item::Number(1234568),
+                         Item::Number(0.0), Item::Number(-0.0),
+                         Item::Number(nan), Item::Number(-nan)}),
+            (std::vector<double>{1, 1, 2, 2}));
+  // Atomic values of different kinds never share a group.
+  EXPECT_EQ(group_sizes({Item::Number(1), Item::String("1"), Item::Bool(true),
+                         Item::String("true"), Item::Null(), Item::Null()}),
+            (std::vector<double>{1, 1, 1, 1, 2}));
+}
+
 TEST_F(DocTest, GroupByErrors) {
   DocContext ctx;
   ctx.Push("v", {Item::Number(1)});
@@ -299,6 +325,10 @@ TEST_F(DocTest, GroupByErrors) {
   auto twice = DFlwor({For("x", DVar("v")), GroupBy("x"), GroupBy("x")},
                       DVar("x"));
   EXPECT_FALSE(twice->Eval(&ctx).ok());
+  // A key that is not atomic.
+  ctx.Push("a", {Item::Array({Item::Number(1)})});
+  auto array_key = DFlwor({For("x", DVar("a")), GroupBy("x")}, DVar("x"));
+  EXPECT_EQ(array_key->Eval(&ctx).status().code(), StatusCode::kTypeError);
 }
 
 TEST_F(DocTest, SomeQuantifier) {

@@ -3,15 +3,19 @@
 // for any thread count because each row group accumulates into its own
 // slot and slots merge in ascending group order.
 
+#include <sys/stat.h>
+
 #include <atomic>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "columnar/builder.h"
 #include "datagen/dataset.h"
 #include "exec/exec.h"
 #include "fileio/dataset_reader.h"
+#include "fileio/writer.h"
 #include "queries/adl.h"
 
 namespace hepq {
@@ -345,6 +349,126 @@ TEST_F(ExecShardedTest, DirectoryRunsBitIdenticalAcrossThreadCounts) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// ScanDataset: the one scan driver every frontend runs on.
+// ---------------------------------------------------------------------------
+
+/// Three shards of one-row groups over a single double column "x":
+/// {1e16, 1}, no row groups at all, {-1e16, 1}. The two-level file-major
+/// sum and a flat fold over the groups round these differently.
+class ScanDatasetTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    dir_ = new std::string(::testing::TempDir() + "/hepq_exec_driver");
+    ::mkdir(dir_->c_str(), 0755);
+    auto schema = std::make_shared<Schema>(
+        std::vector<Field>{{"x", DataType::Float64()}});
+    const std::vector<std::vector<double>> shards = {
+        {1e16, 1.0}, {}, {-1e16, 1.0}};
+    WriterOptions options;
+    options.row_group_size = 1;
+    for (size_t f = 0; f < shards.size(); ++f) {
+      std::vector<RecordBatchPtr> batches;
+      for (double x : shards[f]) {
+        batches.push_back(
+            RecordBatch::Make(schema, {MakeFloat64Array({x})}).ValueOrDie());
+      }
+      WriteLaqFile(*dir_ + "/shard_" + std::to_string(f) + ".laq", schema,
+                   batches, options)
+          .Check();
+    }
+  }
+
+  /// A scan summing "x" per row group; `merged` records every value
+  /// folded by the merge, in order.
+  static exec::DatasetScan<double> SumScan(std::vector<double>* merged) {
+    exec::DatasetScan<double> scan;
+    scan.projection = {"x"};
+    scan.make_partial = [] { return 0.0; };
+    scan.process = [](const exec::ScanGroup&, const RecordBatch& batch,
+                      double* partial) {
+      *partial += static_cast<const Float64Array&>(*batch.column(0)).Value(0);
+      return Status::OK();
+    };
+    scan.pruned = [](const exec::DatasetLayout::Group&, double*) {};
+    scan.merge = [merged](double* from, double* into) {
+      merged->push_back(*from);
+      *into += *from;
+      return Status::OK();
+    };
+    return scan;
+  }
+
+  static std::string* dir_;
+};
+
+std::string* ScanDatasetTest::dir_ = nullptr;
+
+TEST_F(ScanDatasetTest, MergesGroupsIntoFilesThenFilesInOrder) {
+  const double file0 = (0.0 + 1e16) + 1.0;
+  const double file2 = (0.0 + -1e16) + 1.0;
+  const double two_level = ((0.0 + file0) + 0.0) + file2;
+  const double flat = (((0.0 + 1e16) + 1.0) + -1e16) + 1.0;
+  ASSERT_NE(two_level, flat);  // the data tells the two folds apart
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    double total = 0.0;
+    std::vector<double> merged;
+    auto totals = exec::ScanDataset(*dir_, ReaderOptions{}, threads,
+                                    SumScan(&merged), &total);
+    ASSERT_TRUE(totals.ok()) << totals.status().ToString();
+    EXPECT_EQ(total, two_level);
+    // Each file's groups, then its subtotal; the empty shard still merges
+    // its (empty) subtotal.
+    EXPECT_EQ(merged, (std::vector<double>{1e16, 1.0, file0, 0.0, -1e16,
+                                           1.0, file2}));
+    EXPECT_EQ(totals->scan.values_read, 4u);
+  }
+}
+
+TEST_F(ScanDatasetTest, PrunedGroupsAreCreditedAsProcessed) {
+  exec::DatasetScan<int64_t> scan;  // partial: events processed
+  scan.projection = {"x"};
+  scan.predicates.AddRange("x", 0.0, 2.0);  // rules out +-1e16
+  scan.make_partial = [] { return int64_t{0}; };
+  scan.process = [](const exec::ScanGroup&, const RecordBatch& batch,
+                    int64_t* events) {
+    *events += batch.num_rows();
+    return Status::OK();
+  };
+  int pruned = 0;
+  scan.pruned = [&](const exec::DatasetLayout::Group& loc, int64_t* events) {
+    *events += loc.num_rows;
+    ++pruned;
+  };
+  scan.merge = [](int64_t* from, int64_t* into) {
+    *into += *from;
+    return Status::OK();
+  };
+  int64_t events = 0;
+  ASSERT_TRUE(exec::ScanDataset(*dir_, ReaderOptions{}, 1, scan, &events).ok());
+  EXPECT_EQ(events, 4);
+  EXPECT_EQ(pruned, 2);
+}
+
+TEST_F(ScanDatasetTest, FirstErrorIdenticalAcrossThreadCounts) {
+  std::vector<double> merged;
+  exec::DatasetScan<double> scan = SumScan(&merged);
+  scan.process = [](const exec::ScanGroup& group, const RecordBatch&,
+                    double*) {
+    if (group.group % 2 == 0) return Status::OK();
+    return Status::Corruption("group " + std::to_string(group.group));
+  };
+  double total = 0.0;
+  const Status one =
+      exec::ScanDataset(*dir_, ReaderOptions{}, 1, scan, &total).status();
+  const Status four =
+      exec::ScanDataset(*dir_, ReaderOptions{}, 4, scan, &total).status();
+  EXPECT_EQ(one.ToString(), four.ToString());
+  EXPECT_NE(one.ToString().find("group 1"), std::string::npos);
+  EXPECT_TRUE(merged.empty());  // a failed scan merges nothing
 }
 
 }  // namespace

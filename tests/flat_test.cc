@@ -42,12 +42,17 @@ const std::string& TinyFile() {
   return path;
 }
 
+/// Runs `pipeline` single-threaded over `path`.
+Result<FlatQueryResult> Scan(const FlatPipeline& pipeline,
+                             const std::string& path = TinyFile()) {
+  return pipeline.Execute(path, ReaderOptions{}, /*num_threads=*/1);
+}
+
 TEST(FlatPipelineTest, NoUnnestFillsPerEvent) {
   FlatPipeline pipeline("q1");
   pipeline.AddKeepScalar("MET.pt");
   pipeline.AddHistogram({"met", "", 10, 0, 100}, FlatCol("MET.pt"));
-  auto reader = LaqReader::Open(TinyFile()).ValueOrDie();
-  auto result = pipeline.Execute(reader.get()).ValueOrDie();
+  auto result = Scan(pipeline).ValueOrDie();
   EXPECT_EQ(result.events_processed, 3);
   EXPECT_EQ(result.rows_materialized, 3u);
   EXPECT_EQ(result.histograms[0].num_entries(), 3u);
@@ -58,8 +63,7 @@ TEST(FlatPipelineTest, UnnestDropsParticleFreeEvents) {
   FlatPipeline pipeline("unnest");
   pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "j"});
   pipeline.AddHistogram({"pt", "", 10, 0, 100}, FlatCol("j.pt"));
-  auto reader = LaqReader::Open(TinyFile()).ValueOrDie();
-  auto result = pipeline.Execute(reader.get()).ValueOrDie();
+  auto result = Scan(pipeline).ValueOrDie();
   // Inner-join semantics of CROSS JOIN UNNEST: event 2 vanishes.
   EXPECT_EQ(result.rows_materialized, 4u);
   EXPECT_EQ(result.histograms[0].num_entries(), 4u);
@@ -73,8 +77,7 @@ TEST(FlatPipelineTest, FilterThenProjectInRegistrationOrder) {
                       FlatBin(BinOp::kMul, FlatCol("j.pt"), FlatLit(2.0)));
   pipeline.AddFilter(FlatLt(FlatCol("double_pt"), FlatLit(95.0)));
   pipeline.AddHistogram({"pt", "", 10, 0, 200}, FlatCol("double_pt"));
-  auto reader = LaqReader::Open(TinyFile()).ValueOrDie();
-  auto result = pipeline.Execute(reader.get()).ValueOrDie();
+  auto result = Scan(pipeline).ValueOrDie();
   // 50, 45, 20 pass the first filter; doubled: 100, 90, 40; < 95: 90, 40.
   EXPECT_EQ(result.histograms[0].num_entries(), 2u);
   EXPECT_DOUBLE_EQ(result.histograms[0].mean(), 65.0);
@@ -97,8 +100,7 @@ TEST(FlatPipelineTest, GroupByEventAggregates) {
   pipeline.AddHistogram({"sum", "", 10, 0, 200}, FlatCol("sum"));
   pipeline.AddHistogram({"met", "", 10, 0, 100}, FlatCol("met"));
   pipeline.AddHistogram({"fj", "", 10, 0, 100}, FlatCol("first_jet_pt"));
-  auto reader = LaqReader::Open(TinyFile()).ValueOrDie();
-  auto result = pipeline.Execute(reader.get()).ValueOrDie();
+  auto result = Scan(pipeline).ValueOrDie();
   EXPECT_EQ(result.groups, 2);  // events 0 and 1
   // n: {3, 1} -> mean 2; sum: {105, 20}; met: {10, 20};
   // min_by idx -> first jet pt {50, 20}.
@@ -117,8 +119,7 @@ TEST(FlatPipelineTest, HavingFiltersGroups) {
       FlatAggSpec{FlatAggKind::kFirst, "MET.pt", "", "met"});
   pipeline.AddHaving(FlatGe(FlatCol("n"), FlatLit(2.0)));
   pipeline.AddHistogram({"met", "", 10, 0, 100}, FlatCol("met"));
-  auto reader = LaqReader::Open(TinyFile()).ValueOrDie();
-  auto result = pipeline.Execute(reader.get()).ValueOrDie();
+  auto result = Scan(pipeline).ValueOrDie();
   EXPECT_EQ(result.histograms[0].num_entries(), 1u);
   EXPECT_DOUBLE_EQ(result.histograms[0].mean(), 10.0);
 }
@@ -130,8 +131,7 @@ TEST(FlatPipelineTest, SelfJoinProducesFullProduct) {
   pipeline.AddHistogram({"x", "", 10, 0, 200},
                         FlatBin(BinOp::kAdd, FlatCol("a.pt"),
                                 FlatCol("b.pt")));
-  auto reader = LaqReader::Open(TinyFile()).ValueOrDie();
-  auto result = pipeline.Execute(reader.get()).ValueOrDie();
+  auto result = Scan(pipeline).ValueOrDie();
   // Full Cartesian product per event: 3*3 + 1*1 = 10 rows (the plan-shape
   // cost the WHERE idx filter would then cut down).
   EXPECT_EQ(result.rows_materialized, 10u);
@@ -142,8 +142,7 @@ TEST(FlatPipelineTest, OrdinalsAreZeroBasedPerEvent) {
   pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "j"});
   pipeline.AddFilter(FlatBin(BinOp::kEq, FlatCol("j.idx"), FlatLit(0.0)));
   pipeline.AddHistogram({"lead", "", 10, 0, 100}, FlatCol("j.pt"));
-  auto reader = LaqReader::Open(TinyFile()).ValueOrDie();
-  auto result = pipeline.Execute(reader.get()).ValueOrDie();
+  auto result = Scan(pipeline).ValueOrDie();
   // Leading jets: 50 (event 0) and 20 (event 1).
   EXPECT_EQ(result.histograms[0].num_entries(), 2u);
   EXPECT_DOUBLE_EQ(result.histograms[0].mean(), 35.0);
@@ -153,8 +152,7 @@ TEST(FlatPipelineTest, UnknownColumnFailsAtPreparation) {
   FlatPipeline pipeline("bad");
   pipeline.AddUnnest(UnnestList{"Jet", {"pt"}, "j"});
   pipeline.AddHistogram({"x", "", 10, 0, 1}, FlatCol("j.nope"));
-  auto reader = LaqReader::Open(TinyFile()).ValueOrDie();
-  EXPECT_EQ(pipeline.Execute(reader.get()).status().code(),
+  EXPECT_EQ(Scan(pipeline).status().code(),
             StatusCode::kKeyError);
 }
 
@@ -163,8 +161,7 @@ TEST(FlatPipelineTest, HavingWithoutAggregatesIsInvalid) {
   pipeline.AddKeepScalar("MET.pt");
   pipeline.AddHaving(FlatGt(FlatCol("MET.pt"), FlatLit(0.0)));
   pipeline.AddHistogram({"x", "", 10, 0, 1}, FlatCol("MET.pt"));
-  auto reader = LaqReader::Open(TinyFile()).ValueOrDie();
-  EXPECT_EQ(pipeline.Execute(reader.get()).status().code(),
+  EXPECT_EQ(Scan(pipeline).status().code(),
             StatusCode::kInvalid);
 }
 
@@ -288,12 +285,11 @@ void ExpectSameParts(const Histogram1D& got, const Histogram1D& want) {
 /// Runs `pipeline` on the edge-case file under both expression tiers,
 /// checks they agree bit for bit, and returns the simd result.
 FlatQueryResult RunBothTiers(FlatPipeline* pipeline) {
-  auto reader = LaqReader::Open(EdgeFile()).ValueOrDie();
   pipeline->set_expr_tier(ExprTier::kInterpret);
   const FlatQueryResult interpreted =
-      pipeline->Execute(reader.get()).ValueOrDie();
+      Scan(*pipeline, EdgeFile()).ValueOrDie();
   pipeline->set_expr_tier(ExprTier::kSimd);
-  FlatQueryResult compiled = pipeline->Execute(reader.get()).ValueOrDie();
+  FlatQueryResult compiled = Scan(*pipeline, EdgeFile()).ValueOrDie();
   EXPECT_EQ(compiled.rows_materialized, interpreted.rows_materialized);
   EXPECT_EQ(compiled.cells_materialized, interpreted.cells_materialized);
   EXPECT_EQ(compiled.groups, interpreted.groups);
@@ -675,8 +671,7 @@ TEST(FlatPipelineTest, WrongCallArityFailsAtPreparationOnBothTiers) {
           {"x", "", 10, 0, 1},
           where == 2 ? FlatCall(Fn::kSumPt3, cols(11)) : FlatCol("j.pt"));
       pipeline.set_expr_tier(tier);
-      auto reader = LaqReader::Open(TinyFile()).ValueOrDie();
-      const auto result = pipeline.Execute(reader.get());
+      const auto result = Scan(pipeline);
       ASSERT_FALSE(result.ok());
       EXPECT_EQ(result.status().code(), StatusCode::kInvalid);
       EXPECT_NE(result.status().ToString().find("arguments, got"),
