@@ -185,13 +185,17 @@ int main() {
                     static_cast<unsigned long long>(off->scan.decoded_bytes),
                     static_cast<unsigned long long>(on->scan.rows_pruned),
                     identical ? "yes" : "NO");
-        json.Add("Q" + std::to_string(q),
-                 std::string(EngineKindName(engine)) + "+prune",
-                 on->cpu_seconds, on->scan.storage_bytes,
-                 on->scan.decoded_bytes, on->scan.rows_pruned);
-        json.Add("Q" + std::to_string(q), EngineKindName(engine),
-                 off->cpu_seconds, off->scan.storage_bytes,
-                 off->scan.decoded_bytes, off->scan.rows_pruned);
+        auto add = [&](const std::string& label, const auto& run) {
+          json.Record()
+              .Str("query", "Q" + std::to_string(q))
+              .Str("engine", label)
+              .Num("cpu_s", run.cpu_seconds)
+              .UInt("bytes_scanned", run.scan.storage_bytes)
+              .UInt("bytes_decoded", run.scan.decoded_bytes)
+              .UInt("rows_pruned", run.scan.rows_pruned);
+        };
+        add(std::string(EngineKindName(engine)) + "+prune", *on);
+        add(EngineKindName(engine), *off);
       }
     }
     json.Write();

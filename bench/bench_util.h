@@ -4,10 +4,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <string>
 
 #include "cloud/simulator.h"
+#include "core/json.h"
 #include "datagen/dataset.h"
+#include "obs/report.h"
 #include "queries/adl.h"
 
 namespace hepq::bench {
@@ -70,11 +73,10 @@ inline cloud::MeasuredQuery ExtrapolateToPaperSize(
 }
 
 /// Parses `--threads=N` from the command line (default 1). Engine runs
-/// then scan row groups with N workers of the shared pool. On the 1-core
-/// bench host this exercises the parallel runtime's correctness and
-/// scheduling, not speedup; multi-core wall times for the figures still
-/// come from the cloud simulator's scaling model, which `--threads` lets
-/// you cross-check against real multi-core runs on bigger hosts.
+/// then scan row groups with N workers of the shared pool, which on a
+/// multi-core host measures real speedup. The figures' cloud-deployment
+/// wall times still come from the cloud simulator's scaling model, which
+/// `--threads` lets you cross-check against these measured runs.
 inline int ParseThreadsFlag(int argc, char** argv, int default_threads = 1) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -112,108 +114,48 @@ inline void PrintHeaderLine(const char* title) {
 }
 
 /// Accumulates benchmark records and writes them as `BENCH_<name>.json`
-/// in the working directory — the machine-readable companion of the
-/// printed tables, uploaded as a CI artifact by the bench-smoke job.
+/// in the working directory: a JSON array of flat records, the
+/// machine-readable companion of the printed tables, uploaded as a CI
+/// artifact by the bench-smoke job. CI's jq gates and bench_diff read the
+/// records' fields by name.
 class BenchJson {
  public:
   explicit BenchJson(std::string name) : name_(std::move(name)) {}
 
-  void Add(const std::string& query, const std::string& engine, double cpu_s,
-           uint64_t bytes_scanned, uint64_t bytes_decoded,
-           uint64_t rows_pruned) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s  {\"query\": \"%s\", \"engine\": \"%s\", "
-                  "\"cpu_s\": %.6f, \"bytes_scanned\": %llu, "
-                  "\"bytes_decoded\": %llu, \"rows_pruned\": %llu}",
-                  records_.empty() ? "" : ",\n", query.c_str(),
-                  engine.c_str(), cpu_s,
-                  static_cast<unsigned long long>(bytes_scanned),
-                  static_cast<unsigned long long>(bytes_decoded),
-                  static_cast<unsigned long long>(rows_pruned));
-    records_ += buf;
-  }
-
-  /// Expression-tier record: one (kernel, tier) measurement from the
-  /// micro-benchmarks. ns_per_row is the normalized cost; fused_coverage
-  /// is the fraction of source VOps absorbed into superinstructions
-  /// (simd tier only, 0 otherwise). CI compares the interpret/simd
-  /// ns_per_row ratio against bench/baselines/micro_kernels_tiers.json.
-  void AddTier(const std::string& kernel, const std::string& tier,
-               double ns_per_row, double vops_per_row,
-               double fused_coverage) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s  {\"kernel\": \"%s\", \"tier\": \"%s\", "
-                  "\"ns_per_row\": %.3f, \"vops_per_row\": %.2f, "
-                  "\"fused_coverage\": %.4f}",
-                  records_.empty() ? "" : ",\n", kernel.c_str(),
-                  tier.c_str(), ns_per_row, vops_per_row, fused_coverage);
-    records_ += buf;
-  }
-
-  /// Scale-out record: one (query, procs, threads) measurement from a
-  /// real multi-process run, with the cloud simulator's wall time for the
-  /// same measured work as the reconciliation column. CI gates the shape
-  /// of these records in BENCH_fig2.json.
-  void AddScaling(const std::string& query, const std::string& engine,
-                  int procs, int threads, int64_t events, double wall_s,
-                  double cpu_s, double speedup, double sim_wall_s) {
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "%s  {\"query\": \"%s\", \"engine\": \"%s\", "
-                  "\"procs\": %d, \"threads\": %d, \"events\": %lld, "
-                  "\"wall_s\": %.6f, \"cpu_s\": %.6f, \"speedup\": %.4f, "
-                  "\"sim_wall_s\": %.6f}",
-                  records_.empty() ? "" : ",\n", query.c_str(),
-                  engine.c_str(), procs, threads,
-                  static_cast<long long>(events), wall_s, cpu_s, speedup,
-                  sim_wall_s);
-    records_ += buf;
-  }
-
-  /// Cache-warmth record: one full 8-query suite pass under a given cache
-  /// state. `warm_speedup` is cold wall / this pass's wall (1.0 for the
-  /// cold pass itself). CI gates warm passes on decoded_bytes == 0 and
-  /// warm_speedup >= 2 in BENCH_cache.json.
-  void AddCachePass(const std::string& label, int pass, double wall_s,
-                    uint64_t decoded_bytes, uint64_t cache_bytes_served,
-                    uint64_t chunk_cache_hits, uint64_t footer_cache_hits,
-                    int result_cache_hits, double warm_speedup) {
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "%s  {\"label\": \"%s\", \"pass\": %d, "
-                  "\"wall_s\": %.6f, \"decoded_bytes\": %llu, "
-                  "\"cache_bytes_served\": %llu, \"chunk_cache_hits\": %llu, "
-                  "\"footer_cache_hits\": %llu, \"result_cache_hits\": %d, "
-                  "\"warm_speedup\": %.4f}",
-                  records_.empty() ? "" : ",\n", label.c_str(), pass, wall_s,
-                  static_cast<unsigned long long>(decoded_bytes),
-                  static_cast<unsigned long long>(cache_bytes_served),
-                  static_cast<unsigned long long>(chunk_cache_hits),
-                  static_cast<unsigned long long>(footer_cache_hits),
-                  result_cache_hits, warm_speedup);
-    records_ += buf;
+  /// Starts one record; its fields are written through the returned
+  /// scope (chained: `json.Record().Str("query", q).Num("cpu_s", s);`),
+  /// which closes the record when it is destroyed.
+  json::JsonScope Record() {
+    return json::JsonScope::Object(&records_.emplace_back());
   }
 
   /// Writes the accumulated records; returns false (with a message on
-  /// stderr) if the file cannot be created.
+  /// stderr) if the file cannot be created or written in full.
   bool Write() const {
     const std::string path = "BENCH_" + name_ + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
+    std::string doc;
+    {
+      auto array = json::JsonScope::Array(&doc);
+      // One record per line, so the files diff line by line.
+      for (const std::string& record : records_) {
+        array.Sep()->append("\n").append(record);
+      }
+    }
+    doc.push_back('\n');
+    const Status written = obs::WriteTextFile(path, doc);
+    if (!written.ok()) {
+      std::fprintf(stderr, "warning: %s\n", written.ToString().c_str());
       return false;
     }
-    std::fprintf(f, "[\n%s\n]\n", records_.c_str());
-    std::fclose(f);
     std::printf("wrote %s\n", path.c_str());
     return true;
   }
 
  private:
   std::string name_;
-  std::string records_;
+  /// One rendered record each; a deque so a record's open scope keeps
+  /// its string when the next record is started.
+  std::deque<std::string> records_;
 };
 
 }  // namespace hepq::bench

@@ -191,11 +191,16 @@ int RunMeasured(int argc, char** argv) {
       std::printf("Q%-4d %6d %8d %12.4f %12.4f %8.2fx %14.4f\n", q, procs,
                   threads, wall, out->cpu_seconds, speedup,
                   sim->wall_seconds);
-      char query_name[8];
-      std::snprintf(query_name, sizeof(query_name), "Q%d", q);
-      json.AddScaling(query_name, "rdataframe", procs, threads,
-                      out->events_processed, wall, out->cpu_seconds, speedup,
-                      sim->wall_seconds);
+      json.Record()
+          .Str("query", "Q" + std::to_string(q))
+          .Str("engine", "rdataframe")
+          .Int("procs", procs)
+          .Int("threads", threads)
+          .Int("events", out->events_processed)
+          .Num("wall_s", wall)
+          .Num("cpu_s", out->cpu_seconds)
+          .Num("speedup", speedup)
+          .Num("sim_wall_s", sim->wall_seconds);
     }
     std::printf("\n");
   }

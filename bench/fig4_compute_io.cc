@@ -100,9 +100,13 @@ int main(int argc, char** argv) {
   for (int q = 1; q <= 8; ++q) {
     for (int e = 0; e < 4; ++e) {
       const QueryRunOutput& r = results[q][e];
-      json.Add(std::string("Q") + std::to_string(q), EngineKindName(engines[e]),
-               r.cpu_seconds, r.scan.storage_bytes, r.scan.decoded_bytes,
-               r.scan.rows_pruned);
+      json.Record()
+          .Str("query", "Q" + std::to_string(q))
+          .Str("engine", EngineKindName(engines[e]))
+          .Num("cpu_s", r.cpu_seconds)
+          .UInt("bytes_scanned", r.scan.storage_bytes)
+          .UInt("bytes_decoded", r.scan.decoded_bytes)
+          .UInt("rows_pruned", r.scan.rows_pruned);
     }
   }
   json.Write();

@@ -864,17 +864,29 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 2; ++i) {
       const auto& r = hepq::g_selective_scan[i];
       if (!r.set) continue;
-      json.Add("selective_scan", labels[i], r.cpu_s, r.bytes_scanned,
-               r.bytes_decoded, r.rows_pruned);
+      json.Record()
+          .Str("query", "selective_scan")
+          .Str("engine", labels[i])
+          .Num("cpu_s", r.cpu_s)
+          .UInt("bytes_scanned", r.bytes_scanned)
+          .UInt("bytes_decoded", r.bytes_decoded)
+          .UInt("rows_pruned", r.rows_pruned);
     }
     for (int k = 0; k < hepq::kNumExprKernels; ++k) {
       for (int t = 0; t < hepq::kNumExprTiers; ++t) {
         const auto& r = hepq::g_expr_tiers[k][t];
         if (!r.set) continue;
-        json.AddTier(hepq::kExprKernelNames[k],
-                     hepq::engine::ExprTierName(
-                         static_cast<hepq::engine::ExprTier>(t)),
-                     r.ns_per_row, r.vops_per_row, r.fused_coverage);
+        // ns_per_row is the normalized cost; fused_coverage the fraction
+        // of source VOps absorbed into superinstructions (simd tier only).
+        // bench_diff compares the interpret/simd ns_per_row ratio against
+        // bench/baselines/micro_kernels_tiers.json.
+        json.Record()
+            .Str("kernel", hepq::kExprKernelNames[k])
+            .Str("tier", hepq::engine::ExprTierName(
+                             static_cast<hepq::engine::ExprTier>(t)))
+            .Num("ns_per_row", r.ns_per_row)
+            .Num("vops_per_row", r.vops_per_row)
+            .Num("fused_coverage", r.fused_coverage);
       }
     }
     json.Write();

@@ -1,5 +1,6 @@
 #include "core/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -286,6 +287,60 @@ void AppendJsonString(std::string* out, std::string_view s) {
     }
   }
   out->push_back('"');
+}
+
+void AppendJsonNumber(std::string* out, double v) {
+  if (!std::isfinite(v)) {
+    *out += "null";
+    return;
+  }
+  char buf[32];  // the longest shortest form, "-2.2250738585072014e-308", is 24
+  const std::to_chars_result written = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, written.ptr);
+}
+
+JsonScope::JsonScope(std::string* out, char open, char close)
+    : out_(out), close_(close) {
+  out_->push_back(open);
+}
+
+JsonScope::~JsonScope() { out_->push_back(close_); }
+
+std::string* JsonScope::Sep() {
+  if (!first_) out_->push_back(',');
+  first_ = false;
+  return out_;
+}
+
+std::string* JsonScope::Key(std::string_view key) {
+  AppendJsonString(Sep(), key);
+  out_->push_back(':');
+  return out_;
+}
+
+JsonScope& JsonScope::Int(std::string_view key, int64_t v) {
+  *Key(key) += std::to_string(v);
+  return *this;
+}
+
+JsonScope& JsonScope::UInt(std::string_view key, uint64_t v) {
+  *Key(key) += std::to_string(v);
+  return *this;
+}
+
+JsonScope& JsonScope::Num(std::string_view key, double v) {
+  AppendJsonNumber(Key(key), v);
+  return *this;
+}
+
+JsonScope& JsonScope::Str(std::string_view key, std::string_view v) {
+  AppendJsonString(Key(key), v);
+  return *this;
+}
+
+JsonScope& JsonScope::Bool(std::string_view key, bool v) {
+  *Key(key) += v ? "true" : "false";
+  return *this;
 }
 
 }  // namespace hepq::json

@@ -1,6 +1,7 @@
 #ifndef HEPQUERY_CORE_JSON_H_
 #define HEPQUERY_CORE_JSON_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -10,11 +11,11 @@
 
 namespace hepq::json {
 
-// Minimal JSON document model + recursive-descent parser, for tooling
-// that must read the repo's own machine-readable outputs (BENCH_*.json,
-// bench/baselines/*.json, RunReport JSON) without external dependencies.
-// Numbers are doubles (every producer in this repo emits values a double
-// holds exactly at the precision written); object key order is preserved.
+// Minimal JSON document model, recursive-descent parser and writer, for
+// the repo's own machine-readable outputs (BENCH_*.json,
+// bench/baselines/*.json, RunReport JSON, traces) without external
+// dependencies. Numbers are doubles (the writer spells every double so it
+// reads back bit-exactly); object key order is preserved.
 //
 // The parser takes the RFC 8259 grammar and nothing more: no inf/nan, hex,
 // leading zeros or numbers beyond a double's range, no raw control
@@ -99,10 +100,54 @@ Result<JsonValue> ParseJson(const std::string& text);
 /// ParseJson over a file's entire contents.
 Result<JsonValue> ParseJsonFile(const std::string& path);
 
-/// Appends `s` as a quoted JSON string literal (quote, backslash and
-/// control characters escaped) — the one string writer behind every JSON
-/// document the repo emits.
+// The writer below emits every JSON document of the libraries, benches and
+// tools (RunReports, Chrome traces, BENCH_*.json, laq_inspect --json, doc
+// items; perfbench's harness keeps its own), one rule per kind of value:
+//   - strings go through AppendJsonString (quote, backslash and control
+//     bytes escaped, every other byte verbatim);
+//   - numbers are the shortest decimal that reads back as the same double
+//     (std::to_chars), integers exact;
+//   - NaN and +-inf, which JSON cannot spell, are written as null.
+
+/// Appends `s` as a quoted JSON string literal.
 void AppendJsonString(std::string* out, std::string_view s);
+
+/// Appends `v` as a JSON number, or null when it is not finite.
+void AppendJsonNumber(std::string* out, double v);
+
+/// Comma-managing writer for one JSON object or array appended to `out`.
+/// Object()/Array() write the opening bracket and the destructor the
+/// closing one, so nested scopes close in reverse order of opening. Object
+/// members go through the key methods, which return the scope so a record
+/// can be written as one chained expression; array elements and nested
+/// scopes are written at the cursor Sep() (element) or Key() (member)
+/// returns.
+class JsonScope {
+ public:
+  static JsonScope Object(std::string* out) { return JsonScope(out, '{', '}'); }
+  static JsonScope Array(std::string* out) { return JsonScope(out, '[', ']'); }
+  ~JsonScope();
+  JsonScope(const JsonScope&) = delete;
+  JsonScope& operator=(const JsonScope&) = delete;
+
+  /// Writes the separator before the next array element.
+  std::string* Sep();
+  /// Writes the separator and `key` before the next member's value.
+  std::string* Key(std::string_view key);
+
+  JsonScope& Int(std::string_view key, int64_t v);
+  JsonScope& UInt(std::string_view key, uint64_t v);
+  JsonScope& Num(std::string_view key, double v);
+  JsonScope& Str(std::string_view key, std::string_view v);
+  JsonScope& Bool(std::string_view key, bool v);
+
+ private:
+  JsonScope(std::string* out, char open, char close);
+
+  std::string* out_;
+  char close_;
+  bool first_ = true;
+};
 
 }  // namespace hepq::json
 

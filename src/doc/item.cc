@@ -1,6 +1,6 @@
 #include "doc/item.h"
 
-#include <cstdio>
+#include "core/json.h"
 
 namespace hepq::doc {
 
@@ -63,36 +63,34 @@ ItemPtr Item::Member(const std::string& name) const {
 }
 
 std::string Item::ToJson() const {
+  std::string out;
   switch (kind_) {
     case Kind::kNull:
       return "null";
     case Kind::kBool:
       return bool_ ? "true" : "false";
-    case Kind::kNumber: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", number_);
-      return buf;
-    }
+    case Kind::kNumber:
+      json::AppendJsonNumber(&out, number_);
+      return out;
     case Kind::kString:
-      return "\"" + string_ + "\"";
+      json::AppendJsonString(&out, string_);
+      return out;
     case Kind::kArray: {
-      std::string out = "[";
-      for (size_t i = 0; i < elements_.size(); ++i) {
-        if (i > 0) out += ",";
-        out += elements_[i]->ToJson();
+      auto array = json::JsonScope::Array(&out);
+      for (const ItemPtr& element : elements_) {
+        *array.Sep() += element->ToJson();
       }
-      return out + "]";
+      break;
     }
     case Kind::kObject: {
-      std::string out = "{";
-      for (size_t i = 0; i < members_.size(); ++i) {
-        if (i > 0) out += ",";
-        out += "\"" + members_[i].first + "\":" + members_[i].second->ToJson();
+      auto object = json::JsonScope::Object(&out);
+      for (const auto& [key, value] : members_) {
+        *object.Key(key) += value->ToJson();
       }
-      return out + "}";
+      break;
     }
   }
-  return "null";
+  return out;
 }
 
 double SequenceToDouble(const Sequence& seq, double fallback) {

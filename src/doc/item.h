@@ -52,6 +52,8 @@ class Item {
     return members_;
   }
 
+  /// The item as JSON text, through core/json's writer (a non-finite
+  /// number is written as null).
   std::string ToJson() const;
 
  private:

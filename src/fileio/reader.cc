@@ -864,74 +864,4 @@ Result<RecordBatchPtr> LaqReader::ReadRowGroupFiltered(
   return ReadRowGroupImpl(group_index, projection, scratch, &filter);
 }
 
-Result<std::vector<int>> LaqReader::SelectRowGroups(
-    const std::string& leaf_path, double min_value,
-    double max_value) const {
-  const int leaf = meta().LeafIndex(leaf_path);
-  if (leaf < 0) {
-    return Status::KeyError("no leaf column '" + leaf_path + "'");
-  }
-  if (min_value > max_value) {
-    return Status::Invalid("empty statistics range");
-  }
-  std::vector<int> groups;
-  for (int g = 0; g < num_row_groups(); ++g) {
-    const ChunkMeta& chunk =
-        meta().row_groups[static_cast<size_t>(g)]
-            .chunks[static_cast<size_t>(leaf)];
-    if (!chunk.has_stats || (chunk.min_value <= max_value &&
-                             chunk.max_value >= min_value)) {
-      groups.push_back(g);
-    }
-  }
-  return groups;
-}
-
-Result<uint64_t> LaqReader::IdealBytesForProjection(
-    const std::vector<std::string>& projection) const {
-  std::vector<ResolvedColumn> resolved;
-  HEPQ_RETURN_NOT_OK(ResolveProjection(projection, &resolved));
-  uint64_t total = 0;
-  for (const RowGroupMeta& rg : meta().row_groups) {
-    for (const ResolvedColumn& rc : resolved) {
-      const Field& field = meta().schema.field(rc.field_index);
-      const DataType& type = *field.type;
-      auto leaf_bytes = [&](const std::string& path) -> uint64_t {
-        const int leaf = meta().LeafIndex(path);
-        if (leaf < 0) return 0;
-        const ChunkMeta& c = rg.chunks[static_cast<size_t>(leaf)];
-        const LeafDesc& d = meta().layout[static_cast<size_t>(leaf)];
-        return c.num_values * static_cast<uint64_t>(PrimitiveWidth(d.physical));
-      };
-      if (type.is_primitive()) {
-        total += leaf_bytes(field.name);
-        continue;
-      }
-      const DataType* struct_type = nullptr;
-      if (type.id() == TypeId::kStruct) {
-        struct_type = &type;
-      } else {
-        total += leaf_bytes(field.name + "#lengths");
-        if (type.item_type()->is_primitive()) {
-          total += leaf_bytes(field.name + ".item");
-          continue;
-        }
-        struct_type = type.item_type().get();
-      }
-      std::vector<int> selected = rc.member_indices;
-      if (rc.whole_column) {
-        selected.clear();
-        for (int m = 0; m < struct_type->num_fields(); ++m) {
-          selected.push_back(m);
-        }
-      }
-      for (int m : selected) {
-        total += leaf_bytes(field.name + "." +
-                            struct_type->fields()[static_cast<size_t>(m)].name);
-      }
-    }
-  }
-  return total;
-}
-
 }  // namespace hepq

@@ -273,20 +273,6 @@ class LaqReader {
   Status ReadLeafValues(int group_index, const std::string& leaf_path,
                         ScratchBuffers* scratch);
 
-  /// Sum of the physical widths of all value leaves times their entry
-  /// counts for the given projection across the whole file — the "ideal
-  /// (type width)" reference line of Figure 4b.
-  Result<uint64_t> IdealBytesForProjection(
-      const std::vector<std::string>& projection) const;
-
-  /// Row-group pruning on the footer's min/max statistics: the indices of
-  /// all row groups whose leaf `leaf_path` ("event", "MET.pt", "Jet.pt")
-  /// may contain values in [min_value, max_value]. Groups without
-  /// statistics are conservatively kept. No chunk data is read.
-  Result<std::vector<int>> SelectRowGroups(const std::string& leaf_path,
-                                           double min_value,
-                                           double max_value) const;
-
   const ScanStats& scan_stats() const { return stats_; }
   void ResetScanStats() { stats_.Reset(); }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "core/json.h"
 
@@ -11,51 +10,7 @@ namespace hepq::obs {
 
 namespace {
 
-// ---- minimal JSON writer -------------------------------------------------
-
-void AppendDouble(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    *out += "0";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  *out += buf;
-}
-
-/// Comma-managing appender for one object or array scope.
-class JsonScope {
- public:
-  JsonScope(std::string* out, char open, char close)
-      : out_(out), close_(close) {
-    out_->push_back(open);
-  }
-  ~JsonScope() { out_->push_back(close_); }
-
-  std::string* Sep() {
-    if (!first_) out_->push_back(',');
-    first_ = false;
-    return out_;
-  }
-  std::string* Key(const char* key) {
-    Sep();
-    json::AppendJsonString(out_, key);
-    out_->push_back(':');
-    return out_;
-  }
-  void Int(const char* key, int64_t v) { *Key(key) += std::to_string(v); }
-  void UInt(const char* key, uint64_t v) { *Key(key) += std::to_string(v); }
-  void Num(const char* key, double v) { AppendDouble(Key(key), v); }
-  void Str(const char* key, std::string_view v) {
-    json::AppendJsonString(Key(key), v);
-  }
-  void Bool(const char* key, bool v) { *Key(key) += v ? "true" : "false"; }
-
- private:
-  std::string* out_;
-  char close_;
-  bool first_ = true;
-};
+using json::JsonScope;
 
 // ---- exclusive-time computation ------------------------------------------
 
@@ -117,29 +72,71 @@ std::string FormatBytes(uint64_t bytes) {
   return buf;
 }
 
-/// One span as a Chrome trace "complete" event, timestamps relative to
-/// `epoch` — shared by the single- and multi-process trace writers.
-void AppendSpanEvent(std::string* out, const SpanRecord& span, int64_t epoch,
-                     int pid) {
-  *out += "{\"name\":";
-  json::AppendJsonString(out, span.name);
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                ",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
-                "\"pid\":%d,\"tid\":%d,\"args\":{",
-                StageName(span.stage),
-                static_cast<double>(span.start_ns - epoch) / 1e3,
-                static_cast<double>(span.duration_ns()) / 1e3, pid,
-                span.thread_index);
-  *out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "\"worker\":%d,\"group\":%d,\"slot\":%d,\"leaf\":%d,"
-                "\"bytes\":%llu,\"queue_us\":%.3f,\"cpu_us\":%.3f}}",
-                span.worker, span.group, span.slot, span.leaf,
-                static_cast<unsigned long long>(span.bytes),
-                static_cast<double>(span.queue_ns) / 1e3,
-                static_cast<double>(span.cpu_ns) / 1e3);
-  *out += buf;
+/// One process of a Chrome trace: its captured session, the pid its spans
+/// are drawn under, the process_name label (no metadata event when empty)
+/// and the prefix of its thread_name labels.
+struct TraceProcess {
+  const SessionCapture* capture;
+  int pid;
+  std::string name;
+  std::string thread_prefix;
+};
+
+/// The one Chrome trace body: metadata events, then every span as a
+/// "complete" event timestamped against the earliest session start (the
+/// steady clock is machine-wide, so per-process offsets against it
+/// reproduce the real concurrency picture).
+std::string RenderChromeTrace(const std::vector<TraceProcess>& processes) {
+  int64_t epoch = 0;
+  size_t total_spans = 0;
+  for (size_t p = 0; p < processes.size(); ++p) {
+    const SessionCapture& capture = *processes[p].capture;
+    if (p == 0 || capture.start_ns < epoch) epoch = capture.start_ns;
+    total_spans += capture.spans.size();
+  }
+  std::string out;
+  out.reserve(total_spans * 192 + 512);
+  {
+    auto root = JsonScope::Object(&out);
+    auto events = JsonScope::Array(root.Key("traceEvents"));
+    for (const TraceProcess& process : processes) {
+      if (!process.name.empty()) {
+        auto meta = JsonScope::Object(events.Sep());
+        meta.Str("ph", "M").Str("name", "process_name").Int("pid", process.pid);
+        JsonScope::Object(meta.Key("args")).Str("name", process.name);
+      }
+      int num_threads = 0;
+      for (const SpanRecord& span : process.capture->spans) {
+        num_threads =
+            std::max(num_threads, static_cast<int>(span.thread_index) + 1);
+      }
+      for (int t = 0; t < num_threads; ++t) {
+        auto meta = JsonScope::Object(events.Sep());
+        meta.Str("ph", "M").Str("name", "thread_name").Int("pid", process.pid);
+        meta.Int("tid", t);
+        JsonScope::Object(meta.Key("args"))
+            .Str("name", process.thread_prefix + std::to_string(t));
+      }
+      for (const SpanRecord& span : process.capture->spans) {
+        auto event = JsonScope::Object(events.Sep());
+        event.Str("name", span.name).Str("cat", StageName(span.stage));
+        event.Str("ph", "X");
+        event.Num("ts", static_cast<double>(span.start_ns - epoch) / 1e3);
+        event.Num("dur", static_cast<double>(span.duration_ns()) / 1e3);
+        event.Int("pid", process.pid).Int("tid", span.thread_index);
+        JsonScope::Object(event.Key("args"))
+            .Int("worker", span.worker)
+            .Int("group", span.group)
+            .Int("slot", span.slot)
+            .Int("leaf", span.leaf)
+            .UInt("bytes", span.bytes)
+            .Num("queue_us", static_cast<double>(span.queue_ns) / 1e3)
+            .Num("cpu_us", static_cast<double>(span.cpu_ns) / 1e3);
+      }
+    }
+  }
+  out.push_back('\n');
+  return out;
 }
 
 }  // namespace
@@ -385,7 +382,7 @@ std::string ReportToJson(const RunReport& report) {
   std::string out;
   out.reserve(4096);
   {
-    JsonScope root(&out, '{', '}');
+    auto root = JsonScope::Object(&out);
     root.Int("schema_version", RunReport::kSchemaVersion);
     root.Str("query", report.info.query);
     root.Str("engine", report.info.engine);
@@ -398,19 +395,19 @@ std::string ReportToJson(const RunReport& report) {
     root.Int("window_ns", report.window_ns);
     root.Num("span_coverage", report.span_coverage());
     {
-      JsonScope fig(root.Key("figure4"), '{', '}');
+      auto fig = JsonScope::Object(root.Key("figure4"));
       fig.Num("cpu_ns_per_event", report.cpu_ns_per_event());
       fig.Num("storage_bytes_per_event", report.storage_bytes_per_event());
       fig.Num("decoded_bytes_per_event", report.decoded_bytes_per_event());
       fig.Num("events_per_sec_per_core", report.events_per_sec_per_core());
     }
     {
-      JsonScope vm(root.Key("expr_vm"), '{', '}');
+      auto vm = JsonScope::Object(root.Key("expr_vm"));
       vm.Num("vops_per_event", report.vops_per_event());
       vm.Num("fused_coverage", report.vexpr_fused_coverage());
     }
     {
-      JsonScope scan(root.Key("scan"), '{', '}');
+      auto scan = JsonScope::Object(root.Key("scan"));
       scan.UInt("storage_bytes", report.scan.storage_bytes);
       scan.UInt("encoded_bytes", report.scan.encoded_bytes);
       scan.UInt("logical_bytes_bq", report.scan.logical_bytes_bq);
@@ -429,7 +426,7 @@ std::string ReportToJson(const RunReport& report) {
       // decoded_bytes (from disk, this run) + cache_bytes_served == the
       // bytes the query consumed — the cache hierarchy's reconciliation
       // invariant, emitted pre-summed so consumers need no arithmetic.
-      JsonScope cache(root.Key("cache"), '{', '}');
+      auto cache = JsonScope::Object(root.Key("cache"));
       cache.UInt("footer_hits", report.scan.footer_cache_hits);
       cache.UInt("footer_misses", report.scan.footer_cache_misses);
       cache.UInt("chunk_hits", report.scan.chunk_cache_hits);
@@ -439,9 +436,9 @@ std::string ReportToJson(const RunReport& report) {
                  report.scan.decoded_bytes + report.scan.cache_bytes_served);
     }
     {
-      JsonScope stages(root.Key("stages"), '[', ']');
+      auto stages = JsonScope::Array(root.Key("stages"));
       for (const StageSummary& stage : report.stages) {
-        JsonScope s(stages.Sep(), '{', '}');
+        auto s = JsonScope::Object(stages.Sep());
         s.Str("stage", StageName(stage.stage));
         s.Int("wall_ns", stage.wall_ns);
         s.Int("cpu_ns", stage.cpu_ns);
@@ -450,9 +447,9 @@ std::string ReportToJson(const RunReport& report) {
       }
     }
     {
-      JsonScope processes(root.Key("processes"), '[', ']');
+      auto processes = JsonScope::Array(root.Key("processes"));
       for (const RunReport::ProcessSummary& process : report.processes) {
-        JsonScope p(processes.Sep(), '{', '}');
+        auto p = JsonScope::Object(processes.Sep());
         p.Int("proc", process.proc);
         p.Int("shard_begin", process.shard_begin);
         p.Int("shard_end", process.shard_end);
@@ -468,15 +465,15 @@ std::string ReportToJson(const RunReport& report) {
     }
     root.Bool("partial", report.partial);
     {
-      JsonScope warnings(root.Key("warnings"), '[', ']');
+      auto warnings = JsonScope::Array(root.Key("warnings"));
       for (const std::string& warning : report.warnings) {
         json::AppendJsonString(warnings.Sep(), warning);
       }
     }
     {
-      JsonScope workers(root.Key("workers"), '[', ']');
+      auto workers = JsonScope::Array(root.Key("workers"));
       for (const WorkerSummary& worker : report.workers) {
-        JsonScope w(workers.Sep(), '{', '}');
+        auto w = JsonScope::Object(workers.Sep());
         w.Int("proc", worker.proc);
         w.Int("worker", worker.worker);
         w.Int("busy_ns", worker.busy_ns);
@@ -487,9 +484,9 @@ std::string ReportToJson(const RunReport& report) {
         w.Int("max_queue_group", worker.max_queue_group);
         w.Bool("timeline_truncated", worker.timeline_truncated);
         {
-          JsonScope timeline(w.Key("timeline"), '[', ']');
+          auto timeline = JsonScope::Array(w.Key("timeline"));
           for (const auto& entry : worker.timeline) {
-            JsonScope e(timeline.Sep(), '{', '}');
+            auto e = JsonScope::Object(timeline.Sep());
             e.Int("group", entry.group);
             e.Int("slot", entry.slot);
             e.Int("start_ns", entry.start_ns);
@@ -501,9 +498,9 @@ std::string ReportToJson(const RunReport& report) {
       }
     }
     {
-      JsonScope stragglers(root.Key("stragglers"), '[', ']');
+      auto stragglers = JsonScope::Array(root.Key("stragglers"));
       for (const Straggler& straggler : report.stragglers) {
-        JsonScope s(stragglers.Sep(), '{', '}');
+        auto s = JsonScope::Object(stragglers.Sep());
         s.Int("group", straggler.group);
         s.Int("proc", straggler.proc);
         s.Int("worker", straggler.worker);
@@ -513,14 +510,14 @@ std::string ReportToJson(const RunReport& report) {
       }
     }
     {
-      JsonScope leaves(root.Key("per_leaf"), '[', ']');
+      auto leaves = JsonScope::Array(root.Key("per_leaf"));
       for (const LeafScanStats& leaf : report.scan.leaves) {
         if (leaf.decoded_bytes == 0 && leaf.pages_read == 0 &&
             leaf.chunks_read == 0 && leaf.pages_pruned == 0 &&
             leaf.cache_bytes_served == 0) {
           continue;
         }
-        JsonScope l(leaves.Sep(), '{', '}');
+        auto l = JsonScope::Object(leaves.Sep());
         l.Str("leaf", leaf.path);
         l.UInt("decoded_bytes", leaf.decoded_bytes);
         l.UInt("storage_bytes", leaf.storage_bytes);
@@ -531,9 +528,9 @@ std::string ReportToJson(const RunReport& report) {
       }
     }
     {
-      JsonScope counters(root.Key("counters"), '[', ']');
+      auto counters = JsonScope::Array(root.Key("counters"));
       for (const CounterSummary& counter : report.counters) {
-        JsonScope c(counters.Sep(), '{', '}');
+        auto c = JsonScope::Object(counters.Sep());
         c.Str("name", counter.name);
         c.Str("stage", StageName(counter.stage));
         c.Int("ns", counter.ns);
@@ -542,7 +539,7 @@ std::string ReportToJson(const RunReport& report) {
       }
     }
     {
-      JsonScope cost(root.Key("cost_inputs"), '{', '}');
+      auto cost = JsonScope::Object(root.Key("cost_inputs"));
       cost.Num("cpu_seconds", report.cost_inputs.cpu_seconds);
       cost.UInt("storage_bytes", report.cost_inputs.storage_bytes);
       cost.UInt("logical_bytes_bq", report.cost_inputs.logical_bytes_bq);
@@ -672,30 +669,8 @@ std::string ReportToTable(const RunReport& report) {
 }
 
 std::string ChromeTraceJson(const TraceSession& session) {
-  const std::vector<SpanRecord> spans = session.MergedSpans();
-  const int64_t epoch = session.start_ns();
-  std::string out;
-  out.reserve(spans.size() * 128 + 256);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  const int num_threads = session.num_threads();
-  for (int t = 0; t < num_threads; ++t) {
-    if (!first) out += ",";
-    first = false;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,"
-                  "\"tid\":%d,\"args\":{\"name\":\"trace-thread-%d\"}}",
-                  t, t);
-    out += buf;
-  }
-  for (const SpanRecord& span : spans) {
-    if (!first) out += ",";
-    first = false;
-    AppendSpanEvent(&out, span, epoch, /*pid=*/1);
-  }
-  out += "]}\n";
-  return out;
+  const SessionCapture capture = CaptureSession(session);
+  return RenderChromeTrace({TraceProcess{&capture, 1, "", "trace-thread-"}});
 }
 
 RunReport MergeProcessReports(const RunInfo& info, const ScanStats& merged_scan,
@@ -813,56 +788,19 @@ RunReport MergeProcessReports(const RunInfo& info, const ScanStats& merged_scan,
 
 std::string MultiProcessChromeTraceJson(
     const std::vector<ProcessReport>& reports) {
-  // One shared epoch: the earliest session start across processes. The
-  // steady clock is machine-wide, so per-process offsets against it
-  // reproduce the real concurrency picture.
-  int64_t epoch = 0;
-  bool have_epoch = false;
-  size_t total_spans = 0;
-  for (const ProcessReport& process : reports) {
-    if (!process.received) continue;
-    if (!have_epoch || process.capture.start_ns < epoch) {
-      epoch = process.capture.start_ns;
-      have_epoch = true;
-    }
-    total_spans += process.capture.spans.size();
-  }
-  std::string out;
-  out.reserve(total_spans * 128 + 512);
-  out += "{\"traceEvents\":[";
-  bool first = true;
+  std::vector<TraceProcess> processes;
   for (size_t p = 0; p < reports.size(); ++p) {
     const ProcessReport& process = reports[p];
     if (!process.received) continue;
-    const int pid = static_cast<int>(p) + 1;
-    char buf[256];
-    if (!first) out += ",";
-    first = false;
-    std::snprintf(buf, sizeof(buf),
-                  "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%d,"
-                  "\"args\":{\"name\":\"worker p%zu shards [%d,%d)\"}}",
-                  pid, p, process.shard_begin, process.shard_end);
-    out += buf;
-    int num_threads = 0;
-    for (const SpanRecord& span : process.capture.spans) {
-      num_threads = std::max(num_threads,
-                             static_cast<int>(span.thread_index) + 1);
-    }
-    for (int t = 0; t < num_threads; ++t) {
-      out += ",";
-      std::snprintf(buf, sizeof(buf),
-                    "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,"
-                    "\"tid\":%d,\"args\":{\"name\":\"p%zu-thread-%d\"}}",
-                    pid, t, p, t);
-      out += buf;
-    }
-    for (const SpanRecord& span : process.capture.spans) {
-      out += ",";
-      AppendSpanEvent(&out, span, epoch, pid);
-    }
+    const std::string label = "p" + std::to_string(p);
+    processes.push_back(TraceProcess{
+        &process.capture, static_cast<int>(p) + 1,
+        "worker " + label + " shards [" +
+            std::to_string(process.shard_begin) + "," +
+            std::to_string(process.shard_end) + ")",
+        label + "-thread-"});
   }
-  out += "]}\n";
-  return out;
+  return RenderChromeTrace(processes);
 }
 
 Status WriteTextFile(const std::string& path, const std::string& content) {

@@ -253,7 +253,9 @@ std::string ReportToTable(const RunReport& report);
 
 /// All spans of a stopped session in Chrome `trace_event` JSON, loadable
 /// in chrome://tracing and Perfetto. Timestamps are microseconds relative
-/// to the session start; tid is the dense per-session thread index.
+/// to the session start; tid is the dense per-session thread index. The
+/// same renderer as MultiProcessChromeTraceJson with one process (pid 1)
+/// and no process_name event.
 std::string ChromeTraceJson(const TraceSession& session);
 
 /// Every process's spans stitched into one Chrome trace: pid = process

@@ -4,116 +4,15 @@
 #include <memory>
 
 #include "fileio/crc32.h"
+#include "fileio/varint.h"
 
 namespace hepq::scatter {
 
 namespace {
 
-// ---- little-endian wire primitives -------------------------------------
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutI64(std::vector<uint8_t>* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF64(std::vector<uint8_t>* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutString(std::vector<uint8_t>* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-uint32_t ReadU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t ReadU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-/// Bounds-checked cursor over a payload; every getter fails with
-/// Corruption once the payload runs short.
-class WireReader {
- public:
-  WireReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  Status GetU32(uint32_t* v) {
-    HEPQ_RETURN_NOT_OK(Need(4));
-    *v = ReadU32(data_ + pos_);
-    pos_ += 4;
-    return Status::OK();
-  }
-
-  Status GetU64(uint64_t* v) {
-    HEPQ_RETURN_NOT_OK(Need(8));
-    *v = ReadU64(data_ + pos_);
-    pos_ += 8;
-    return Status::OK();
-  }
-
-  Status GetI64(int64_t* v) {
-    uint64_t u;
-    HEPQ_RETURN_NOT_OK(GetU64(&u));
-    *v = static_cast<int64_t>(u);
-    return Status::OK();
-  }
-
-  Status GetF64(double* v) {
-    uint64_t bits;
-    HEPQ_RETURN_NOT_OK(GetU64(&bits));
-    std::memcpy(v, &bits, sizeof(*v));
-    return Status::OK();
-  }
-
-  Status GetString(std::string* s) {
-    uint32_t len;
-    HEPQ_RETURN_NOT_OK(GetU32(&len));
-    HEPQ_RETURN_NOT_OK(Need(len));
-    s->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return Status::OK();
-  }
-
-  bool exhausted() const { return pos_ == size_; }
-
- private:
-  Status Need(size_t n) {
-    if (size_ - pos_ < n) {
-      return Status::Corruption("truncated scatter frame payload");
-    }
-    return Status::OK();
-  }
-
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-Status GetI32(WireReader* in, int32_t* v) {
-  uint32_t u;
-  HEPQ_RETURN_NOT_OK(in->GetU32(&u));
-  *v = static_cast<int32_t>(u);
-  return Status::OK();
-}
-
-Status GetStage(WireReader* in, obs::Stage* stage) {
-  uint32_t raw;
-  HEPQ_RETURN_NOT_OK(in->GetU32(&raw));
+Status GetStage(ByteReader* in, obs::Stage* stage) {
+  uint32_t raw = 0;
+  HEPQ_RETURN_NOT_OK(in->GetFixed32(&raw));
   if (raw >= static_cast<uint32_t>(obs::kNumStages)) {
     return Status::Corruption("scatter report names an unknown stage");
   }
@@ -124,66 +23,66 @@ Status GetStage(WireReader* in, obs::Stage* stage) {
 constexpr size_t kHeaderSize = 4 + 4 + 4 + 8;  // magic version type len
 
 void PutScanStats(std::vector<uint8_t>* out, const ScanStats& scan) {
-  PutU64(out, scan.storage_bytes);
-  PutU64(out, scan.encoded_bytes);
-  PutU64(out, scan.logical_bytes_bq);
-  PutU64(out, scan.ideal_bytes);
-  PutU64(out, scan.chunks_read);
-  PutU64(out, scan.values_read);
-  PutU64(out, scan.decoded_bytes);
-  PutU64(out, scan.pages_read);
-  PutU64(out, scan.pages_pruned);
-  PutU64(out, scan.rows_pruned);
-  PutU64(out, scan.rows_read);
-  PutU64(out, scan.lanes_pruned);
-  PutU64(out, scan.groups_pruned);
-  PutU64(out, scan.footer_cache_hits);
-  PutU64(out, scan.footer_cache_misses);
-  PutU64(out, scan.chunk_cache_hits);
-  PutU64(out, scan.chunk_cache_misses);
-  PutU64(out, scan.cache_bytes_served);
-  PutU32(out, static_cast<uint32_t>(scan.leaves.size()));
+  PutFixed64(out, scan.storage_bytes);
+  PutFixed64(out, scan.encoded_bytes);
+  PutFixed64(out, scan.logical_bytes_bq);
+  PutFixed64(out, scan.ideal_bytes);
+  PutFixed64(out, scan.chunks_read);
+  PutFixed64(out, scan.values_read);
+  PutFixed64(out, scan.decoded_bytes);
+  PutFixed64(out, scan.pages_read);
+  PutFixed64(out, scan.pages_pruned);
+  PutFixed64(out, scan.rows_pruned);
+  PutFixed64(out, scan.rows_read);
+  PutFixed64(out, scan.lanes_pruned);
+  PutFixed64(out, scan.groups_pruned);
+  PutFixed64(out, scan.footer_cache_hits);
+  PutFixed64(out, scan.footer_cache_misses);
+  PutFixed64(out, scan.chunk_cache_hits);
+  PutFixed64(out, scan.chunk_cache_misses);
+  PutFixed64(out, scan.cache_bytes_served);
+  PutFixed32(out, static_cast<uint32_t>(scan.leaves.size()));
   for (const LeafScanStats& leaf : scan.leaves) {
     PutString(out, leaf.path);
-    PutU64(out, leaf.storage_bytes);
-    PutU64(out, leaf.decoded_bytes);
-    PutU64(out, leaf.chunks_read);
-    PutU64(out, leaf.pages_read);
-    PutU64(out, leaf.pages_pruned);
-    PutU64(out, leaf.cache_bytes_served);
+    PutFixed64(out, leaf.storage_bytes);
+    PutFixed64(out, leaf.decoded_bytes);
+    PutFixed64(out, leaf.chunks_read);
+    PutFixed64(out, leaf.pages_read);
+    PutFixed64(out, leaf.pages_pruned);
+    PutFixed64(out, leaf.cache_bytes_served);
   }
 }
 
-Status GetScanStats(WireReader* in, ScanStats* scan) {
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->storage_bytes));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->encoded_bytes));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->logical_bytes_bq));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->ideal_bytes));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->chunks_read));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->values_read));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->decoded_bytes));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->pages_read));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->pages_pruned));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->rows_pruned));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->rows_read));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->lanes_pruned));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->groups_pruned));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->footer_cache_hits));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->footer_cache_misses));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->chunk_cache_hits));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->chunk_cache_misses));
-  HEPQ_RETURN_NOT_OK(in->GetU64(&scan->cache_bytes_served));
+Status GetScanStats(ByteReader* in, ScanStats* scan) {
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->storage_bytes));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->encoded_bytes));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->logical_bytes_bq));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->ideal_bytes));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->chunks_read));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->values_read));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->decoded_bytes));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->pages_read));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->pages_pruned));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->rows_pruned));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->rows_read));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->lanes_pruned));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->groups_pruned));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->footer_cache_hits));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->footer_cache_misses));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->chunk_cache_hits));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->chunk_cache_misses));
+  HEPQ_RETURN_NOT_OK(in->GetFixed64(&scan->cache_bytes_served));
   uint32_t num_leaves;
-  HEPQ_RETURN_NOT_OK(in->GetU32(&num_leaves));
+  HEPQ_RETURN_NOT_OK(in->GetFixed32(&num_leaves));
   for (uint32_t i = 0; i < num_leaves; ++i) {
     LeafScanStats& leaf = scan->leaves.emplace_back();
     HEPQ_RETURN_NOT_OK(in->GetString(&leaf.path));
-    HEPQ_RETURN_NOT_OK(in->GetU64(&leaf.storage_bytes));
-    HEPQ_RETURN_NOT_OK(in->GetU64(&leaf.decoded_bytes));
-    HEPQ_RETURN_NOT_OK(in->GetU64(&leaf.chunks_read));
-    HEPQ_RETURN_NOT_OK(in->GetU64(&leaf.pages_read));
-    HEPQ_RETURN_NOT_OK(in->GetU64(&leaf.pages_pruned));
-    HEPQ_RETURN_NOT_OK(in->GetU64(&leaf.cache_bytes_served));
+    HEPQ_RETURN_NOT_OK(in->GetFixed64(&leaf.storage_bytes));
+    HEPQ_RETURN_NOT_OK(in->GetFixed64(&leaf.decoded_bytes));
+    HEPQ_RETURN_NOT_OK(in->GetFixed64(&leaf.chunks_read));
+    HEPQ_RETURN_NOT_OK(in->GetFixed64(&leaf.pages_read));
+    HEPQ_RETURN_NOT_OK(in->GetFixed64(&leaf.pages_pruned));
+    HEPQ_RETURN_NOT_OK(in->GetFixed64(&leaf.cache_bytes_served));
   }
   return Status::OK();
 }
@@ -221,12 +120,12 @@ std::vector<uint8_t> EncodeFrame(FrameType type,
                                  const std::vector<uint8_t>& payload) {
   std::vector<uint8_t> out;
   out.reserve(kHeaderSize + payload.size() + 4);
-  PutU32(&out, kFrameMagic);
-  PutU32(&out, kFrameVersion);
-  PutU32(&out, static_cast<uint32_t>(type));
-  PutU64(&out, payload.size());
+  PutFixed32(&out, kFrameMagic);
+  PutFixed32(&out, kFrameVersion);
+  PutFixed32(&out, static_cast<uint32_t>(type));
+  PutFixed64(&out, payload.size());
   out.insert(out.end(), payload.begin(), payload.end());
-  PutU32(&out, Crc32(payload.data(), payload.size()));
+  PutFixed32(&out, Crc32(payload.data(), payload.size()));
   return out;
 }
 
@@ -234,24 +133,30 @@ Result<bool> TryParseFrame(const uint8_t* data, size_t size, Frame* frame,
                            size_t* consumed) {
   *consumed = 0;
   if (size < kHeaderSize) return false;
-  const uint32_t magic = ReadU32(data);
+  // The size check makes the header reads infallible.
+  ByteReader header(data, kHeaderSize);
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  uint32_t type = 0;
+  uint64_t payload_len = 0;
+  HEPQ_RETURN_NOT_OK(header.GetFixed32(&magic));
+  HEPQ_RETURN_NOT_OK(header.GetFixed32(&version));
+  HEPQ_RETURN_NOT_OK(header.GetFixed32(&type));
+  HEPQ_RETURN_NOT_OK(header.GetFixed64(&payload_len));
   if (magic != kFrameMagic) {
     return Status::Corruption("bad scatter frame magic");
   }
-  const uint32_t version = ReadU32(data + 4);
   if (version != kFrameVersion) {
     return Status::Invalid("scatter frame version " +
                            std::to_string(version) + ", expected " +
                            std::to_string(kFrameVersion));
   }
-  const uint32_t type = ReadU32(data + 8);
   if (type != static_cast<uint32_t>(FrameType::kFragment) &&
       type != static_cast<uint32_t>(FrameType::kError) &&
       type != static_cast<uint32_t>(FrameType::kReport)) {
     return Status::Corruption("unknown scatter frame type " +
                               std::to_string(type));
   }
-  const uint64_t payload_len = ReadU64(data + 12);
   if (payload_len > kMaxFramePayload) {
     return Status::Corruption("scatter frame payload length " +
                               std::to_string(payload_len) +
@@ -260,7 +165,9 @@ Result<bool> TryParseFrame(const uint8_t* data, size_t size, Frame* frame,
   const size_t total = kHeaderSize + static_cast<size_t>(payload_len) + 4;
   if (size < total) return false;
   const uint8_t* payload = data + kHeaderSize;
-  const uint32_t crc = ReadU32(payload + payload_len);
+  ByteReader trailer(payload + payload_len, 4);
+  uint32_t crc = 0;
+  HEPQ_RETURN_NOT_OK(trailer.GetFixed32(&crc));
   if (crc != Crc32(payload, static_cast<size_t>(payload_len))) {
     return Status::Corruption("scatter frame CRC mismatch");
   }
@@ -272,59 +179,60 @@ Result<bool> TryParseFrame(const uint8_t* data, size_t size, Frame* frame,
 
 std::vector<uint8_t> EncodeFragmentPayload(const ShardFragment& fragment) {
   std::vector<uint8_t> out;
-  PutU32(&out, static_cast<uint32_t>(fragment.file_index));
+  PutFixed32(&out, static_cast<uint32_t>(fragment.file_index));
   const queries::QueryRunOutput& o = fragment.output;
-  PutI64(&out, o.events_processed);
-  PutF64(&out, o.wall_seconds);
-  PutF64(&out, o.cpu_seconds);
-  PutU64(&out, o.ops);
+  PutFixed64(&out, static_cast<uint64_t>(o.events_processed));
+  PutDouble(&out, o.wall_seconds);
+  PutDouble(&out, o.cpu_seconds);
+  PutFixed64(&out, o.ops);
   PutScanStats(&out, o.scan);
-  PutU32(&out, static_cast<uint32_t>(o.histograms.size()));
+  PutFixed32(&out, static_cast<uint32_t>(o.histograms.size()));
   for (const Histogram1D& h : o.histograms) {
     const HistogramParts parts = h.ToParts();
     PutString(&out, parts.spec.name);
     PutString(&out, parts.spec.title);
-    PutU32(&out, static_cast<uint32_t>(parts.spec.num_bins));
-    PutF64(&out, parts.spec.lo);
-    PutF64(&out, parts.spec.hi);
-    PutU32(&out, static_cast<uint32_t>(parts.bins.size()));
-    for (double bin : parts.bins) PutF64(&out, bin);
-    PutF64(&out, parts.underflow);
-    PutF64(&out, parts.overflow);
-    PutU64(&out, parts.num_entries);
-    PutF64(&out, parts.sum_w);
-    PutF64(&out, parts.sum_wx);
-    PutF64(&out, parts.sum_wx2);
+    PutFixed32(&out, static_cast<uint32_t>(parts.spec.num_bins));
+    PutDouble(&out, parts.spec.lo);
+    PutDouble(&out, parts.spec.hi);
+    PutFixed32(&out, static_cast<uint32_t>(parts.bins.size()));
+    for (double bin : parts.bins) PutDouble(&out, bin);
+    PutDouble(&out, parts.underflow);
+    PutDouble(&out, parts.overflow);
+    PutFixed64(&out, parts.num_entries);
+    PutDouble(&out, parts.sum_w);
+    PutDouble(&out, parts.sum_wx);
+    PutDouble(&out, parts.sum_wx2);
   }
   return out;
 }
 
 Result<ShardFragment> DecodeFragmentPayload(
     const std::vector<uint8_t>& payload) {
-  WireReader in(payload.data(), payload.size());
+  ByteReader in(payload.data(), payload.size());
   ShardFragment fragment;
   uint32_t file_index;
-  HEPQ_RETURN_NOT_OK(in.GetU32(&file_index));
+  HEPQ_RETURN_NOT_OK(in.GetFixed32(&file_index));
   fragment.file_index = static_cast<int>(file_index);
   queries::QueryRunOutput& o = fragment.output;
-  HEPQ_RETURN_NOT_OK(in.GetI64(&o.events_processed));
-  HEPQ_RETURN_NOT_OK(in.GetF64(&o.wall_seconds));
-  HEPQ_RETURN_NOT_OK(in.GetF64(&o.cpu_seconds));
-  HEPQ_RETURN_NOT_OK(in.GetU64(&o.ops));
+  HEPQ_RETURN_NOT_OK(
+      in.GetBytes(&o.events_processed, sizeof(o.events_processed)));
+  HEPQ_RETURN_NOT_OK(in.GetDouble(&o.wall_seconds));
+  HEPQ_RETURN_NOT_OK(in.GetDouble(&o.cpu_seconds));
+  HEPQ_RETURN_NOT_OK(in.GetFixed64(&o.ops));
   HEPQ_RETURN_NOT_OK(GetScanStats(&in, &o.scan));
   uint32_t num_histos;
-  HEPQ_RETURN_NOT_OK(in.GetU32(&num_histos));
+  HEPQ_RETURN_NOT_OK(in.GetFixed32(&num_histos));
   for (uint32_t h = 0; h < num_histos; ++h) {
     HistogramParts parts;
     HEPQ_RETURN_NOT_OK(in.GetString(&parts.spec.name));
     HEPQ_RETURN_NOT_OK(in.GetString(&parts.spec.title));
     uint32_t num_bins;
-    HEPQ_RETURN_NOT_OK(in.GetU32(&num_bins));
+    HEPQ_RETURN_NOT_OK(in.GetFixed32(&num_bins));
     parts.spec.num_bins = static_cast<int>(num_bins);
-    HEPQ_RETURN_NOT_OK(in.GetF64(&parts.spec.lo));
-    HEPQ_RETURN_NOT_OK(in.GetF64(&parts.spec.hi));
+    HEPQ_RETURN_NOT_OK(in.GetDouble(&parts.spec.lo));
+    HEPQ_RETURN_NOT_OK(in.GetDouble(&parts.spec.hi));
     uint32_t bin_count;
-    HEPQ_RETURN_NOT_OK(in.GetU32(&bin_count));
+    HEPQ_RETURN_NOT_OK(in.GetFixed32(&bin_count));
     if (bin_count != num_bins) {
       // FromParts would first size a histogram by the untrusted num_bins.
       return Status::Corruption(
@@ -332,19 +240,19 @@ Result<ShardFragment> DecodeFragmentPayload(
           " bins but carries " + std::to_string(bin_count));
     }
     for (uint32_t b = 0; b < bin_count; ++b) {
-      HEPQ_RETURN_NOT_OK(in.GetF64(&parts.bins.emplace_back()));
+      HEPQ_RETURN_NOT_OK(in.GetDouble(&parts.bins.emplace_back()));
     }
-    HEPQ_RETURN_NOT_OK(in.GetF64(&parts.underflow));
-    HEPQ_RETURN_NOT_OK(in.GetF64(&parts.overflow));
-    HEPQ_RETURN_NOT_OK(in.GetU64(&parts.num_entries));
-    HEPQ_RETURN_NOT_OK(in.GetF64(&parts.sum_w));
-    HEPQ_RETURN_NOT_OK(in.GetF64(&parts.sum_wx));
-    HEPQ_RETURN_NOT_OK(in.GetF64(&parts.sum_wx2));
+    HEPQ_RETURN_NOT_OK(in.GetDouble(&parts.underflow));
+    HEPQ_RETURN_NOT_OK(in.GetDouble(&parts.overflow));
+    HEPQ_RETURN_NOT_OK(in.GetFixed64(&parts.num_entries));
+    HEPQ_RETURN_NOT_OK(in.GetDouble(&parts.sum_w));
+    HEPQ_RETURN_NOT_OK(in.GetDouble(&parts.sum_wx));
+    HEPQ_RETURN_NOT_OK(in.GetDouble(&parts.sum_wx2));
     Histogram1D histo;
     HEPQ_ASSIGN_OR_RETURN(histo, Histogram1D::FromParts(parts));
     o.histograms.push_back(std::move(histo));
   }
-  if (!in.exhausted()) {
+  if (!in.AtEnd()) {
     return Status::Corruption("scatter fragment payload has trailing bytes");
   }
   return fragment;
@@ -353,16 +261,16 @@ Result<ShardFragment> DecodeFragmentPayload(
 std::vector<uint8_t> EncodeErrorPayload(int file_index,
                                         const std::string& message) {
   std::vector<uint8_t> out;
-  PutU32(&out, static_cast<uint32_t>(file_index));
+  PutFixed32(&out, static_cast<uint32_t>(file_index));
   PutString(&out, message);
   return out;
 }
 
 Status DecodeErrorPayload(const std::vector<uint8_t>& payload,
                           int* file_index, std::string* message) {
-  WireReader in(payload.data(), payload.size());
+  ByteReader in(payload.data(), payload.size());
   uint32_t index;
-  HEPQ_RETURN_NOT_OK(in.GetU32(&index));
+  HEPQ_RETURN_NOT_OK(in.GetFixed32(&index));
   *file_index = static_cast<int>(index);
   return in.GetString(message);
 }
@@ -383,46 +291,46 @@ std::vector<uint8_t> EncodeReportPayload(const obs::SessionCapture& capture) {
   }
 
   std::vector<uint8_t> out;
-  PutI64(&out, capture.start_ns);
-  PutI64(&out, capture.stop_ns);
-  PutU32(&out, static_cast<uint32_t>(names.size()));
+  PutFixed64(&out, static_cast<uint64_t>(capture.start_ns));
+  PutFixed64(&out, static_cast<uint64_t>(capture.stop_ns));
+  PutFixed32(&out, static_cast<uint32_t>(names.size()));
   for (const char* name : names) PutString(&out, name);
-  PutU32(&out, static_cast<uint32_t>(capture.spans.size()));
+  PutFixed32(&out, static_cast<uint32_t>(capture.spans.size()));
   for (const obs::SpanRecord& span : capture.spans) {
-    PutU32(&out, name_index(span.name));
-    PutU32(&out, static_cast<uint32_t>(span.stage));
-    PutU32(&out, span.depth);
-    PutU32(&out, span.thread_index);
-    PutU32(&out, span.seq);
-    PutI64(&out, span.start_ns);
-    PutI64(&out, span.end_ns);
-    PutI64(&out, span.cpu_ns);
-    PutI64(&out, span.queue_ns);
-    PutU64(&out, span.bytes);
-    PutU32(&out, static_cast<uint32_t>(span.worker));
-    PutU32(&out, static_cast<uint32_t>(span.group));
-    PutU32(&out, static_cast<uint32_t>(span.slot));
-    PutU32(&out, static_cast<uint32_t>(span.leaf));
+    PutFixed32(&out, name_index(span.name));
+    PutFixed32(&out, static_cast<uint32_t>(span.stage));
+    PutFixed32(&out, span.depth);
+    PutFixed32(&out, span.thread_index);
+    PutFixed32(&out, span.seq);
+    PutFixed64(&out, static_cast<uint64_t>(span.start_ns));
+    PutFixed64(&out, static_cast<uint64_t>(span.end_ns));
+    PutFixed64(&out, static_cast<uint64_t>(span.cpu_ns));
+    PutFixed64(&out, static_cast<uint64_t>(span.queue_ns));
+    PutFixed64(&out, span.bytes);
+    PutFixed32(&out, static_cast<uint32_t>(span.worker));
+    PutFixed32(&out, static_cast<uint32_t>(span.group));
+    PutFixed32(&out, static_cast<uint32_t>(span.slot));
+    PutFixed32(&out, static_cast<uint32_t>(span.leaf));
   }
-  PutU32(&out, static_cast<uint32_t>(capture.counters.size()));
+  PutFixed32(&out, static_cast<uint32_t>(capture.counters.size()));
   for (const obs::CounterRecord& counter : capture.counters) {
-    PutU32(&out, name_index(counter.name));
-    PutU32(&out, static_cast<uint32_t>(counter.stage));
-    PutI64(&out, counter.ns);
-    PutU64(&out, counter.count);
-    PutU64(&out, counter.bytes);
+    PutFixed32(&out, name_index(counter.name));
+    PutFixed32(&out, static_cast<uint32_t>(counter.stage));
+    PutFixed64(&out, static_cast<uint64_t>(counter.ns));
+    PutFixed64(&out, counter.count);
+    PutFixed64(&out, counter.bytes);
   }
   return out;
 }
 
 Result<obs::SessionCapture> DecodeReportPayload(
     const std::vector<uint8_t>& payload) {
-  WireReader in(payload.data(), payload.size());
+  ByteReader in(payload.data(), payload.size());
   obs::SessionCapture capture;
-  HEPQ_RETURN_NOT_OK(in.GetI64(&capture.start_ns));
-  HEPQ_RETURN_NOT_OK(in.GetI64(&capture.stop_ns));
+  HEPQ_RETURN_NOT_OK(in.GetBytes(&capture.start_ns, sizeof(capture.start_ns)));
+  HEPQ_RETURN_NOT_OK(in.GetBytes(&capture.stop_ns, sizeof(capture.stop_ns)));
   uint32_t num_names;
-  HEPQ_RETURN_NOT_OK(in.GetU32(&num_names));
+  HEPQ_RETURN_NOT_OK(in.GetFixed32(&num_names));
   std::vector<const char*> names;
   for (uint32_t i = 0; i < num_names; ++i) {
     auto name = std::make_unique<std::string>();
@@ -432,7 +340,7 @@ Result<obs::SessionCapture> DecodeReportPayload(
   }
   auto get_name = [&](const char** name) {
     uint32_t index;
-    HEPQ_RETURN_NOT_OK(in.GetU32(&index));
+    HEPQ_RETURN_NOT_OK(in.GetFixed32(&index));
     if (index >= names.size()) {
       return Status::Corruption("scatter report names a bad name index");
     }
@@ -440,40 +348,40 @@ Result<obs::SessionCapture> DecodeReportPayload(
     return Status::OK();
   };
   uint32_t num_spans;
-  HEPQ_RETURN_NOT_OK(in.GetU32(&num_spans));
+  HEPQ_RETURN_NOT_OK(in.GetFixed32(&num_spans));
   for (uint32_t i = 0; i < num_spans; ++i) {
     obs::SpanRecord span;
     HEPQ_RETURN_NOT_OK(get_name(&span.name));
     HEPQ_RETURN_NOT_OK(GetStage(&in, &span.stage));
     uint32_t depth, thread_index;
-    HEPQ_RETURN_NOT_OK(in.GetU32(&depth));
+    HEPQ_RETURN_NOT_OK(in.GetFixed32(&depth));
     span.depth = static_cast<uint8_t>(depth);
-    HEPQ_RETURN_NOT_OK(in.GetU32(&thread_index));
+    HEPQ_RETURN_NOT_OK(in.GetFixed32(&thread_index));
     span.thread_index = static_cast<uint16_t>(thread_index);
-    HEPQ_RETURN_NOT_OK(in.GetU32(&span.seq));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&span.start_ns));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&span.end_ns));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&span.cpu_ns));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&span.queue_ns));
-    HEPQ_RETURN_NOT_OK(in.GetU64(&span.bytes));
-    HEPQ_RETURN_NOT_OK(GetI32(&in, &span.worker));
-    HEPQ_RETURN_NOT_OK(GetI32(&in, &span.group));
-    HEPQ_RETURN_NOT_OK(GetI32(&in, &span.slot));
-    HEPQ_RETURN_NOT_OK(GetI32(&in, &span.leaf));
+    HEPQ_RETURN_NOT_OK(in.GetFixed32(&span.seq));
+    HEPQ_RETURN_NOT_OK(in.GetBytes(&span.start_ns, sizeof(span.start_ns)));
+    HEPQ_RETURN_NOT_OK(in.GetBytes(&span.end_ns, sizeof(span.end_ns)));
+    HEPQ_RETURN_NOT_OK(in.GetBytes(&span.cpu_ns, sizeof(span.cpu_ns)));
+    HEPQ_RETURN_NOT_OK(in.GetBytes(&span.queue_ns, sizeof(span.queue_ns)));
+    HEPQ_RETURN_NOT_OK(in.GetFixed64(&span.bytes));
+    HEPQ_RETURN_NOT_OK(in.GetBytes(&span.worker, sizeof(span.worker)));
+    HEPQ_RETURN_NOT_OK(in.GetBytes(&span.group, sizeof(span.group)));
+    HEPQ_RETURN_NOT_OK(in.GetBytes(&span.slot, sizeof(span.slot)));
+    HEPQ_RETURN_NOT_OK(in.GetBytes(&span.leaf, sizeof(span.leaf)));
     capture.spans.push_back(span);
   }
   uint32_t num_counters;
-  HEPQ_RETURN_NOT_OK(in.GetU32(&num_counters));
+  HEPQ_RETURN_NOT_OK(in.GetFixed32(&num_counters));
   for (uint32_t i = 0; i < num_counters; ++i) {
     obs::CounterRecord counter;
     HEPQ_RETURN_NOT_OK(get_name(&counter.name));
     HEPQ_RETURN_NOT_OK(GetStage(&in, &counter.stage));
-    HEPQ_RETURN_NOT_OK(in.GetI64(&counter.ns));
-    HEPQ_RETURN_NOT_OK(in.GetU64(&counter.count));
-    HEPQ_RETURN_NOT_OK(in.GetU64(&counter.bytes));
+    HEPQ_RETURN_NOT_OK(in.GetBytes(&counter.ns, sizeof(counter.ns)));
+    HEPQ_RETURN_NOT_OK(in.GetFixed64(&counter.count));
+    HEPQ_RETURN_NOT_OK(in.GetFixed64(&counter.bytes));
     capture.counters.push_back(counter);
   }
-  if (!in.exhausted()) {
+  if (!in.AtEnd()) {
     return Status::Corruption("scatter report payload has trailing bytes");
   }
   HEPQ_RETURN_NOT_OK(CheckCaptureRanges(capture));

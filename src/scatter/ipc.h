@@ -17,10 +17,15 @@ namespace hepq::scatter {
 //
 //   magic(u32) version(u32) type(u32) payload_len(u64) payload crc32(u32)
 //
-// All integers little-endian; the CRC (fileio's IEEE polynomial) covers
-// the payload bytes only. Doubles travel as raw IEEE-754 bits, so a
-// decoded fragment reproduces the worker's accumulators exactly — the
-// cross-process merge is bit-identical to an in-process one.
+// Frames are encoded with fileio/varint.h's Put* helpers and decoded with
+// its bounds-checked ByteReader, the .laq footer's cursor: fixed-width
+// fields (u32/u64, signed values as their two's-complement bits) are
+// native-endian, strings carry a varint length. Both ends of a pipe run on
+// one host, so native order is the one order. The CRC (fileio's IEEE
+// polynomial) covers the payload bytes only. Doubles travel as raw
+// IEEE-754 bits, so a decoded fragment reproduces the worker's
+// accumulators exactly — the cross-process merge is bit-identical to an
+// in-process one.
 //
 // A healthy worker emits one kFragment frame per shard file of its range,
 // in shard order, then (when the coordinator asked for one) a kReport
@@ -50,7 +55,9 @@ inline constexpr uint32_t kFrameMagic = 0x48515346;  // "FSQH" on disk (LE)
 /// v3: kReport carries the captured session instead of a built RunReport;
 /// the end-of-stream kDone frame is gone.
 /// v4: kReport drops its trailing metrics-registry section.
-inline constexpr uint32_t kFrameVersion = 4;
+/// v5: strings carry a varint length instead of a u32 one (the fileio
+/// ByteReader encoding).
+inline constexpr uint32_t kFrameVersion = 5;
 /// Hard payload bound (1 GiB): a malformed length prefix must not make the
 /// coordinator try to buffer arbitrary garbage.
 inline constexpr uint64_t kMaxFramePayload = 1ull << 30;

@@ -105,7 +105,7 @@ Status RunWorker(
         ::_exit(1);
       }
       if (fault.kind == FaultSpec::Kind::kBadVersion) {
-        // Version is the second little-endian u32 of the header.
+        // Version is the second u32 of the header.
         const uint32_t bogus = kFrameVersion + 41;
         std::memcpy(frame.data() + 4, &bogus, sizeof(bogus));
         HEPQ_RETURN_NOT_OK(WriteAll(fd, frame.data(), frame.size()));

@@ -1,4 +1,7 @@
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -560,6 +563,75 @@ TEST(JsonTest, EveryByteRoundTripsThroughTheWriter) {
   auto parsed = json::ParseJson(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   EXPECT_EQ(parsed->string_value(), all);
+}
+
+TEST(JsonTest, WriterOutputParsesBackExactly) {
+  const std::string keys[] = {"quote\"d", "back\\slash", "ctl\x01\x1f\n\t",
+                              "utf8 \xce\xbc\xf0\x9f\x98\x80", ""};
+  const double finite[] = {0.1,
+                           1.0 / 3.0,
+                           -0.0,
+                           1e300,
+                           -2.5e-8,
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::lowest()};
+  const double non_finite[] = {std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()};
+  std::string text;
+  {
+    auto root = json::JsonScope::Object(&text);
+    for (const std::string& key : keys) root.Str(key, key + "!");
+    {
+      auto numbers = json::JsonScope::Array(root.Key("finite"));
+      for (double v : finite) json::AppendJsonNumber(numbers.Sep(), v);
+    }
+    {
+      auto numbers = json::JsonScope::Array(root.Key("non_finite"));
+      for (double v : non_finite) json::AppendJsonNumber(numbers.Sep(), v);
+    }
+    root.Num("nan", std::numeric_limits<double>::quiet_NaN())
+        .Int("int_min", std::numeric_limits<int64_t>::min())
+        .UInt("uint_max", std::numeric_limits<uint64_t>::max())
+        .Bool("yes", true);
+  }
+  auto parsed = json::ParseJson(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message() << "\n" << text;
+  const auto& members = parsed->object_items();
+  ASSERT_EQ(members.size(), std::size(keys) + 6);
+  for (size_t k = 0; k < std::size(keys); ++k) {
+    EXPECT_EQ(members[k].first, keys[k]);
+    EXPECT_EQ(members[k].second.string_value(), keys[k] + "!");
+  }
+  const auto& numbers = parsed->Find("finite")->array_items();
+  ASSERT_EQ(numbers.size(), std::size(finite));
+  for (size_t i = 0; i < numbers.size(); ++i) {
+    // Shortest round-trip spelling: the same double, sign of zero too.
+    const double back = numbers[i].number_value();
+    EXPECT_EQ(std::memcmp(&back, &finite[i], sizeof(back)), 0)
+        << finite[i] << " came back as " << back;
+  }
+  for (const json::JsonValue& v : parsed->Find("non_finite")->array_items()) {
+    EXPECT_TRUE(v.is_null());
+  }
+  EXPECT_TRUE(parsed->Find("nan")->is_null());
+  EXPECT_EQ(parsed->Find("int_min")->number_value(), -0x1p63);
+  EXPECT_EQ(parsed->Find("uint_max")->number_value(), 0x1p64);
+  EXPECT_TRUE(parsed->Find("yes")->bool_value());
+}
+
+TEST(JsonTest, RunReportWritesNonFiniteAsNull) {
+  obs::RunReport report;
+  report.cost_inputs.cpu_seconds = std::numeric_limits<double>::quiet_NaN();
+  obs::WorkerSummary worker;
+  worker.busy_fraction = std::numeric_limits<double>::infinity();
+  report.workers.push_back(worker);
+  auto parsed = json::ParseJson(obs::ReportToJson(report));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_TRUE(parsed->Find("cost_inputs")->Find("cpu_seconds")->is_null());
+  const json::JsonValue& first = parsed->Find("workers")->array_items()[0];
+  EXPECT_TRUE(first.Find("busy_fraction")->is_null());
 }
 
 }  // namespace

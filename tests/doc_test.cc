@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "columnar/builder.h"
+#include "datagen/dataset.h"
 #include "doc/ast.h"
 #include "doc/convert.h"
 #include "doc/functions.h"
 #include "doc/item.h"
+#include "doc/runner.h"
 
 namespace hepq::doc {
 namespace {
@@ -52,6 +54,11 @@ TEST_F(DocTest, ToJson) {
       {{"x", Item::Number(1.5)},
        {"a", Item::Array({Item::Bool(true), Item::Null()})}});
   EXPECT_EQ(obj->ToJson(), "{\"x\":1.5,\"a\":[true,null]}");
+  // Strings and keys are escaped; non-finite numbers are null.
+  auto escaped = Item::Object(
+      {{"k\"", Item::String("a\\b\n")},
+       {"inf", Item::Number(std::numeric_limits<double>::infinity())}});
+  EXPECT_EQ(escaped->ToJson(), "{\"k\\\"\":\"a\\\\b\\n\",\"inf\":null}");
 }
 
 TEST_F(DocTest, EffectiveBooleanValue) {
@@ -366,6 +373,82 @@ TEST_F(DocTest, InterpreterStepsAccumulate) {
                       DBin(DocBinOp::kMul, DVar("x"), DNum(2)));
   ASSERT_TRUE(flwor->Eval(&ctx).ok());
   EXPECT_GT(ctx.steps, 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Guard pushdown: guard shapes the ADL doc queries do not use. Each guard
+// runs with scan pushdown on and off over a file whose event-id zone maps
+// can prune; the histograms and selection must be identical, and pushdown
+// must actually prune.
+// ---------------------------------------------------------------------------
+
+class DocPushdownTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    DatasetSpec spec;
+    spec.num_events = 4000;
+    spec.row_group_size = 1000;
+    path_ = new std::string(
+        EnsureDataset(::testing::TempDir() + "/hepq_doc_pushdown", spec)
+            .ValueOrDie());
+  }
+
+  static DocQueryResult Run(DocExprPtr (*guard)(), bool pushdown) {
+    DocQuery query;
+    query.name = "guarded_met";
+    query.guard = guard();
+    query.fills.emplace_back(HistogramSpec{"met", "MET", 50, 0.0, 200.0},
+                             DMember(DMember(DVar("event"), "MET"), "pt"));
+    ReaderOptions options;
+    options.scan_pushdown = pushdown;
+    return RunDocQuery(*path_, options, 1, query).ValueOrDie();
+  }
+
+  /// Runs `guard` with pushdown on and off; returns the pushdown run.
+  static DocQueryResult ExpectPushdownInvisible(DocExprPtr (*guard)()) {
+    const DocQueryResult on = Run(guard, true);
+    const DocQueryResult off = Run(guard, false);
+    EXPECT_GT(on.scan.groups_pruned + on.scan.pages_pruned, 0u);
+    EXPECT_EQ(off.scan.groups_pruned + off.scan.pages_pruned, 0u);
+    EXPECT_EQ(on.events_processed, off.events_processed);
+    EXPECT_EQ(on.events_selected, off.events_selected);
+    const HistogramParts a = on.histograms.at(0).ToParts();
+    const HistogramParts b = off.histograms.at(0).ToParts();
+    EXPECT_EQ(a.bins, b.bins);
+    EXPECT_EQ(a.num_entries, b.num_entries);
+    EXPECT_EQ(a.underflow, b.underflow);
+    EXPECT_EQ(a.overflow, b.overflow);
+    EXPECT_EQ(a.sum_wx, b.sum_wx);
+    return on;
+  }
+
+  static std::string* path_;
+};
+
+std::string* DocPushdownTest::path_ = nullptr;
+
+DocExprPtr EventId() { return DMember(DVar("event"), "event"); }
+
+TEST_F(DocPushdownTest, MirroredLiteralsOnNestedLeaves) {
+  // `25 < $event.MET.pt` mirrors to MET.pt > 25 (a nested scalar leaf);
+  // `2500 > $event.event` mirrors to event < 2500, which rules out the
+  // last group (events 3000..3999). Unmirrored, it would prune the first
+  // two groups instead and change the selection.
+  const DocQueryResult on = ExpectPushdownInvisible([] {
+    return DBin(DocBinOp::kAnd,
+                DBin(DocBinOp::kLt, DNum(25),
+                     DMember(DMember(DVar("event"), "MET"), "pt")),
+                DBin(DocBinOp::kGt, DNum(2500), EventId()));
+  });
+  EXPECT_EQ(on.scan.groups_pruned, 1u);
+  EXPECT_GT(on.events_selected, 0);
+}
+
+TEST_F(DocPushdownTest, EqualityKeepsOneGroup) {
+  const DocQueryResult on = ExpectPushdownInvisible(
+      [] { return DBin(DocBinOp::kEq, EventId(), DNum(1234)); });
+  EXPECT_EQ(on.scan.groups_pruned, 3u);
+  EXPECT_EQ(on.events_selected, 1);
 }
 
 }  // namespace

@@ -214,19 +214,12 @@ TEST(WriterReaderTest, BigQueryAccountingIs8BytesPerEntry) {
   ASSERT_TRUE((*reader)->ReadRowGroup(0, {"MET.pt"}).ok());
   // 3 rows x 8 B, although the file stores float32.
   EXPECT_EQ((*reader)->scan_stats().logical_bytes_bq, 24u);
+  // Ideal (type-width) bytes, MET.pt: 3 * 4.
   EXPECT_EQ((*reader)->scan_stats().ideal_bytes, 12u);
-}
-
-TEST(WriterReaderTest, IdealBytesForProjection) {
-  const std::string path = TempPath("ideal.laq");
-  ASSERT_TRUE(WriteLaqFile(path, TestSchema(), {TestBatch(0)}).ok());
-  auto reader = LaqReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  // MET.pt: 3 * 4. Jet.pt: lengths 3*4 + values 5*4.
-  EXPECT_EQ((*reader)->IdealBytesForProjection({"MET.pt"}).ValueOrDie(),
-            12u);
-  EXPECT_EQ((*reader)->IdealBytesForProjection({"Jet.pt"}).ValueOrDie(),
-            32u);
+  // Jet.pt: lengths 3 * 4 + values 5 * 4.
+  (*reader)->ResetScanStats();
+  ASSERT_TRUE((*reader)->ReadRowGroup(0, {"Jet.pt"}).ok());
+  EXPECT_EQ((*reader)->scan_stats().ideal_bytes, 32u);
 }
 
 TEST(WriterReaderTest, StatisticsAreRecorded) {

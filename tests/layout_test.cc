@@ -5,6 +5,7 @@
 #include "datagen/dataset.h"
 #include "datagen/generator.h"
 #include "datagen/root_layout.h"
+#include "fileio/predicate.h"
 #include "fileio/reader.h"
 #include "fileio/writer.h"
 
@@ -115,53 +116,61 @@ class PruningTest : public ::testing::Test {
         EnsureDataset(::testing::TempDir() + "/hepq_prune", spec)
             .ValueOrDie());
   }
+
+  /// Reads every row group through ReadRowGroupFiltered and returns the
+  /// ones that came back as a batch; a null batch is a pruned group, and
+  /// the reader's groups_pruned must count exactly those.
+  static std::vector<int> SurvivingGroups(const ScanPredicateSet& predicates) {
+    auto reader = LaqReader::Open(*path_).ValueOrDie();
+    std::vector<int> survivors;
+    for (int g = 0; g < reader->num_row_groups(); ++g) {
+      auto batch = reader->ReadRowGroupFiltered(g, {"event"}, predicates,
+                                                nullptr);
+      EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+      if (batch.ok() && *batch != nullptr) survivors.push_back(g);
+    }
+    EXPECT_EQ(reader->scan_stats().groups_pruned,
+              static_cast<uint64_t>(reader->num_row_groups()) -
+                  survivors.size());
+    return survivors;
+  }
+
+  static ScanPredicateSet Range(const std::string& leaf, double lo,
+                                double hi) {
+    ScanPredicateSet set;
+    set.AddRange(leaf, lo, hi);
+    return set;
+  }
+
   static std::string* path_;
 };
 
 std::string* PruningTest::path_ = nullptr;
 
 TEST_F(PruningTest, EventIdRangeSelectsMatchingGroups) {
-  auto reader = LaqReader::Open(*path_).ValueOrDie();
   // Event ids are monotonically increasing: 0..999 in group 0, etc.
-  auto groups = reader->SelectRowGroups("event", 1500.0, 1700.0);
-  ASSERT_TRUE(groups.ok());
-  EXPECT_EQ(*groups, std::vector<int>{1});
-  groups = reader->SelectRowGroups("event", 900.0, 1100.0);
-  ASSERT_TRUE(groups.ok());
-  EXPECT_EQ(*groups, (std::vector<int>{0, 1}));
+  EXPECT_EQ(SurvivingGroups(Range("event", 1500.0, 1700.0)),
+            std::vector<int>{1});
+  EXPECT_EQ(SurvivingGroups(Range("event", 900.0, 1100.0)),
+            (std::vector<int>{0, 1}));
 }
 
 TEST_F(PruningTest, FullRangeKeepsAllGroups) {
-  auto reader = LaqReader::Open(*path_).ValueOrDie();
-  auto groups = reader->SelectRowGroups("event", -1e18, 1e18);
-  ASSERT_TRUE(groups.ok());
-  EXPECT_EQ(groups->size(), 4u);
+  EXPECT_EQ(SurvivingGroups(Range("event", -1e18, 1e18)).size(), 4u);
 }
 
 TEST_F(PruningTest, DisjointRangeSelectsNothing) {
-  auto reader = LaqReader::Open(*path_).ValueOrDie();
-  auto groups = reader->SelectRowGroups("event", 1e9, 2e9);
-  ASSERT_TRUE(groups.ok());
-  EXPECT_TRUE(groups->empty());
+  EXPECT_TRUE(SurvivingGroups(Range("event", 1e9, 2e9)).empty());
 }
 
 TEST_F(PruningTest, WorksOnNestedLeaves) {
-  auto reader = LaqReader::Open(*path_).ValueOrDie();
-  // Jet pt starts at jet_pt_min = 15: a below-threshold range prunes all.
-  auto groups = reader->SelectRowGroups("Jet.pt", 0.0, 10.0);
-  ASSERT_TRUE(groups.ok());
-  EXPECT_TRUE(groups->empty());
-  groups = reader->SelectRowGroups("Jet.pt", 20.0, 30.0);
-  ASSERT_TRUE(groups.ok());
-  EXPECT_EQ(groups->size(), 4u);
-}
-
-TEST_F(PruningTest, ErrorsOnBadInput) {
-  auto reader = LaqReader::Open(*path_).ValueOrDie();
-  EXPECT_EQ(reader->SelectRowGroups("nope", 0, 1).status().code(),
-            StatusCode::kKeyError);
-  EXPECT_EQ(reader->SelectRowGroups("event", 2, 1).status().code(),
-            StatusCode::kInvalid);
+  // Jet pt starts at jet_pt_min = 15: no jet of any group lies below 10.
+  ScanPredicateSet below;
+  below.AddItemRange("Jet.pt", 0.0, 10.0);
+  EXPECT_TRUE(SurvivingGroups(below).empty());
+  ScanPredicateSet inside;
+  inside.AddItemRange("Jet.pt", 20.0, 30.0);
+  EXPECT_EQ(SurvivingGroups(inside).size(), 4u);
 }
 
 // ---------------------------------------------------------------------------

@@ -300,6 +300,37 @@ TEST_F(RdfTest, LazyFiltersAreNotExamined) {
   EXPECT_EQ(report[1].examined, 4000);
 }
 
+// A hint is honored only on a root filter above every booking. Here a
+// second booking hangs off the root outside the hinted filter, so pruning
+// the groups the hint rules out (event >= 1000) would drop events the
+// outside Count must see: nothing may be pruned and the cutflow is exact.
+// The positive control books only below the filter, which then prunes.
+TEST_F(RdfTest, HintIgnoredWhenABookingIsOutsideTheFilter) {
+  auto run = [&](bool outside_booking) {
+    auto df = Open();
+    auto event = df->Scalar<int64_t>("event").ValueOrDie();
+    ScanPredicateSet hint;
+    hint.AddRange("event", -1e18, 999.0);
+    auto early = df->root().Filter(
+        [event](const EventView& e) { return e.Get(event) < 1000; }, hint,
+        "early");
+    const auto inside = early.Count();
+    rdf::CountHandle all;
+    if (outside_booking) all = df->root().Count();
+    EXPECT_TRUE(df->Run().ok());
+    EXPECT_EQ(df->GetCount(inside), 1000);
+    if (outside_booking) {
+      EXPECT_EQ(df->GetCount(all), 4000);
+    }
+    const auto report = df->Report();
+    EXPECT_EQ(report.at(0).examined, 4000);
+    EXPECT_EQ(report.at(0).passed, 1000);
+    return df->run_stats().scan.groups_pruned;
+  };
+  EXPECT_EQ(run(/*outside_booking=*/true), 0u);
+  EXPECT_EQ(run(/*outside_booking=*/false), 3u);
+}
+
 TEST_F(RdfTest, RunTwiceFails) {
   auto df = Open();
   df->root().Count();

@@ -205,7 +205,7 @@ TEST(ScatterIpcTest, MalformedFramesAreErrors) {
   auto version_result = TryParseFrame(bad_version.data(),
                                       bad_version.size(), &frame, &consumed);
   ASSERT_FALSE(version_result.ok());
-  EXPECT_NE(version_result.status().message().find("version 42, expected 4"),
+  EXPECT_NE(version_result.status().message().find("version 42, expected 5"),
             std::string::npos);
 
   std::vector<uint8_t> bad_crc = good;
@@ -465,11 +465,12 @@ TEST(ScatterIpcTest, ForgedFragmentCountsAreCorruption) {
   const std::vector<uint8_t> payload = EncodeFragmentPayload(MakeFragment(0));
   // file_index(4) events/wall/cpu/ops(4x8) 18 ScanStats counters(18x8),
   // num_leaves (no leaves), num_histos, then histogram "h"/"title":
-  // name(4+1) title(4+5) num_bins(4) lo(8) hi(8), then its bin count.
+  // name(1+1) title(1+5) (varint lengths) num_bins(4) lo(8) hi(8), then
+  // its bin count.
   // A forged num_bins must not size the histogram either.
   const size_t num_leaves = 4 + 4 * 8 + 18 * 8;
   const size_t num_histos = num_leaves + 4;
-  const size_t bin_count = num_histos + 4 + (4 + 1) + (4 + 5) + 4 + 8 + 8;
+  const size_t bin_count = num_histos + 4 + (1 + 1) + (1 + 5) + 4 + 8 + 8;
   ASSERT_EQ(PeekU32(payload, num_leaves), 0u);
   ASSERT_EQ(PeekU32(payload, num_histos), 1u);
   ASSERT_EQ(PeekU32(payload, bin_count), 4u);
@@ -528,10 +529,11 @@ obs::SessionCapture MakeCapture() {
 
 TEST(ScatterIpcTest, ForgedReportCountsAreCorruption) {
   const std::vector<uint8_t> payload = EncodeReportPayload(MakeCapture());
-  // start/stop(2x8), num_names, names "run" "row_group" "flwor_rows",
-  // num_spans, 2 spans (76 bytes each), num_counters, 1 counter (32).
+  // start/stop(2x8), num_names, names "run" "row_group" "flwor_rows"
+  // (varint lengths), num_spans, 2 spans (76 bytes each), num_counters,
+  // 1 counter (32).
   const size_t num_names = 2 * 8;
-  const size_t num_spans = num_names + 4 + (4 + 3) + (4 + 9) + (4 + 10);
+  const size_t num_spans = num_names + 4 + (1 + 3) + (1 + 9) + (1 + 10);
   const size_t num_counters = num_spans + 4 + 2 * 76;
   ASSERT_EQ(PeekU32(payload, num_names), 3u);
   ASSERT_EQ(PeekU32(payload, num_spans), 2u);

@@ -14,9 +14,9 @@
 // ratio self-normalizes across machines; absolute times would only
 // measure the runner). A measured ratio below (1 - max_drop) * baseline
 // is a regression; improvements never fail. A non-finite baseline or
-// measured ratio (e.g. a zero-row kernel's 0/0) is malformed input, since
-// no comparison with NaN can fail. Exit codes: 0 ok, 1 regression,
-// 2 malformed/missing input.
+// measured ratio (e.g. a zero-row kernel's 0/0, which BENCH records spell
+// as null) is malformed input, since no comparison with NaN can fail.
+// Exit codes: 0 ok, 1 regression, 2 malformed/missing input.
 
 #include <cmath>
 #include <cstdio>
@@ -45,11 +45,14 @@ bool LoadMeasurements(const JsonValue& bench, TierCosts* costs) {
     const JsonValue* tier = record.Find("tier");
     const JsonValue* ns = record.Find("ns_per_row");
     if (kernel == nullptr || tier == nullptr || ns == nullptr) continue;
-    if (!kernel->is_string() || !tier->is_string() || !ns->is_number()) {
+    if (!kernel->is_string() || !tier->is_string() ||
+        !(ns->is_number() || ns->is_null())) {
       continue;
     }
+    // The JSON writer spells a non-finite number as null; keep it as NaN
+    // so the ratio check below reports it as not finite.
     (*costs)[kernel->string_value()][tier->string_value()] =
-        ns->number_value();
+        ns->is_null() ? std::nan("") : ns->number_value();
   }
   return true;
 }

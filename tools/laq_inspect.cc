@@ -22,10 +22,12 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cache/cache.h"
+#include "core/json.h"
 #include "fileio/dataset_reader.h"
 #include "fileio/layout_optimizer.h"
 #include "fileio/reader.h"
@@ -49,10 +51,78 @@ void PrintFooterCacheStats(const std::vector<std::string>& files) {
                static_cast<unsigned long long>(c.entries), files.size());
 }
 
+/// Layout totals of one file, or summed over every shard of a dataset
+/// (encodings that differ across shards report as "mixed").
+struct LayoutTotals {
+  struct Leaf {
+    std::string path;
+    std::string encoding;
+    uint64_t storage_bytes = 0;
+    uint64_t pages = 0;
+    uint64_t prunable_pages = 0;
+  };
+  long long rows = 0;
+  int row_groups = 0;
+  unsigned long long storage_bytes = 0;
+  std::vector<Leaf> leaves;
+
+  void Add(const hepq::LayoutAnalysis& analysis) {
+    rows += analysis.total_rows;
+    row_groups += analysis.row_groups;
+    storage_bytes += analysis.storage_bytes;
+    if (leaves.empty()) {
+      for (const hepq::LeafLayoutSummary& leaf : analysis.leaves) {
+        leaves.push_back(Leaf{leaf.path, EncodingName(leaf.encoding)});
+      }
+    }
+    for (size_t l = 0; l < analysis.leaves.size() && l < leaves.size(); ++l) {
+      const hepq::LeafLayoutSummary& leaf = analysis.leaves[l];
+      if (leaves[l].encoding != EncodingName(leaf.encoding)) {
+        leaves[l].encoding = "mixed";
+      }
+      leaves[l].storage_bytes += leaf.storage_bytes;
+      leaves[l].pages += leaf.pages;
+      leaves[l].prunable_pages += leaf.prunable_pages;
+    }
+  }
+};
+
+/// The --json layout summary (per-leaf pages/prunable fraction/encoding,
+/// for CI gating) of a file, or of a dataset directory of `files` shards.
+void PrintLayoutJson(const std::string& source, std::optional<size_t> files,
+                     const LayoutTotals& totals) {
+  std::string out;
+  {
+    auto root = hepq::json::JsonScope::Object(&out);
+    if (files.has_value()) {
+      root.Str("dataset", source).UInt("files", *files);
+    } else {
+      root.Str("file", source);
+    }
+    root.Int("rows", totals.rows)
+        .Int("row_groups", totals.row_groups)
+        .UInt("storage_bytes", totals.storage_bytes);
+    auto leaves = hepq::json::JsonScope::Array(root.Key("leaves"));
+    for (const LayoutTotals::Leaf& leaf : totals.leaves) {
+      hepq::json::JsonScope::Object(leaves.Sep())
+          .Str("path", leaf.path)
+          .Str("encoding", leaf.encoding)
+          .UInt("storage_bytes", leaf.storage_bytes)
+          .UInt("pages", leaf.pages)
+          .UInt("prunable_pages", leaf.prunable_pages)
+          .Num("prunable_fraction",
+               leaf.pages > 0 ? static_cast<double>(leaf.prunable_pages) /
+                                    static_cast<double>(leaf.pages)
+                              : 0.0);
+    }
+  }
+  out.push_back('\n');
+  std::fwrite(out.data(), 1, out.size(), stdout);
+}
+
 /// Dataset-directory inspection: per-shard analysis rows plus per-leaf
 /// totals summed over every shard (JSON mirrors the single-file schema
-/// with an extra "files" count; encodings that differ across shards
-/// report as "mixed").
+/// with an extra "files" count).
 int InspectDirectory(const std::string& dir, bool json, bool cache_stats) {
   auto files_result = hepq::ListLaqFiles(dir);
   if (!files_result.ok()) {
@@ -61,17 +131,7 @@ int InspectDirectory(const std::string& dir, bool json, bool cache_stats) {
     return 1;
   }
   const std::vector<std::string>& files = *files_result;
-  struct LeafTotal {
-    std::string path;
-    std::string encoding;
-    uint64_t storage_bytes = 0;
-    uint64_t pages = 0;
-    uint64_t prunable_pages = 0;
-  };
-  std::vector<LeafTotal> leaves;
-  long long total_rows = 0;
-  int total_groups = 0;
-  unsigned long long total_bytes = 0;
+  LayoutTotals totals;
   if (!json) {
     std::printf("dataset:     %s\n", dir.c_str());
     std::printf("shards:      %zu\n\n", files.size());
@@ -86,25 +146,7 @@ int InspectDirectory(const std::string& dir, bool json, bool cache_stats) {
       return 1;
     }
     const hepq::LayoutAnalysis& analysis = *analysis_result;
-    total_rows += analysis.total_rows;
-    total_groups += analysis.row_groups;
-    total_bytes += analysis.storage_bytes;
-    if (leaves.empty()) {
-      for (const hepq::LeafLayoutSummary& leaf : analysis.leaves) {
-        leaves.push_back(LeafTotal{leaf.path, EncodingName(leaf.encoding),
-                                   0, 0, 0});
-      }
-    }
-    for (size_t l = 0; l < analysis.leaves.size() && l < leaves.size();
-         ++l) {
-      const hepq::LeafLayoutSummary& leaf = analysis.leaves[l];
-      if (leaves[l].encoding != EncodingName(leaf.encoding)) {
-        leaves[l].encoding = "mixed";
-      }
-      leaves[l].storage_bytes += leaf.storage_bytes;
-      leaves[l].pages += leaf.pages;
-      leaves[l].prunable_pages += leaf.prunable_pages;
-    }
+    totals.Add(analysis);
     if (!json) {
       const size_t slash = file.rfind('/');
       std::printf("%-44s %10lld %8d %12llu\n",
@@ -116,34 +158,16 @@ int InspectDirectory(const std::string& dir, bool json, bool cache_stats) {
     }
   }
   if (json) {
-    std::printf("{\"dataset\": \"%s\", \"files\": %zu, \"rows\": %lld, "
-                "\"row_groups\": %d, \"storage_bytes\": %llu, \"leaves\": [",
-                dir.c_str(), files.size(), total_rows, total_groups,
-                total_bytes);
-    for (size_t l = 0; l < leaves.size(); ++l) {
-      const LeafTotal& leaf = leaves[l];
-      std::printf("%s{\"path\": \"%s\", \"encoding\": \"%s\", "
-                  "\"storage_bytes\": %llu, \"pages\": %llu, "
-                  "\"prunable_pages\": %llu, \"prunable_fraction\": %.4f}",
-                  l == 0 ? "" : ", ", leaf.path.c_str(),
-                  leaf.encoding.c_str(),
-                  static_cast<unsigned long long>(leaf.storage_bytes),
-                  static_cast<unsigned long long>(leaf.pages),
-                  static_cast<unsigned long long>(leaf.prunable_pages),
-                  leaf.pages > 0 ? static_cast<double>(leaf.prunable_pages) /
-                                       static_cast<double>(leaf.pages)
-                                 : 0.0);
-    }
-    std::printf("]}\n");
+    PrintLayoutJson(dir, files.size(), totals);
     if (cache_stats) PrintFooterCacheStats(files);
     return 0;
   }
   std::printf("\ntotals: %lld rows, %d row groups, %llu bytes\n\n",
-              total_rows, total_groups, total_bytes);
+              totals.rows, totals.row_groups, totals.storage_bytes);
   std::printf("per-leaf totals across all shards:\n");
   std::printf("  %-24s %10s %8s %10s %9s\n", "leaf", "bytes", "enc",
               "pages", "prunable");
-  for (const LeafTotal& leaf : leaves) {
+  for (const LayoutTotals::Leaf& leaf : totals.leaves) {
     std::printf("  %-24s %10llu %8s %10llu %9llu\n", leaf.path.c_str(),
                 static_cast<unsigned long long>(leaf.storage_bytes),
                 leaf.encoding.c_str(),
@@ -200,25 +224,9 @@ int main(int argc, char** argv) {
                    analysis_result.status().ToString().c_str());
       return 1;
     }
-    const hepq::LayoutAnalysis& analysis = *analysis_result;
-    std::printf("{\"file\": \"%s\", \"rows\": %lld, \"row_groups\": %d, "
-                "\"storage_bytes\": %llu, \"leaves\": [",
-                path.c_str(), static_cast<long long>(analysis.total_rows),
-                analysis.row_groups,
-                static_cast<unsigned long long>(analysis.storage_bytes));
-    for (size_t l = 0; l < analysis.leaves.size(); ++l) {
-      const hepq::LeafLayoutSummary& leaf = analysis.leaves[l];
-      std::printf("%s{\"path\": \"%s\", \"encoding\": \"%s\", "
-                  "\"storage_bytes\": %llu, \"pages\": %llu, "
-                  "\"prunable_pages\": %llu, \"prunable_fraction\": %.4f}",
-                  l == 0 ? "" : ", ", leaf.path.c_str(),
-                  EncodingName(leaf.encoding),
-                  static_cast<unsigned long long>(leaf.storage_bytes),
-                  static_cast<unsigned long long>(leaf.pages),
-                  static_cast<unsigned long long>(leaf.prunable_pages),
-                  leaf.prunable_fraction());
-    }
-    std::printf("]}\n");
+    LayoutTotals totals;
+    totals.Add(*analysis_result);
+    PrintLayoutJson(path, std::nullopt, totals);
     if (cache_stats) PrintFooterCacheStats({path});
     return 0;
   }
