@@ -364,7 +364,14 @@ Status EventQuery::EnsurePrepared() const {
 
 Status EventQuery::ExecuteBatch(const RecordBatch& batch,
                                 EventQueryResult* result) const {
-  return ExecuteBatch(batch, result, nullptr);
+  if (expr_tier_ != ExprTier::kSimd) {
+    return ExecuteBatch(batch, result, nullptr);
+  }
+  // The same slot pool Execute's workers lease from, so a caller running
+  // batches on its own threads gets disjoint, warm buffers per call.
+  exec::SlotLease lease(1);
+  return ExecuteBatch(batch, result,
+                      lease.slot(0)->State<VexprScratch>());
 }
 
 Status EventQuery::ExecuteBatch(const RecordBatch& batch,
@@ -374,8 +381,7 @@ Status EventQuery::ExecuteBatch(const RecordBatch& batch,
   HEPQ_RETURN_NOT_OK(EnsurePrepared());
   if (expr_tier_ == ExprTier::kSimd) {
     if (scratch == nullptr) {
-      thread_local VexprScratch tls_scratch;
-      scratch = &tls_scratch;
+      return Status::Invalid("the compiled tier needs a VexprScratch");
     }
     BatchBindings bindings;
     HEPQ_ASSIGN_OR_RETURN(bindings,

@@ -104,13 +104,14 @@ class EventQuery {
                                    int num_threads) const;
 
   /// Runs the query over one in-memory batch, merging into `result`
-  /// (histograms must already be sized; used by Execute and by tests).
-  /// In compiled mode a thread-local VexprScratch backs the VM buffers.
+  /// (histograms must already be sized; used by tests and benches). In
+  /// compiled mode the VM buffers come from an exec::WorkerSlot leased
+  /// for the call. Safe to call concurrently.
   Status ExecuteBatch(const RecordBatch& batch,
                       EventQueryResult* result) const;
 
-  /// Same, with an explicit per-worker scratch (ignored in interpreted
-  /// mode; may be null, falling back to the thread-local one).
+  /// Same, with an explicit per-worker scratch: required in compiled
+  /// mode, ignored (may be null) in interpreted mode.
   Status ExecuteBatch(const RecordBatch& batch, EventQueryResult* result,
                       VexprScratch* scratch) const;
 

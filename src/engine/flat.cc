@@ -371,7 +371,9 @@ class EventAggregator {
   std::vector<int> key_cols_;
 };
 
-constexpr size_t kChunkRows = 32768;
+/// Rows per flat chunk: one flush's working set (every materialized column
+/// at this length) stays a few hundred KiB and pool-sized per worker.
+constexpr size_t kChunkRows = 4096;
 
 }  // namespace
 
@@ -636,13 +638,22 @@ std::string FlatPipeline::Explain() const {
 
 namespace {
 
-/// One worker's state, reused across its row groups: the VM scratch, the
-/// flat chunk, whose columns are sized to kChunkRows on first use, and the
-/// output pointers of multi-result program runs.
+/// One worker's state, kept in its exec::WorkerSlot across row groups and
+/// runs: the VM scratch, the flat chunk, whose columns are sized to
+/// kChunkRows for the run's layout, and the output pointers of
+/// multi-result program runs.
 struct FlatWorkerScratch {
   VexprScratch vexpr;
   FlatBatch chunk;
   std::vector<double*> outs;
+
+  size_t CapacityBytes() const {
+    size_t bytes = vexpr.CapacityBytes() + outs.capacity() * sizeof(double*);
+    for (const auto& column : chunk.columns) {
+      bytes += column.capacity() * sizeof(double);
+    }
+    return bytes;
+  }
 };
 
 /// One compiled pipeline step: a filter's gate program, or one program
@@ -822,10 +833,11 @@ Result<FlatQueryResult> FlatPipeline::Execute(const std::string& path,
         bindings, BatchBindings::Bind(batch, list_decls, scalar_decls));
     GroupPartial& p = *partial;
     FlatWorkerScratch* ws = group.WorkerState<FlatWorkerScratch>();
-    // The worker's chunk columns are sized to capacity once per run;
-    // rows past num_rows are stale and never read.
+    // The slot's chunk may come from an earlier run of another pipeline:
+    // take this run's layout unless it already has it. Columns stay at
+    // capacity; rows past num_rows are stale and never read.
     FlatBatch& chunk = ws->chunk;
-    if (chunk.columns.empty()) {
+    if (chunk.names != layout.names) {
       chunk = layout;
       for (auto& column : chunk.columns) column.resize(kChunkRows);
     }

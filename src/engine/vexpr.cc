@@ -305,6 +305,14 @@ std::vector<VColumn>* VexprScratch::AcquireCols() {
   return v;
 }
 
+size_t VexprScratch::CapacityBytes() const {
+  size_t bytes = vm.CapacityBytes();
+  for (const auto& v : f64_) bytes += v->capacity() * sizeof(double);
+  for (const auto& v : u32_) bytes += v->capacity() * sizeof(uint32_t);
+  for (const auto& v : cols_) bytes += v->capacity() * sizeof(VColumn);
+  return bytes;
+}
+
 void VexprScratch::ResetAll() {
   f64_used_ = 0;
   u32_used_ = 0;

@@ -119,6 +119,8 @@ class VScratch {
   /// temporaries of kVexprBlockLanes lanes each.
   double* Block(int num_temps);
 
+  size_t CapacityBytes() const { return block_.capacity() * sizeof(double); }
+
  private:
   std::vector<double> block_;
 };
@@ -223,8 +225,9 @@ class VProgramBuilder {
 /// Per-worker state of the compiled event-shape path: VM strip storage plus
 /// a stack-scoped pool of index and value buffers used for lane frames,
 /// selection vectors, and driver outputs. Everything keeps its capacity
-/// across row groups — after warm-up the compiled path performs no heap
-/// allocation per row group (micro_kernels asserts this).
+/// across row groups and, in an exec::WorkerSlot, across runs — after
+/// warm-up the compiled path performs no heap allocation per row group
+/// (micro_kernels asserts this).
 class VexprScratch {
  public:
   VScratch vm;
@@ -236,6 +239,9 @@ class VexprScratch {
   /// Returns every buffer acquired since construction to the pool; call
   /// once per batch before use.
   void ResetAll();
+
+  /// Heap bytes held by every buffer (exec::WorkerSlot's trim measure).
+  size_t CapacityBytes() const;
 
   /// RAII stack frame: buffers acquired inside the scope return to the
   /// pool on exit (capacity kept), so loops that acquire per iteration
@@ -292,8 +298,10 @@ struct CompiledQuerySpec {
 /// A fully compiled event-shape query: stage predicates narrow an event
 /// selection vector, aggregate and combination drivers batch their inner
 /// filter/score bodies across all surviving events, and fills evaluate
-/// over the final selection. ExecuteBatch mirrors the interpreter loop in
-/// EventQuery::ExecuteBatch bit for bit, including the ops counters.
+/// over the final selection — one window of events (2048) at a time, so
+/// scratch is sized by the window, not by the batch. ExecuteBatch mirrors
+/// the interpreter loop in EventQuery::ExecuteBatch bit for bit, including
+/// the ops counters.
 class CompiledEventQuery {
  public:
   ~CompiledEventQuery();

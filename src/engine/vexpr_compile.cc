@@ -30,6 +30,23 @@ namespace {
 /// this only when a single event has more combinations.
 constexpr int kComboChunkLanes = 16384;
 
+/// Events per ExecuteBatch window. Stages and fills run window by window,
+/// so every scratch frame (selections, iterator bindings, element and
+/// combination lanes) is sized by the window rather than by the row group
+/// and stays cache- and pool-sized however large the group is.
+constexpr int64_t kEventWindowRows = 2048;
+
+/// The per-row iterator bindings of one window, the batch-wide analogue
+/// of EvalContext::iter_index: combination stages write winners here,
+/// later stages and fills read them. Rows are absolute batch rows;
+/// columns hold the window's rows from `base` on.
+struct RowIters {
+  uint32_t base = 0;
+  uint32_t* col[kMaxIterators] = {nullptr, nullptr, nullptr, nullptr};
+
+  uint32_t& at(int k, uint32_t row) const { return col[k][row - base]; }
+};
+
 /// A set of evaluation lanes: each lane is an (event row, iterator
 /// bindings) tuple — an event for stage predicates, a list element for
 /// aggregate bodies, a particle combination for searches. All iterator
@@ -257,7 +274,7 @@ Frame GatherFrame(const Frame& f, const uint32_t* idx, int m,
 /// selected row, iterators gathered from the per-row binding columns.
 Frame MakeEventFrame(const BatchBindings& bindings,
                      const std::vector<uint32_t>& sel,
-                     uint32_t* const bc[kMaxIterators], VexprScratch* s) {
+                     const RowIters& bc, VexprScratch* s) {
   Frame f;
   f.bindings = &bindings;
   f.n = static_cast<int>(sel.size());
@@ -265,7 +282,7 @@ Frame MakeEventFrame(const BatchBindings& bindings,
   for (int k = 0; k < kMaxIterators; ++k) {
     std::vector<uint32_t>* it = s->AcquireU32();
     it->resize(sel.size());
-    for (size_t i = 0; i < sel.size(); ++i) (*it)[i] = bc[k][sel[i]];
+    for (size_t i = 0; i < sel.size(); ++i) (*it)[i] = bc.at(k, sel[i]);
     f.iter[k] = it->data();
   }
   return f;
@@ -983,8 +1000,7 @@ CompiledFill LowerFill(const CompiledQuerySpec::Fill& fill) {
 /// is the interpreter's per-event ops contribution.
 uint64_t EnumerateCombos(const std::vector<ComboLoop>& loops,
                          const BatchBindings& bindings, uint32_t row,
-                         uint32_t* const bc[kMaxIterators],
-                         std::vector<uint32_t>* ev,
+                         const RowIters& bc, std::vector<uint32_t>* ev,
                          std::vector<uint32_t>* const cit[kMaxIterators]) {
   const size_t depth_count = loops.size();
   const ListBinding* lists[kMaxIterators];
@@ -1004,7 +1020,7 @@ uint64_t EnumerateCombos(const std::vector<ComboLoop>& loops,
     for (int k = 0; k < kMaxIterators; ++k) {
       cit[k]->push_back(slot_to_depth[k] >= 0
                             ? cur[slot_to_depth[k]]
-                            : bc[k][row]);
+                            : bc.at(k, row));
     }
   };
   const auto recurse = [&](const auto& self, size_t depth) -> void {
@@ -1032,7 +1048,7 @@ uint64_t EnumerateCombos(const std::vector<ComboLoop>& loops,
 /// Runs a combination-search stage unit: narrows `sel` to events with a
 /// qualifying combination and binds the winning iterators into `bc`.
 void RunComboUnit(const ComboSearch& cs, const BatchBindings& bindings,
-                  std::vector<uint32_t>* sel, uint32_t* bc[kMaxIterators],
+                  std::vector<uint32_t>* sel, const RowIters& bc,
                   VexprScratch* s, uint64_t* ops) {
   VexprScratch::Scope scope(s);
   std::vector<uint32_t>* ev = s->AcquireU32();
@@ -1093,7 +1109,7 @@ void RunComboUnit(const ComboSearch& cs, const BatchBindings& bindings,
       }
       if (found) {
         for (const ComboLoop& loop : cs.loops) {
-          bc[loop.iter_slot][row] = (*cit[loop.iter_slot])[win];
+          bc.at(loop.iter_slot, row) = (*cit[loop.iter_slot])[win];
         }
         newsel->push_back(row);
       }
@@ -1117,9 +1133,8 @@ void RunComboUnit(const ComboSearch& cs, const BatchBindings& bindings,
 // ---- Stage and fill drivers ------------------------------------------------
 
 void RunConjunctUnit(const Conjunct& c, const BatchBindings& bindings,
-                     std::vector<uint32_t>* sel,
-                     uint32_t* const bc[kMaxIterators], VexprScratch* s,
-                     uint64_t* ops) {
+                     std::vector<uint32_t>* sel, const RowIters& bc,
+                     VexprScratch* s, uint64_t* ops) {
   if (sel->empty()) return;
   VexprScratch::Scope scope(s);
   const Frame f = MakeEventFrame(bindings, *sel, bc, s);
@@ -1135,7 +1150,7 @@ void RunConjunctUnit(const Conjunct& c, const BatchBindings& bindings,
 }
 
 void RunInterpUnit(const Expr* e, const BatchBindings& bindings,
-                   std::vector<uint32_t>* sel, uint32_t* bc[kMaxIterators],
+                   std::vector<uint32_t>* sel, const RowIters& bc,
                    uint64_t* ops) {
   size_t w = 0;
   for (size_t i = 0; i < sel->size(); ++i) {
@@ -1143,11 +1158,11 @@ void RunInterpUnit(const Expr* e, const BatchBindings& bindings,
     EvalContext ctx;
     ctx.bindings = &bindings;
     ctx.row = row;
-    for (int k = 0; k < kMaxIterators; ++k) ctx.iter_index[k] = bc[k][row];
+    for (int k = 0; k < kMaxIterators; ++k) ctx.iter_index[k] = bc.at(k, row);
     const bool pass = e->EvalBool(&ctx);
     *ops += ctx.ops;
     // Persist bindings a combination search established for this event.
-    for (int k = 0; k < kMaxIterators; ++k) bc[k][row] = ctx.iter_index[k];
+    for (int k = 0; k < kMaxIterators; ++k) bc.at(k, row) = ctx.iter_index[k];
     if (pass) (*sel)[w++] = row;
   }
   sel->resize(w);
@@ -1156,8 +1171,8 @@ void RunInterpUnit(const Expr* e, const BatchBindings& bindings,
 void RunScalarFill(const CompiledScalar& scalar,
                    const BatchBindings& bindings,
                    const std::vector<uint32_t>& sel,
-                   uint32_t* const bc[kMaxIterators], VexprScratch* s,
-                   Histogram1D* hist, uint64_t* ops) {
+                   const RowIters& bc, VexprScratch* s, Histogram1D* hist,
+                   uint64_t* ops) {
   if (sel.empty()) return;
   VexprScratch::Scope scope(s);
   const Frame f = MakeEventFrame(bindings, sel, bc, s);
@@ -1169,8 +1184,8 @@ void RunScalarFill(const CompiledScalar& scalar,
 
 void RunElementFill(const CompiledFill& fill, const BatchBindings& bindings,
                     const std::vector<uint32_t>& sel,
-                    uint32_t* const bc[kMaxIterators], VexprScratch* s,
-                    Histogram1D* hist, uint64_t* ops) {
+                    const RowIters& bc, VexprScratch* s, Histogram1D* hist,
+                    uint64_t* ops) {
   if (sel.empty()) return;
   VexprScratch::Scope scope(s);
   const Frame f = MakeEventFrame(bindings, sel, bc, s);
@@ -1211,8 +1226,8 @@ void RunElementFill(const CompiledFill& fill, const BatchBindings& bindings,
 
 void RunComboFill(const CompiledFill& fill, const BatchBindings& bindings,
                   const std::vector<uint32_t>& sel,
-                  uint32_t* const bc[kMaxIterators], VexprScratch* s,
-                  Histogram1D* hist, uint64_t* ops) {
+                  const RowIters& bc, VexprScratch* s, Histogram1D* hist,
+                  uint64_t* ops) {
   VexprScratch::Scope scope(s);
   std::vector<uint32_t>* ev = s->AcquireU32();
   std::vector<uint32_t>* cit[kMaxIterators];
@@ -1254,13 +1269,12 @@ void RunComboFill(const CompiledFill& fill, const BatchBindings& bindings,
 void RunInterpFill(const CompiledQuerySpec::Fill& fill,
                    const BatchBindings& bindings,
                    const std::vector<uint32_t>& sel,
-                   uint32_t* const bc[kMaxIterators], Histogram1D* hist,
-                   uint64_t* ops) {
+                   const RowIters& bc, Histogram1D* hist, uint64_t* ops) {
   for (const uint32_t row : sel) {
     EvalContext ctx;
     ctx.bindings = &bindings;
     ctx.row = row;
-    for (int k = 0; k < kMaxIterators; ++k) ctx.iter_index[k] = bc[k][row];
+    for (int k = 0; k < kMaxIterators; ++k) ctx.iter_index[k] = bc.at(k, row);
     if (fill.per_combination) {
       const auto recurse = [&](const auto& self, size_t depth) -> void {
         if (depth == fill.loops.size()) {
@@ -1338,60 +1352,64 @@ Status CompiledEventQuery::ExecuteBatch(const BatchBindings& bindings,
                                         uint64_t* ops) const {
   const Impl& impl = *impl_;
   scratch->ResetAll();
-  VexprScratch::Scope scope(scratch);
-
-  std::vector<uint32_t>* sel = scratch->AcquireU32();
-  sel->resize(static_cast<size_t>(num_rows));
-  for (int64_t i = 0; i < num_rows; ++i) {
-    (*sel)[static_cast<size_t>(i)] = static_cast<uint32_t>(i);
-  }
-  // Per-row iterator bindings, the batch-wide analogue of
-  // EvalContext::iter_index: combination stages write winners here, later
-  // stages and fills read them.
-  uint32_t* bc[kMaxIterators];
-  for (int k = 0; k < kMaxIterators; ++k) {
-    std::vector<uint32_t>* v = scratch->AcquireU32();
-    v->assign(static_cast<size_t>(num_rows), 0);
-    bc[k] = v->data();
-  }
-
   *ops += static_cast<uint64_t>(num_rows);  // per-event base record access
 
-  for (const CompiledStage& stage : impl.stages) {
-    for (const StageUnit& unit : stage.units) {
-      switch (unit.kind) {
-        case StageUnit::Kind::kConjunct:
-          RunConjunctUnit(unit.conjunct, bindings, sel, bc, scratch, ops);
+  // Window by window: each histogram still fills in ascending event order
+  // and the counters are integer sums, so the result does not depend on
+  // the window size.
+  for (int64_t w0 = 0; w0 < num_rows; w0 += kEventWindowRows) {
+    const int64_t w1 = std::min(num_rows, w0 + kEventWindowRows);
+    const size_t n = static_cast<size_t>(w1 - w0);
+    VexprScratch::Scope scope(scratch);
+    std::vector<uint32_t>* sel = scratch->AcquireU32();
+    sel->resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      (*sel)[i] = static_cast<uint32_t>(w0) + static_cast<uint32_t>(i);
+    }
+    RowIters bc;
+    bc.base = static_cast<uint32_t>(w0);
+    for (int k = 0; k < kMaxIterators; ++k) {
+      std::vector<uint32_t>* v = scratch->AcquireU32();
+      v->assign(n, 0);
+      bc.col[k] = v->data();
+    }
+
+    for (const CompiledStage& stage : impl.stages) {
+      for (const StageUnit& unit : stage.units) {
+        switch (unit.kind) {
+          case StageUnit::Kind::kConjunct:
+            RunConjunctUnit(unit.conjunct, bindings, sel, bc, scratch, ops);
+            break;
+          case StageUnit::Kind::kCombo:
+            RunComboUnit(unit.combo, bindings, sel, bc, scratch, ops);
+            break;
+          case StageUnit::Kind::kInterp:
+            RunInterpUnit(unit.interp, bindings, sel, bc, ops);
+            break;
+        }
+        if (sel->empty()) break;
+      }
+    }
+
+    *events_selected += static_cast<int64_t>(sel->size());
+
+    for (size_t fidx = 0; fidx < impl.fills.size(); ++fidx) {
+      const CompiledFill& fill = impl.fills[fidx];
+      Histogram1D* hist = &(*histograms)[fidx];
+      switch (fill.kind) {
+        case CompiledFill::Kind::kScalar:
+          RunScalarFill(fill.scalar, bindings, *sel, bc, scratch, hist, ops);
           break;
-        case StageUnit::Kind::kCombo:
-          RunComboUnit(unit.combo, bindings, sel, bc, scratch, ops);
+        case CompiledFill::Kind::kElement:
+          RunElementFill(fill, bindings, *sel, bc, scratch, hist, ops);
           break;
-        case StageUnit::Kind::kInterp:
-          RunInterpUnit(unit.interp, bindings, sel, bc, ops);
+        case CompiledFill::Kind::kCombo:
+          RunComboFill(fill, bindings, *sel, bc, scratch, hist, ops);
+          break;
+        case CompiledFill::Kind::kInterp:
+          RunInterpFill(*fill.src, bindings, *sel, bc, hist, ops);
           break;
       }
-      if (sel->empty()) break;
-    }
-  }
-
-  *events_selected += static_cast<int64_t>(sel->size());
-
-  for (size_t fidx = 0; fidx < impl.fills.size(); ++fidx) {
-    const CompiledFill& fill = impl.fills[fidx];
-    Histogram1D* hist = &(*histograms)[fidx];
-    switch (fill.kind) {
-      case CompiledFill::Kind::kScalar:
-        RunScalarFill(fill.scalar, bindings, *sel, bc, scratch, hist, ops);
-        break;
-      case CompiledFill::Kind::kElement:
-        RunElementFill(fill, bindings, *sel, bc, scratch, hist, ops);
-        break;
-      case CompiledFill::Kind::kCombo:
-        RunComboFill(fill, bindings, *sel, bc, scratch, hist, ops);
-        break;
-      case CompiledFill::Kind::kInterp:
-        RunInterpFill(*fill.src, bindings, *sel, bc, hist, ops);
-        break;
     }
   }
   return Status::OK();

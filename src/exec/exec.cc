@@ -218,42 +218,96 @@ Status RunRowGroups(int num_threads, std::vector<RowGroupTask> tasks,
   return first_error;
 }
 
+size_t WorkerSlot::Bytes() const {
+  size_t bytes = scratch.compressed.capacity() + scratch.encoded.capacity() +
+                 scratch.values.capacity();
+  for (const Entry& s : states_) bytes += s.bytes(s.object.get());
+  return bytes;
+}
+
+void WorkerSlot::Trim() {
+  scratch.Release();
+  states_.clear();
+}
+
+SlotPool& SlotPool::Process() {
+  static SlotPool* pool = new SlotPool();  // leaked: outlives main
+  return *pool;
+}
+
+WorkerSlot* SlotPool::Acquire() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!idle_.empty()) {
+      WorkerSlot* slot = idle_.back().release();
+      idle_.pop_back();
+      return slot;
+    }
+  }
+  return new WorkerSlot();
+}
+
+void SlotPool::Release(WorkerSlot* slot) {
+  std::unique_ptr<WorkerSlot> owned(slot);
+  if (owned->Bytes() > kSlotCapBytes) owned->Trim();
+  std::lock_guard<std::mutex> lock(mu_);
+  idle_.push_back(std::move(owned));
+}
+
+size_t SlotPool::IdleBytes() {
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t bytes = 0;
+  for (const auto& slot : idle_) bytes += slot->Bytes();
+  return bytes;
+}
+
+SlotLease::SlotLease(int n) {
+  slots_.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) slots_.push_back(SlotPool::Process().Acquire());
+}
+
+SlotLease::~SlotLease() {
+  for (WorkerSlot* slot : slots_) SlotPool::Process().Release(slot);
+}
+
 WorkerReaders::WorkerReaders(std::string path, ReaderOptions options,
                              int num_workers)
-    : options_(options) {
+    : options_(options),
+      lease_(std::max(num_workers, 1)),
+      open_(static_cast<size_t>(std::max(num_workers, 1))) {
   files_.push_back(std::move(path));
-  slots_.resize(static_cast<size_t>(std::max(num_workers, 1)));
 }
 
 WorkerReaders::WorkerReaders(const DatasetLayout* layout,
                              ReaderOptions options, int num_workers)
-    : files_(layout->files), options_(options) {
-  slots_.resize(static_cast<size_t>(std::max(num_workers, 1)));
-}
+    : files_(layout->files),
+      options_(options),
+      lease_(std::max(num_workers, 1)),
+      open_(static_cast<size_t>(std::max(num_workers, 1))) {}
 
 Result<LaqReader*> WorkerReaders::reader(int worker, int file) {
-  Slot& slot = slots_[static_cast<size_t>(worker)];
-  if (slot.reader != nullptr && slot.open_file != file) {
+  Open& open = open_[static_cast<size_t>(worker)];
+  if (open.reader != nullptr && open.file != file) {
     // Out-of-core discipline: one open shard per worker. Bank the closed
     // reader's stats so TotalScanStats still sees every byte. The
     // validated FileMetadata itself is NOT thrown away: it stays banked
     // in the process-wide footer cache, so re-opening this shard later —
-    // by this slot, another worker, or another query — skips footer
+    // by this worker, another worker, or another query — skips footer
     // parse + validation entirely (ScanStats::footer_cache_hits counts
     // the reuses).
-    slot.closed_stats.Add(slot.reader->scan_stats());
-    slot.reader.reset();
-    slot.open_file = -1;
+    open.closed_stats.Add(open.reader->scan_stats());
+    open.reader.reset();
+    open.file = -1;
   }
-  if (slot.reader == nullptr) {
+  if (open.reader == nullptr) {
     obs::ScopedSpan span("open_reader", obs::Stage::kOpen);
     if (span.active()) span.set_worker(worker);
     HEPQ_ASSIGN_OR_RETURN(
-        slot.reader,
+        open.reader,
         LaqReader::Open(files_[static_cast<size_t>(file)], options_));
-    slot.open_file = file;
+    open.file = file;
   }
-  return slot.reader.get();
+  return open.reader.get();
 }
 
 Result<const FileMetadata*> WorkerReaders::metadata() {
@@ -264,9 +318,9 @@ Result<const FileMetadata*> WorkerReaders::metadata() {
 
 ScanStats WorkerReaders::TotalScanStats() const {
   ScanStats total;
-  for (const Slot& slot : slots_) {
-    total.Add(slot.closed_stats);
-    if (slot.reader != nullptr) total.Add(slot.reader->scan_stats());
+  for (const Open& open : open_) {
+    total.Add(open.closed_stats);
+    if (open.reader != nullptr) total.Add(open.reader->scan_stats());
   }
   return total;
 }

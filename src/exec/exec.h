@@ -133,15 +133,108 @@ int EffectiveWorkers(int num_threads, size_t num_tasks);
 Status RunRowGroups(int num_threads, std::vector<RowGroupTask> tasks,
                     const std::function<Status(int worker, int group)>& process);
 
-/// Per-worker readers over a dataset: each worker slot lazily opens its
-/// own LaqReader (file handles are not shareable across threads) and owns
-/// a ScratchBuffers pool so decode buffers are reused across all row
-/// groups the worker processes. A slot keeps at most ONE file of the
-/// dataset open at a time — switching files closes the previous reader
-/// after banking its scan stats — so per-worker memory and descriptor
-/// usage stay bounded by a single shard's working set no matter how many
-/// shards the dataset has (the out-of-core contract of the scale-out
-/// runtime).
+/// One worker's scratch: the decode buffers and the engine state, one
+/// object per type, all under one lifetime. Slots belong to the process
+/// (SlotPool) and outlive runs, so a worker's first row group of a run
+/// finds the buffers its slot grew in earlier runs instead of allocating
+/// and faulting them in again.
+class WorkerSlot {
+ public:
+  ScratchBuffers scratch;
+
+  /// The slot's state of type T (e.g. engine::VexprScratch), created on
+  /// first use and kept until the slot is trimmed. T provides
+  /// `size_t CapacityBytes() const`, the heap bytes it holds.
+  template <typename T>
+  T* State() {
+    for (const Entry& s : states_) {
+      if (s.type == TypeKey<T>()) return static_cast<T*>(s.object.get());
+    }
+    std::shared_ptr<T> object = std::make_shared<T>();
+    T* raw = object.get();
+    states_.push_back(Entry{TypeKey<T>(), std::move(object), &BytesOf<T>});
+    return raw;
+  }
+
+  /// Heap bytes held: decode buffer capacities plus every state's.
+  size_t Bytes() const;
+
+  /// Releases the decode buffers and every state.
+  void Trim();
+
+ private:
+  struct Entry {
+    const void* type;
+    std::shared_ptr<void> object;
+    size_t (*bytes)(const void*);
+  };
+  template <typename T>
+  static const void* TypeKey() {
+    static const char key = 0;
+    return &key;
+  }
+  template <typename T>
+  static size_t BytesOf(const void* object) {
+    return static_cast<const T*>(object)->CapacityBytes();
+  }
+  std::vector<Entry> states_;
+};
+
+/// The process-lifetime pool of worker slots. A run leases the slots it
+/// needs (SlotLease) and returns them when it ends, so concurrent runs
+/// hold disjoint slots and a later run reuses the warm ones. A returned
+/// slot holding more than kSlotCapBytes is trimmed first: one huge event
+/// (a 100-jet event is one 161 700-lane trijet chunk in BigQuery-shape Q6)
+/// must not pin its buffers for every run after it.
+class SlotPool {
+ public:
+  /// Per-slot byte cap applied on return. After a perfbench `compute`
+  /// pass (Q6 on every shape and doc Q3-Q5, 4 threads) each of the four
+  /// slots holds about 3.5 MiB, 14 MiB together (DESIGN.md, "Worker
+  /// scratch").
+  static constexpr size_t kSlotCapBytes = size_t{16} << 20;
+
+  static SlotPool& Process();
+
+  /// Takes an idle slot (the most recently returned first), or a new one.
+  WorkerSlot* Acquire();
+  /// Gives `slot` back, trimmed when it holds more than kSlotCapBytes.
+  void Release(WorkerSlot* slot);
+
+  /// Bytes held by the idle slots.
+  size_t IdleBytes();
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<WorkerSlot>> idle_;
+};
+
+/// `n` slots leased from SlotPool::Process() for one run and returned on
+/// destruction. Slot i belongs to worker i only.
+class SlotLease {
+ public:
+  explicit SlotLease(int n);
+  ~SlotLease();
+  SlotLease(const SlotLease&) = delete;
+  SlotLease& operator=(const SlotLease&) = delete;
+
+  WorkerSlot* slot(int worker) const {
+    return slots_[static_cast<size_t>(worker)];
+  }
+
+ private:
+  std::vector<WorkerSlot*> slots_;
+};
+
+/// Per-worker readers over a dataset: each worker lazily opens its own
+/// LaqReader (file handles are not shareable across threads) and decodes
+/// into the ScratchBuffers of the WorkerSlot it leased for this run. A
+/// worker keeps at most ONE file of the dataset open at a time —
+/// switching files closes the previous reader after banking its scan
+/// stats — so per-worker memory and descriptor usage stay bounded by a
+/// single shard's working set no matter how many shards the dataset has
+/// (the out-of-core contract of the scale-out runtime). Readers live for
+/// the run; the slots go back to the pool with their buffers.
 class WorkerReaders {
  public:
   /// Single-file dataset (the pre-dataset constructor, kept for callers
@@ -161,22 +254,12 @@ class WorkerReaders {
   /// The worker's reader over file 0 (single-file datasets).
   Result<LaqReader*> reader(int worker) { return reader(worker, 0); }
 
-  /// The worker's scratch buffer pool.
-  ScratchBuffers* scratch(int worker) {
-    return &slots_[static_cast<size_t>(worker)].scratch;
-  }
+  /// The worker's decode buffers (its leased slot's).
+  ScratchBuffers* scratch(int worker) { return &lease_.slot(worker)->scratch; }
 
-  /// Opaque per-worker engine state riding alongside the decode scratch
-  /// (e.g. the expression VM's register and selection buffers, and the
-  /// 64-byte-aligned strip-block storage of the fused kernel tier —
-  /// engine::VexprScratch). The slot starts empty; the engine creates its
-  /// state on the worker's first row group and reuses it for the rest of
-  /// the run, keeping the hot path allocation-free and every worker's
-  /// kernel scratch thread-private. exec stays ignorant of the concrete
-  /// type.
-  std::shared_ptr<void>& engine_scratch(int worker) {
-    return slots_[static_cast<size_t>(worker)].engine_scratch;
-  }
+  /// The worker's leased slot, which also carries the engine state
+  /// (ScanGroup::WorkerState).
+  WorkerSlot* slot(int worker) const { return lease_.slot(worker); }
 
   /// Metadata of file 0, via worker 0's reader (opens it if needed).
   Result<const FileMetadata*> metadata();
@@ -187,33 +270,31 @@ class WorkerReaders {
   ScanStats TotalScanStats() const;
 
  private:
-  struct Slot {
+  struct Open {
     std::unique_ptr<LaqReader> reader;
-    int open_file = -1;
-    /// Stats banked from readers this slot closed on a file switch.
+    int file = -1;
+    /// Stats banked from readers this worker closed on a file switch.
     ScanStats closed_stats;
-    ScratchBuffers scratch;
-    std::shared_ptr<void> engine_scratch;
   };
 
   std::vector<std::string> files_;
   ReaderOptions options_;
-  std::vector<Slot> slots_;
+  SlotLease lease_;
+  std::vector<Open> open_;
 };
 
 /// One row group handed to a frontend's process callback.
 struct ScanGroup {
   int worker = 0;
   int group = 0;  // global index into DatasetLayout::groups
-  std::shared_ptr<void>* engine_scratch = nullptr;
+  WorkerSlot* slot = nullptr;  // the worker's leased slot
 
-  /// The worker's engine state of type T (WorkerReaders::engine_scratch),
-  /// created on the worker's first row group and reused for the rest of
-  /// the run.
+  /// The worker's engine state of type T, found by type in its leased
+  /// slot: created the first time any run on that slot asks for it and
+  /// reused by every later row group and run.
   template <typename T>
   T* WorkerState() const {
-    if (*engine_scratch == nullptr) *engine_scratch = std::make_shared<T>();
-    return static_cast<T*>(engine_scratch->get());
+    return slot->State<T>();
   }
 };
 
@@ -253,8 +334,9 @@ struct DatasetScan {
 /// before the first footer read and stop after the merge):
 ///   1. resolve `path`'s layout (an `open` span), then scan.plan;
 ///   2. read every row group with up to `num_threads` workers of the shared
-///      pool — per-worker readers and scratch, LPT order, the smallest
-///      failing group's error (RunRowGroups) — into its own partial;
+///      pool — per-worker readers, per-worker slots leased from SlotPool
+///      for the run, LPT order, the smallest failing group's error
+///      (RunRowGroups) — into its own partial;
 ///   3. merge (a `merge` span): group partials fold into a fresh per-file
 ///      subtotal in local group order, and each subtotal (empty shards
 ///      included) folds into `*result` in file order.
@@ -307,9 +389,8 @@ Result<RunTotals> ScanDataset(const std::string& path,
           scan.pruned(loc, partial);
           return Status::OK();
         }
-        return scan.process(
-            ScanGroup{worker, g, &readers.engine_scratch(worker)},
-            *batch, partial);
+        return scan.process(ScanGroup{worker, g, readers.slot(worker)},
+                            *batch, partial);
       }));
   {
     obs::ScopedSpan merge_span("merge", obs::Stage::kMerge);

@@ -161,7 +161,8 @@ struct ScratchBuffers {
   std::vector<uint8_t> encoded;     ///< after decompression
   std::vector<uint8_t> values;      ///< after decoding (physical width)
 
-  /// Releases all capacity (for tests that compare cold vs warm paths).
+  /// Releases all capacity (tests that compare cold vs warm paths, and
+  /// exec::WorkerSlot::Trim).
   /// Swap with a temporary: plain `v = {}` only clears the size.
   void Release() {
     std::vector<uint8_t>().swap(compressed);

@@ -6,7 +6,13 @@
 #include <sys/stat.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -186,6 +192,155 @@ TEST_F(ExecDatasetTest, WorkerReadersShareFileDisjointHandles) {
   EXPECT_EQ(total.chunks_read,
             r0->scan_stats().chunks_read + r2->scan_stats().chunks_read);
   EXPECT_GT(total.storage_bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// SlotPool: per-worker scratch that outlives a run.
+// ---------------------------------------------------------------------------
+
+/// Engine state riding in a slot: counts the row groups it has seen.
+struct GroupCounter {
+  int groups = 0;
+  size_t CapacityBytes() const { return 0; }
+};
+
+size_t DecodeCapacity(const ScratchBuffers& scratch) {
+  return scratch.compressed.capacity() + scratch.encoded.capacity() +
+         scratch.values.capacity();
+}
+
+/// What a scan's process callback saw of its worker slots.
+struct SlotTrace {
+  std::set<exec::WorkerSlot*> slots;
+  size_t first_capacity = 0;  // decode capacity at the first group
+  size_t last_capacity = 0;   // ... and at the last
+  int groups = 0;
+  GroupCounter* counter = nullptr;
+};
+
+/// A scan over "MET.pt" that records its slots into `trace`; `on_group`
+/// (optional) runs first on every group.
+exec::DatasetScan<int> TracingScan(SlotTrace* trace,
+                                   std::function<void()> on_group = {}) {
+  exec::DatasetScan<int> scan;
+  scan.projection = {"MET.pt"};
+  scan.make_partial = [] { return 0; };
+  scan.process = [trace, on_group](const exec::ScanGroup& group,
+                                   const RecordBatch&, int*) {
+    if (on_group) on_group();
+    const size_t capacity = DecodeCapacity(group.slot->scratch);
+    if (trace->groups++ == 0) trace->first_capacity = capacity;
+    trace->last_capacity = capacity;
+    trace->slots.insert(group.slot);
+    trace->counter = group.WorkerState<GroupCounter>();
+    ++trace->counter->groups;
+    return Status::OK();
+  };
+  scan.pruned = [](const exec::DatasetLayout::Group&, int*) {};
+  scan.merge = [](int*, int*) { return Status::OK(); };
+  return scan;
+}
+
+TEST_F(ExecDatasetTest, SecondScanReusesTheLeasedSlot) {
+  SlotTrace first, second;
+  int unused = 0;
+  ASSERT_TRUE(exec::ScanDataset(*path_, ReaderOptions{}, 1,
+                                TracingScan(&first), &unused)
+                  .ok());
+  ASSERT_TRUE(exec::ScanDataset(*path_, ReaderOptions{}, 1,
+                                TracingScan(&second), &unused)
+                  .ok());
+  ASSERT_EQ(first.slots.size(), 1u);
+  EXPECT_EQ(second.slots, first.slots);
+  // The decode buffers come back at the capacity the first run grew them
+  // to and the second run, reading the same groups, grows nothing.
+  EXPECT_GT(first.last_capacity, 0u);
+  EXPECT_EQ(second.first_capacity, first.last_capacity);
+  EXPECT_EQ(second.last_capacity, first.last_capacity);
+  // The engine state survived the run too.
+  EXPECT_EQ(second.counter, first.counter);
+  EXPECT_GE(second.counter->groups, first.groups + second.groups);
+}
+
+TEST_F(ExecDatasetTest, ConcurrentScansHoldDisjointSlots) {
+  // Each client's scan waits in its first group until the other one has
+  // reached its own, so both leases are live at the same time.
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  bool met = true;
+  const auto rendezvous = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (++arrived == 2) cv.notify_all();
+    if (!cv.wait_for(lock, std::chrono::seconds(30),
+                     [&] { return arrived >= 2; })) {
+      met = false;
+    }
+  };
+  SlotTrace traces[2];
+  Status status[2];
+  std::thread clients[2];
+  for (int c = 0; c < 2; ++c) {
+    clients[c] = std::thread([&, c] {
+      SlotTrace* trace = &traces[c];
+      const auto first_group_waits = [&] {
+        if (trace->groups == 0) rendezvous();
+      };
+      int unused = 0;
+      status[c] = exec::ScanDataset(*path_, ReaderOptions{}, 1,
+                                    TracingScan(trace, first_group_waits),
+                                    &unused)
+                      .status();
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  ASSERT_TRUE(met);
+  ASSERT_TRUE(status[0].ok()) << status[0].ToString();
+  ASSERT_TRUE(status[1].ok()) << status[1].ToString();
+  ASSERT_EQ(traces[0].slots.size(), 1u);
+  ASSERT_EQ(traces[1].slots.size(), 1u);
+  EXPECT_NE(*traces[0].slots.begin(), *traces[1].slots.begin());
+}
+
+TEST(SlotPoolTest, SlotOverTheCapIsTrimmedOnReturn) {
+  exec::WorkerSlot* grown = nullptr;
+  {
+    exec::SlotLease lease(1);
+    grown = lease.slot(0);
+    grown->scratch.values.resize(exec::SlotPool::kSlotCapBytes + 1);
+    grown->State<GroupCounter>()->groups = 7;
+    EXPECT_GT(grown->Bytes(), exec::SlotPool::kSlotCapBytes);
+  }
+  exec::SlotLease again(1);
+  ASSERT_EQ(again.slot(0), grown);  // the most recently returned slot
+  EXPECT_EQ(grown->Bytes(), 0u);
+  EXPECT_EQ(grown->scratch.values.capacity(), 0u);
+  EXPECT_EQ(grown->State<GroupCounter>()->groups, 0);  // state dropped too
+}
+
+TEST(SlotPoolTest, SlotUnderTheCapKeepsItsBuffersAndState) {
+  exec::WorkerSlot* kept = nullptr;
+  {
+    exec::SlotLease lease(1);
+    kept = lease.slot(0);
+    kept->Trim();
+    kept->scratch.values.resize(size_t{1} << 20);
+    kept->State<GroupCounter>()->groups = 7;
+  }
+  EXPECT_GE(exec::SlotPool::Process().IdleBytes(), size_t{1} << 20);
+  exec::SlotLease again(1);
+  ASSERT_EQ(again.slot(0), kept);
+  EXPECT_GE(kept->scratch.values.capacity(), size_t{1} << 20);
+  EXPECT_EQ(kept->State<GroupCounter>()->groups, 7);
+}
+
+TEST(SlotPoolTest, LeasesAreDisjoint) {
+  exec::SlotLease a(3);
+  exec::SlotLease b(2);
+  std::set<exec::WorkerSlot*> all;
+  for (int i = 0; i < 3; ++i) all.insert(a.slot(i));
+  for (int i = 0; i < 2; ++i) all.insert(b.slot(i));
+  EXPECT_EQ(all.size(), 5u);
 }
 
 TEST_F(ExecDatasetTest, MakeRowGroupTasksSizesByCompressedBytes) {

@@ -6,8 +6,10 @@
 
 #include "columnar/builder.h"
 #include "core/physics.h"
+#include "datagen/dataset.h"
 #include "engine/flat.h"
 #include "fileio/writer.h"
+#include "queries/builders.h"
 
 namespace hepq::engine {
 namespace {
@@ -175,16 +177,16 @@ TEST(FlatPipelineTest, ProjectionCoversUnnestsAndScalars) {
 
 // ---------------------------------------------------------------------------
 // Unnest emitter edge cases. The emitter writes each run of the innermost
-// list column-at-a-time and cuts runs at chunk flushes (32768 rows); these
+// list column-at-a-time and cuts runs at chunk flushes (4096 rows); these
 // tests pin the materialized row/cell counts, compare every flat column with
 // a brute-force nested-loop oracle filled in the same row order, and check
 // that both expression tiers agree bit for bit.
 // ---------------------------------------------------------------------------
 
 /// Per-event list lengths of the edge-case file. Event 0 has 40 jets, so a
-/// Jet x Jet x Jet product emits 64000 rows and one inner run straddles the
-/// first chunk flush; events 1-3 have an empty list in the first, middle and
-/// last position of a Jet x Muon x Electron product.
+/// Jet x Jet x Jet product emits 64000 rows across 16 chunks and inner runs
+/// straddle the flushes; events 1-3 have an empty list in the first,
+/// middle and last position of a Jet x Muon x Electron product.
 constexpr uint32_t kJets[] = {40, 0, 2, 3, 2, 1};
 constexpr uint32_t kMuons[] = {2, 1, 0, 1, 3, 1};
 constexpr uint32_t kElectrons[] = {1, 1, 2, 0, 2, 1};
@@ -282,14 +284,16 @@ void ExpectSameParts(const Histogram1D& got, const Histogram1D& want) {
   EXPECT_EQ(g.bins, w.bins);
 }
 
-/// Runs `pipeline` on the edge-case file under both expression tiers,
-/// checks they agree bit for bit, and returns the simd result.
-FlatQueryResult RunBothTiers(FlatPipeline* pipeline) {
+/// Runs `pipeline` on `path` (the edge-case file by default) under both
+/// expression tiers, checks they agree bit for bit, and returns the simd
+/// result.
+FlatQueryResult RunBothTiers(FlatPipeline* pipeline,
+                             const std::string& path = EdgeFile()) {
   pipeline->set_expr_tier(ExprTier::kInterpret);
-  const FlatQueryResult interpreted =
-      Scan(*pipeline, EdgeFile()).ValueOrDie();
+  const FlatQueryResult interpreted = Scan(*pipeline, path).ValueOrDie();
   pipeline->set_expr_tier(ExprTier::kSimd);
-  FlatQueryResult compiled = Scan(*pipeline, EdgeFile()).ValueOrDie();
+  FlatQueryResult compiled = Scan(*pipeline, path).ValueOrDie();
+  EXPECT_EQ(compiled.events_processed, interpreted.events_processed);
   EXPECT_EQ(compiled.rows_materialized, interpreted.rows_materialized);
   EXPECT_EQ(compiled.cells_materialized, interpreted.cells_materialized);
   EXPECT_EQ(compiled.groups, interpreted.groups);
@@ -373,7 +377,7 @@ TEST(FlatEmitterTest, RunSplitAcrossChunkFlushMatchesOracle) {
 TEST(FlatEmitterTest, GroupByEventSpansChunkFlushes) {
   // Q6's shape: the i<j<k restriction in WHERE, GROUP BY event over the
   // survivors. Event 0's 9880 surviving rows come from a 64000-row product
-  // that crosses two chunk flushes, so one group is fed by three chunks.
+  // that crosses 15 chunk flushes, so one group is fed by 16 chunks.
   FlatPipeline pipeline("trijet");
   for (const char* alias : {"a", "b", "c"}) {
     pipeline.AddUnnest(UnnestList{"Jet", {"pt", "id"}, alias});
@@ -436,6 +440,30 @@ TEST(FlatEmitterTest, GroupByEventSpansChunkFlushes) {
   ExpectSameParts(result.histograms[1], s);
   ExpectSameParts(result.histograms[2], id);
   ExpectSameParts(result.histograms[3], met);
+}
+
+TEST(FlatEmitterTest, AdlPipelinesAroundChunkEdgesMatchInterpreter) {
+  // Presto-shape Q1 emits one flat row per event, so these files put the
+  // last flush just below, at and just above one chunk (4096 rows), and
+  // past two; Q2-Q6 cut their unnest runs at the same flushes.
+  for (const int64_t events : {4095, 4096, 4097, 8193}) {
+    DatasetSpec spec;
+    spec.num_events = events;
+    spec.row_group_size = events;
+    const std::string path =
+        EnsureDataset(::testing::TempDir() + "/hepq_flat_chunks", spec)
+            .ValueOrDie();
+    for (int q = 1; q <= 6; ++q) {
+      SCOPED_TRACE("events " + std::to_string(events) + " Q" +
+                   std::to_string(q));
+      FlatPipeline pipeline = queries::BuildAdlFlatPipeline(q).ValueOrDie();
+      const FlatQueryResult result = RunBothTiers(&pipeline, path);
+      EXPECT_EQ(result.events_processed, events);
+      if (q == 1) {
+        EXPECT_EQ(result.rows_materialized, static_cast<uint64_t>(events));
+      }
+    }
+  }
 }
 
 TEST(FlatEmitterTest, EmptyListInAnyUnnestPositionEmitsNothing) {

@@ -17,10 +17,12 @@
 #include "columnar/builder.h"
 #include "core/physics.h"
 #include "datagen/dataset.h"
+#include "datagen/generator.h"
 #include "engine/event_query.h"
 #include "engine/vexpr.h"
 #include "engine/vexpr_fuse.h"
 #include "queries/adl.h"
+#include "queries/builders.h"
 
 namespace hepq::engine {
 namespace {
@@ -950,6 +952,105 @@ TEST_P(CompiledInterpretedGolden, BitIdenticalAcrossExecModeAndThreads) {
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, CompiledInterpretedGolden,
                          ::testing::Range(1, 9));
+
+// ---------------------------------------------------------------------------
+// Event windows: the compiled tier runs a batch in windows of 2048 events.
+// Batches just below, at and above the window edges, and a window holding
+// one 100-jet event, must match the interpreter bit for bit, counters too.
+// ---------------------------------------------------------------------------
+
+void ExpectSameRun(const EventQueryResult& got, const EventQueryResult& want) {
+  EXPECT_EQ(got.events_processed, want.events_processed);
+  EXPECT_EQ(got.events_selected, want.events_selected);
+  EXPECT_EQ(got.ops, want.ops);
+  ASSERT_EQ(got.histograms.size(), want.histograms.size());
+  for (size_t h = 0; h < got.histograms.size(); ++h) {
+    SCOPED_TRACE("histogram " + std::to_string(h));
+    const HistogramParts g = got.histograms[h].ToParts();
+    const HistogramParts w = want.histograms[h].ToParts();
+    EXPECT_EQ(g.num_entries, w.num_entries);
+    EXPECT_EQ(Bits(g.sum_w), Bits(w.sum_w));
+    EXPECT_EQ(Bits(g.sum_wx), Bits(w.sum_wx));
+    EXPECT_EQ(Bits(g.sum_wx2), Bits(w.sum_wx2));
+    EXPECT_EQ(Bits(g.underflow), Bits(w.underflow));
+    EXPECT_EQ(Bits(g.overflow), Bits(w.overflow));
+    EXPECT_EQ(g.bins, w.bins);
+  }
+}
+
+/// Runs `query` over `batch` on both tiers, checks they agree, and
+/// returns the compiled run.
+EventQueryResult RunBothTiers(EventQuery* query, const RecordBatch& batch) {
+  query->set_expr_tier(ExprTier::kInterpret);
+  EventQueryResult want = query->MakeResult();
+  EXPECT_TRUE(query->ExecuteBatch(batch, &want).ok());
+  query->set_expr_tier(ExprTier::kSimd);
+  EventQueryResult got = query->MakeResult();
+  EXPECT_TRUE(query->ExecuteBatch(batch, &got).ok());
+  ExpectSameRun(got, want);
+  return got;
+}
+
+TEST(EventWindowTest, BatchesAroundWindowEdgesMatchInterpreter) {
+  for (const int64_t rows : {2047, 2048, 2049, 4097}) {
+    EventGenerator generator;
+    const RecordBatchPtr batch = generator.GenerateBatch(rows);
+    ASSERT_EQ(batch->num_rows(), rows);
+    for (int q = 1; q <= queries::kNumAdlQueries; ++q) {
+      SCOPED_TRACE("rows " + std::to_string(rows) + " Q" + std::to_string(q));
+      EventQuery query = queries::BuildAdlEventQuery(q).ValueOrDie();
+      const EventQueryResult run = RunBothTiers(&query, *batch);
+      EXPECT_EQ(run.events_processed, rows);
+      EXPECT_GT(run.events_selected, 0);
+    }
+  }
+}
+
+TEST(EventWindowTest, HundredJetEventInsideAWindowMatchesInterpreter) {
+  // 4097 events of 0-5 jets, except event 2100 (in the second window)
+  // with 100: its C(100, 3) = 161700 trijets overflow the 16384-lane
+  // combination chunk of Q6's BestCombination by themselves.
+  constexpr int64_t kRows = 4097;
+  constexpr int64_t kBusy = 2100;
+  const std::vector<Field> fields = {{"pt", DataType::Float32()},
+                                     {"eta", DataType::Float32()},
+                                     {"phi", DataType::Float32()},
+                                     {"mass", DataType::Float32()},
+                                     {"btag", DataType::Float32()}};
+  std::mt19937_64 rng(20120601);
+  std::uniform_real_distribution<float> unit(0.0f, 1.0f);
+  std::vector<uint32_t> offsets{0};
+  std::vector<float> pt, eta, phi, mass, btag;
+  for (int64_t e = 0; e < kRows; ++e) {
+    const uint32_t jets = e == kBusy ? 100 : static_cast<uint32_t>(e % 6);
+    for (uint32_t k = 0; k < jets; ++k) {
+      pt.push_back(15.0f + 80.0f * unit(rng));
+      eta.push_back(-2.5f + 5.0f * unit(rng));
+      phi.push_back(-3.14f + 6.28f * unit(rng));
+      mass.push_back(2.0f + 18.0f * unit(rng));
+      btag.push_back(unit(rng));
+    }
+    offsets.push_back(offsets.back() + jets);
+  }
+  auto schema = std::make_shared<Schema>(std::vector<Field>{
+      {"Jet", DataType::List(DataType::Struct(fields))}});
+  auto jets = MakeListOfStructArray(
+                  fields, offsets,
+                  {MakeFloat32Array(std::move(pt)),
+                   MakeFloat32Array(std::move(eta)),
+                   MakeFloat32Array(std::move(phi)),
+                   MakeFloat32Array(std::move(mass)),
+                   MakeFloat32Array(std::move(btag))})
+                  .ValueOrDie();
+  const RecordBatchPtr batch = RecordBatch::Make(schema, {jets}).ValueOrDie();
+
+  EventQuery query = queries::BuildAdlEventQuery(6).ValueOrDie();
+  const EventQueryResult run = RunBothTiers(&query, *batch);
+  EXPECT_EQ(run.events_processed, kRows);
+  EXPECT_GT(run.ops, 161700u);
+  EXPECT_EQ(run.histograms[0].num_entries(),
+            static_cast<uint64_t>(run.events_selected));
+}
 
 }  // namespace
 }  // namespace hepq::engine

@@ -49,9 +49,11 @@
 //     queries share the caches. Positionals shift: [engine] [events].
 //   --repeat=N: run the suite N times (with --queries=all); under
 //     --cache the second pass is served from the caches and decodes 0
-//     bytes from storage.
+//     bytes from storage. Each pass's totals line ends with the process
+//     CPU seconds and minor page faults the pass took (getrusage deltas).
 //   "explain" prints the relational plans instead of executing.
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -157,10 +159,29 @@ void PrintRunOutput(EngineKind engine,
   }
 }
 
+/// Process CPU seconds and minor page faults so far (getrusage).
+struct Usage {
+  double cpu_s = 0.0;
+  long minor_faults = 0;
+};
+
+Usage ProcessUsage() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  Usage u;
+  u.cpu_s = static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+            1e-6 * static_cast<double>(ru.ru_utime.tv_usec +
+                                       ru.ru_stime.tv_usec);
+  u.minor_faults = ru.ru_minflt;
+  return u;
+}
+
 /// Batch driver (--queries=all): the 8-query suite, `repeat` passes, one
 /// process — the access pattern the cache hierarchy exists for. Compact
 /// per-query lines; machine-parsable per-pass totals (the CI warm-run
-/// gate greps `decoded_bytes=0` off the repeat pass's totals line).
+/// gate greps `decoded_bytes=0` off the repeat pass's totals line). The
+/// totals' cpu_s and minor_faults split a pass's warm-up by cause: a pass
+/// that re-faults its scratch shows it in minor_faults.
 void RunSuite(EngineKind engine, const std::string& data,
               const hepq::queries::RunOptions& options, int repeat) {
   std::printf("--- %s ---\n", EngineKindName(engine));
@@ -168,6 +189,7 @@ void RunSuite(EngineKind engine, const std::string& data,
     double wall = 0.0;
     unsigned long long decoded = 0, served = 0;
     int result_hits = 0;
+    const Usage before = ProcessUsage();
     for (int q = 1; q <= hepq::queries::kNumAdlQueries; ++q) {
       auto result = RunAdlQuery(engine, q, data, options);
       if (!result.ok()) {
@@ -188,10 +210,13 @@ void RunSuite(EngineKind engine, const std::string& data,
                       result->scan.cache_bytes_served),
                   result->from_result_cache ? "   [result cache]" : "");
     }
+    const Usage after = ProcessUsage();
     std::printf("pass %d totals: wall_s=%.6f decoded_bytes=%llu "
-                "cache_bytes_served=%llu result_hits=%d/%d\n",
+                "cache_bytes_served=%llu result_hits=%d/%d cpu_s=%.6f "
+                "minor_faults=%ld\n",
                 pass, wall, decoded, served, result_hits,
-                hepq::queries::kNumAdlQueries);
+                hepq::queries::kNumAdlQueries, after.cpu_s - before.cpu_s,
+                after.minor_faults - before.minor_faults);
   }
   const hepq::cache::CacheCounters footer =
       hepq::cache::FooterCache::Process().counters();
