@@ -65,6 +65,11 @@ Result<ParticleHandles> DeclareKinematics(RDataFrame* df,
   return h;
 }
 
+/// Jet `i` of a per-event JetXYZT column (4 components per jet).
+PxPyPzE JetAt(const rdf::RVecD& xyzt, size_t i) {
+  return {xyzt[4 * i], xyzt[4 * i + 1], xyzt[4 * i + 2], xyzt[4 * i + 3]};
+}
+
 }  // namespace
 
 Result<QueryRunOutput> RunAdlQueryRdf(int q, const std::string& path,
@@ -173,22 +178,38 @@ Result<QueryRunOutput> RunAdlQueryRdf(int q, const std::string& path,
       auto three_jets = df->root().Filter([jet](const EventView& e) {
         return e.Get(jet.pt).size() >= 3;
       }, std::move(hint));
-      // The expensive combination search runs once per event and is shared
-      // by the two histograms through a cached vector Define.
-      auto best = df->DefineVec("best_trijet", [jet](const EventView& e) {
+      // Every jet in Cartesian components, converted once per event as
+      // ROOT's ADL solution does with Construct<XYZTVector>: jet i's
+      // (px, py, pz, E) sit at 4i .. 4i+3. The trijet search and the
+      // trijet-pt fill only add these per triple.
+      auto xyzt = df->DefineVec("JetXYZT", [jet](const EventView& e) {
         const auto pt = e.Get(jet.pt);
         const auto eta = e.Get(jet.eta);
         const auto phi = e.Get(jet.phi);
         const auto mass = e.Get(jet.mass);
+        rdf::RVecD out(4 * pt.size());
+        for (size_t i = 0; i < pt.size(); ++i) {
+          const PxPyPzE p =
+              PtEtaPhiM{pt[i], eta[i], phi[i], mass[i]}.ToPxPyPzE();
+          out[4 * i] = p.px;
+          out[4 * i + 1] = p.py;
+          out[4 * i + 2] = p.pz;
+          out[4 * i + 3] = p.e;
+        }
+        return out;
+      });
+      // The combination search runs once per event and is shared by the
+      // two histograms through a cached vector Define.
+      auto best = df->DefineVec("best_trijet", [xyzt](const EventView& e) {
+        const rdf::RVecD& jets = e.Get(xyzt);
+        const size_t n = jets.size() / 4;
         double best_diff = 1e300;
         rdf::RVecD best_indices;
-        for (size_t i = 0; i < pt.size(); ++i) {
-          for (size_t j = i + 1; j < pt.size(); ++j) {
-            for (size_t k = j + 1; k < pt.size(); ++k) {
-              const double m = InvariantMass3(
-                  {pt[i], eta[i], phi[i], mass[i]},
-                  {pt[j], eta[j], phi[j], mass[j]},
-                  {pt[k], eta[k], phi[k], mass[k]});
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = i + 1; j < n; ++j) {
+            for (size_t k = j + 1; k < n; ++k) {
+              const double m = MassOfSum3(JetAt(jets, i), JetAt(jets, j),
+                                          JetAt(jets, k));
               const double diff = std::abs(m - 172.5);
               if (diff < best_diff) {
                 best_diff = diff;
@@ -202,19 +223,12 @@ Result<QueryRunOutput> RunAdlQueryRdf(int q, const std::string& path,
         return best_indices;
       });
       handles.push_back(three_jets.Histo1D(
-          specs[0], [jet, best](const EventView& e) {
+          specs[0], [xyzt, best](const EventView& e) {
             const auto& idx = e.Get(best);
-            const auto pt = e.Get(jet.pt);
-            const auto eta = e.Get(jet.eta);
-            const auto phi = e.Get(jet.phi);
-            const auto mass = e.Get(jet.mass);
-            const auto i = static_cast<size_t>(idx[0]);
-            const auto j = static_cast<size_t>(idx[1]);
-            const auto k = static_cast<size_t>(idx[2]);
-            return AddPtEtaPhiM3({pt[i], eta[i], phi[i], mass[i]},
-                                 {pt[j], eta[j], phi[j], mass[j]},
-                                 {pt[k], eta[k], phi[k], mass[k]})
-                .pt;
+            const rdf::RVecD& jets = e.Get(xyzt);
+            return PtOfSum3(JetAt(jets, static_cast<size_t>(idx[0])),
+                            JetAt(jets, static_cast<size_t>(idx[1])),
+                            JetAt(jets, static_cast<size_t>(idx[2])));
           }));
       handles.push_back(three_jets.Histo1D(
           specs[1], [btag, best](const EventView& e) {
