@@ -16,11 +16,13 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "core/physics.h"
 #include "engine/vexpr.h"
+#include "obs/trace.h"
 
 namespace hepq::engine {
 
@@ -300,10 +302,13 @@ void CompiledScalar::BindCartesian(const Frame& f, VexprScratch* s,
   // the interpreter's cost, and wins when lanes reference few elements
   // from a wide index range. Both convert through the same helper, so the
   // choice never changes a bit of the result.
+  //
+  // A table's [min, max] is a min/max reduction per group with no
+  // per-lane branch, which Release (-O3) builds vectorize; f.n > 0 makes
+  // it a valid range for every table that has a group.
   struct TableBind {
-    uint32_t min = 0;
+    uint32_t min = std::numeric_limits<uint32_t>::max();
     uint32_t max = 0;
-    bool any = false;
     bool shared = false;
     int64_t ngroups = 0;
     const double* comp[4] = {nullptr, nullptr, nullptr, nullptr};
@@ -313,20 +318,18 @@ void CompiledScalar::BindCartesian(const Frame& f, VexprScratch* s,
     TableBind& t = tb[g.table];
     ++t.ngroups;
     const uint32_t* it = f.iter[g.iter_slot];
+    uint32_t lo = t.min;
+    uint32_t hi = t.max;
     for (int i = 0; i < f.n; ++i) {
-      const uint32_t j = it[i];
-      if (!t.any) {
-        t.min = t.max = j;
-        t.any = true;
-      } else {
-        t.min = std::min(t.min, j);
-        t.max = std::max(t.max, j);
-      }
+      lo = std::min(lo, it[i]);
+      hi = std::max(hi, it[i]);
     }
+    t.min = lo;
+    t.max = hi;
   }
   for (size_t ti = 0; ti < ctables.size(); ++ti) {
     TableBind& t = tb[ti];
-    if (!t.any) continue;
+    if (t.ngroups == 0) continue;
     const int64_t range = static_cast<int64_t>(t.max) - t.min + 1;
     if (range > t.ngroups * f.n) continue;
     const CartesianTable& ct = ctables[ti];
@@ -994,55 +997,155 @@ CompiledFill LowerFill(const CompiledQuerySpec::Fill& fill) {
 
 // ---- Combination enumeration -----------------------------------------------
 
-/// Appends every (symmetric-deduplicated) combination of `loops` for event
-/// `row` as lanes: event id, loop iterators set to the combination, other
-/// iterators inherited from the binding columns. Returns the count, which
-/// is the interpreter's per-event ops contribution.
-uint64_t EnumerateCombos(const std::vector<ComboLoop>& loops,
-                         const BatchBindings& bindings, uint32_t row,
-                         const RowIters& bc, std::vector<uint32_t>* ev,
-                         std::vector<uint32_t>* const cit[kMaxIterators]) {
-  const size_t depth_count = loops.size();
-  const ListBinding* lists[kMaxIterators];
-  for (size_t d = 0; d < depth_count; ++d) {
-    lists[d] = &bindings.list(loops[d].list_slot);
-  }
-  int slot_to_depth[kMaxIterators] = {-1, -1, -1, -1};
-  for (size_t d = 0; d < depth_count; ++d) {
-    slot_to_depth[loops[d].iter_slot] = static_cast<int>(d);
-  }
-  uint32_t cur[kMaxIterators] = {0, 0, 0, 0};
-  uint64_t count = 0;
+/// The per-loop constants of one combination search, resolved once per
+/// driver call. Loop d runs over [Begin(d), End(d)) of its list: past the
+/// nearest earlier loop over the same list (strictly increasing ordinals,
+/// the symmetric deduplication), and short of the elements the later loops
+/// over that list still need. The short end only drops prefixes that
+/// complete no combination, so every range the odometer reaches is
+/// non-empty and the order is the interpreter's nested-loop order.
+struct ComboPlan {
+  int depth = 0;
+  const ListBinding* list[kMaxIterators] = {};
+  int slot[kMaxIterators] = {};
+  int prev_same[kMaxIterators] = {};   // earlier loop on the list, or -1
+  uint32_t later_same[kMaxIterators] = {};  // later loops on the list
+  bool inherited[kMaxIterators] = {true, true, true, true};
 
-  const auto emit = [&]() {
-    ++count;
-    ev->push_back(row);
-    for (int k = 0; k < kMaxIterators; ++k) {
-      cit[k]->push_back(slot_to_depth[k] >= 0
-                            ? cur[slot_to_depth[k]]
-                            : bc.at(k, row));
-    }
-  };
-  const auto recurse = [&](const auto& self, size_t depth) -> void {
-    if (depth == depth_count) {
-      emit();
-      return;
-    }
-    if (depth >= static_cast<size_t>(kMaxIterators)) return;  // unreachable
-    uint32_t begin = lists[depth]->begin(row);
-    const uint32_t end = lists[depth]->end(row);
-    for (size_t d = 0; d < depth; ++d) {
-      if (loops[d].list_slot == loops[depth].list_slot) {
-        begin = std::max(begin, cur[d] + 1);
+  ComboPlan(const std::vector<ComboLoop>& loops,
+            const BatchBindings& bindings)
+      : depth(static_cast<int>(loops.size())) {
+    for (int d = 0; d < depth; ++d) {
+      list[d] = &bindings.list(loops[static_cast<size_t>(d)].list_slot);
+      slot[d] = loops[static_cast<size_t>(d)].iter_slot;
+      inherited[slot[d]] = false;
+      prev_same[d] = -1;
+      for (int e = 0; e < depth; ++e) {
+        if (loops[static_cast<size_t>(e)].list_slot !=
+            loops[static_cast<size_t>(d)].list_slot) {
+          continue;
+        }
+        if (e < d) prev_same[d] = e;
+        if (e > d) ++later_same[d];
       }
     }
-    for (uint32_t i = begin; i < end; ++i) {
-      cur[depth] = i;
-      self(self, depth + 1);
+  }
+
+  /// Combinations of event `row`: the product over distinct lists of
+  /// C(n_L, k_L), k_L being the number of loops over list L.
+  uint64_t Count(uint32_t row) const {
+    uint64_t count = 1;
+    for (int d = 0; d < depth; ++d) {
+      if (prev_same[d] >= 0) continue;  // counted with the list's first loop
+      count *= Choose(list[d]->size(row), later_same[d] + 1);
     }
-  };
-  recurse(recurse, 0);
+    return count;
+  }
+
+  /// C(n, k) for the 1..kMaxIterators loops one list can carry; constant
+  /// divisors, so no division instruction runs per event.
+  static uint64_t Choose(uint64_t n, uint32_t k) {
+    if (n < k) return 0;
+    switch (k) {
+      case 1:
+        return n;
+      case 2:
+        return n * (n - 1) / 2;
+      case 3:
+        return n * (n - 1) * (n - 2) / 6;
+      default:
+        return n * (n - 1) * (n - 2) * (n - 3) / 24;
+    }
+  }
+
+  uint32_t Begin(int d, uint32_t row, const uint32_t* cur) const {
+    return prev_same[d] < 0 ? list[d]->begin(row) : cur[prev_same[d]] + 1;
+  }
+  uint32_t End(int d, uint32_t row) const {
+    return list[d]->end(row) - later_same[d];
+  }
+};
+
+/// A combination driver's lane columns: event id and one column per
+/// iterator slot, `n` lanes live. A flush only resets `n`; the columns keep
+/// their size, so within one driver call a lane position is zeroed once
+/// (when the columns first grow past it), not once per chunk. Growth is
+/// exactly to the lanes needed: capacity past the size is never touched,
+/// so it costs no resident memory.
+struct ComboLanes {
+  std::vector<uint32_t>* ev = nullptr;
+  std::vector<uint32_t>* cit[kMaxIterators] = {};
+  size_t n = 0;
+
+  explicit ComboLanes(VexprScratch* s) : ev(s->AcquireU32()) {
+    for (int k = 0; k < kMaxIterators; ++k) cit[k] = s->AcquireU32();
+  }
+
+  void Reserve(size_t lanes) {
+    if (ev->size() >= lanes) return;
+    ev->resize(lanes);
+    for (int k = 0; k < kMaxIterators; ++k) cit[k]->resize(lanes);
+  }
+
+  Frame AsFrame(const BatchBindings& bindings) const {
+    Frame f;
+    f.bindings = &bindings;
+    f.n = static_cast<int>(n);
+    f.event = ev->data();
+    for (int k = 0; k < kMaxIterators; ++k) f.iter[k] = cit[k]->data();
+    return f;
+  }
+};
+
+/// Appends every (symmetric-deduplicated) combination of event `row` as
+/// lanes: event id, loop iterators set to the combination, other iterators
+/// inherited from the binding columns. The count comes first, so the
+/// columns grow once; an odometer over the outer loops then writes each
+/// innermost range as an ascending run. Returns the count, which is the
+/// interpreter's per-event ops contribution.
+uint64_t EnumerateCombos(const ComboPlan& p, uint32_t row,
+                         const RowIters& bc, ComboLanes* out) {
+  const uint64_t count = p.Count(row);
+  if (count == 0) return 0;
+  const size_t base = out->n;
+  out->Reserve(base + count);
+  out->n = base + count;
+  std::fill_n(out->ev->data() + base, count, row);
+  for (int k = 0; k < kMaxIterators; ++k) {
+    if (p.inherited[k]) {
+      std::fill_n(out->cit[k]->data() + base, count, bc.at(k, row));
+    }
+  }
+  if (p.depth == 0) return count;  // the one empty combination
+
+  const int inner = p.depth - 1;
+  uint32_t* col[kMaxIterators];
+  for (int d = 0; d < p.depth; ++d) col[d] = out->cit[p.slot[d]]->data();
+  uint32_t cur[kMaxIterators] = {0, 0, 0, 0};
+  for (int d = 0; d < inner; ++d) cur[d] = p.Begin(d, row, cur);
+  const uint32_t inner_end = p.End(inner, row);
+  size_t pos = base;
+  while (true) {
+    const uint32_t first = p.Begin(inner, row, cur);
+    const size_t len = inner_end - first;
+    std::iota(col[inner] + pos, col[inner] + pos + len, first);
+    for (int d = 0; d < inner; ++d) std::fill_n(col[d] + pos, len, cur[d]);
+    pos += len;
+    int d = inner - 1;
+    while (d >= 0 && ++cur[d] >= p.End(d, row)) --d;
+    if (d < 0) break;
+    for (++d; d < inner; ++d) cur[d] = p.Begin(d, row, cur);
+  }
   return count;
+}
+
+/// Records one enumeration span of a combination driver: lanes written
+/// and the ns spent writing them (counter `combo_enumerate`).
+void CountEnumeration(bool traced, int64_t t0, uint64_t lanes) {
+  if (traced) {
+    obs::CountStage("combo_enumerate", obs::Stage::kExpr, obs::NowNs() - t0,
+                    lanes);
+  }
 }
 
 /// Runs a combination-search stage unit: narrows `sel` to events with a
@@ -1051,9 +1154,9 @@ void RunComboUnit(const ComboSearch& cs, const BatchBindings& bindings,
                   std::vector<uint32_t>* sel, const RowIters& bc,
                   VexprScratch* s, uint64_t* ops) {
   VexprScratch::Scope scope(s);
-  std::vector<uint32_t>* ev = s->AcquireU32();
-  std::vector<uint32_t>* cit[kMaxIterators];
-  for (int k = 0; k < kMaxIterators; ++k) cit[k] = s->AcquireU32();
+  const bool traced = obs::TracingActive();
+  const ComboPlan plan(cs.loops, bindings);
+  ComboLanes lanes(s);
   std::vector<uint32_t>* ev_rows = s->AcquireU32();
   std::vector<uint32_t>* ev_start = s->AcquireU32();
   std::vector<uint32_t>* newsel = s->AcquireU32();
@@ -1062,12 +1165,8 @@ void RunComboUnit(const ComboSearch& cs, const BatchBindings& bindings,
   const auto flush = [&]() {
     if (ev_rows->empty()) return;
     VexprScratch::Scope flush_scope(s);
-    const int cn = static_cast<int>(ev->size());
-    Frame f;
-    f.bindings = &bindings;
-    f.n = cn;
-    f.event = ev->data();
-    for (int k = 0; k < kMaxIterators; ++k) f.iter[k] = cit[k]->data();
+    const int cn = static_cast<int>(lanes.n);
+    const Frame f = lanes.AsFrame(bindings);
     const double* fv = nullptr;
     const double* kv = nullptr;
     if (cs.has_filter) {
@@ -1109,23 +1208,28 @@ void RunComboUnit(const ComboSearch& cs, const BatchBindings& bindings,
       }
       if (found) {
         for (const ComboLoop& loop : cs.loops) {
-          bc.at(loop.iter_slot, row) = (*cit[loop.iter_slot])[win];
+          bc.at(loop.iter_slot, row) = f.iter[loop.iter_slot][win];
         }
         newsel->push_back(row);
       }
     }
-    ev->clear();
-    for (int k = 0; k < kMaxIterators; ++k) cit[k]->clear();
+    lanes.n = 0;
     ev_rows->clear();
     ev_start->clear();
   };
 
+  int64_t t0 = traced ? obs::NowNs() : 0;
   for (const uint32_t row : *sel) {
     ev_rows->push_back(row);
-    ev_start->push_back(static_cast<uint32_t>(ev->size()));
-    *ops += EnumerateCombos(cs.loops, bindings, row, bc, ev, cit);
-    if (static_cast<int>(ev->size()) >= kComboChunkLanes) flush();
+    ev_start->push_back(static_cast<uint32_t>(lanes.n));
+    *ops += EnumerateCombos(plan, row, bc, &lanes);
+    if (static_cast<int>(lanes.n) >= kComboChunkLanes) {
+      CountEnumeration(traced, t0, lanes.n);
+      flush();
+      t0 = traced ? obs::NowNs() : 0;
+    }
   }
+  CountEnumeration(traced, t0, lanes.n);
   flush();
   sel->assign(newsel->begin(), newsel->end());
 }
@@ -1229,19 +1333,15 @@ void RunComboFill(const CompiledFill& fill, const BatchBindings& bindings,
                   const RowIters& bc, VexprScratch* s, Histogram1D* hist,
                   uint64_t* ops) {
   VexprScratch::Scope scope(s);
-  std::vector<uint32_t>* ev = s->AcquireU32();
-  std::vector<uint32_t>* cit[kMaxIterators];
-  for (int k = 0; k < kMaxIterators; ++k) cit[k] = s->AcquireU32();
+  const bool traced = obs::TracingActive();
+  const ComboPlan plan(fill.loops, bindings);
+  ComboLanes lanes(s);
 
   const auto flush = [&]() {
-    const int cn = static_cast<int>(ev->size());
+    const int cn = static_cast<int>(lanes.n);
     if (cn == 0) return;
     VexprScratch::Scope flush_scope(s);
-    Frame f;
-    f.bindings = &bindings;
-    f.n = cn;
-    f.event = ev->data();
-    for (int k = 0; k < kMaxIterators; ++k) f.iter[k] = cit[k]->data();
+    const Frame f = lanes.AsFrame(bindings);
     std::vector<uint32_t>* live = s->AcquireU32();
     live->resize(static_cast<size_t>(cn));
     for (int j = 0; j < cn; ++j) (*live)[static_cast<size_t>(j)] =
@@ -1255,14 +1355,19 @@ void RunComboFill(const CompiledFill& fill, const BatchBindings& bindings,
       fill.value.Eval(vf, s, vals->data(), ops);
       for (int i = 0; i < m; ++i) hist->Fill((*vals)[i]);
     }
-    ev->clear();
-    for (int k = 0; k < kMaxIterators; ++k) cit[k]->clear();
+    lanes.n = 0;
   };
 
+  int64_t t0 = traced ? obs::NowNs() : 0;
   for (const uint32_t row : sel) {
-    *ops += EnumerateCombos(fill.loops, bindings, row, bc, ev, cit);
-    if (static_cast<int>(ev->size()) >= kComboChunkLanes) flush();
+    *ops += EnumerateCombos(plan, row, bc, &lanes);
+    if (static_cast<int>(lanes.n) >= kComboChunkLanes) {
+      CountEnumeration(traced, t0, lanes.n);
+      flush();
+      t0 = traced ? obs::NowNs() : 0;
+    }
   }
+  CountEnumeration(traced, t0, lanes.n);
   flush();
 }
 

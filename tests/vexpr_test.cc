@@ -1052,5 +1052,195 @@ TEST(EventWindowTest, HundredJetEventInsideAWindowMatchesInterpreter) {
             static_cast<uint64_t>(run.events_selected));
 }
 
+// ---------------------------------------------------------------------------
+// Combination driver: every loop shape the compiled enumeration handles —
+// same-list loops ({A,A}, {A,A,A}), independent lists ({A,B}), and a
+// same-list pair split by another list ({A,B,A}: the second A loop starts
+// after the first) — in best, existence and per-combination form, against
+// the interpreter bit for bit, ops and events_selected included. No ADL
+// query has mixed-list loops, so these tests are what reaches them.
+// ---------------------------------------------------------------------------
+
+constexpr int kListA = 0;  // "Jet"
+constexpr int kListB = 1;  // "Muon"
+constexpr int64_t kComboRows = 300;
+constexpr int64_t kBusyEvent = 150;
+
+/// Two particle lists of (pt, eta, phi, mass). Event e holds e % 6 A
+/// elements and (e / 6) % 4 B elements, so every loop set meets events
+/// with 0 to depth-1 elements; event kBusyEvent holds 100 A and 30 B, so
+/// its own combinations overflow one 16384-lane chunk for every depth-3
+/// loop set.
+RecordBatchPtr TwoListBatch() {
+  const std::vector<Field> fields = {{"pt", DataType::Float32()},
+                                     {"eta", DataType::Float32()},
+                                     {"phi", DataType::Float32()},
+                                     {"mass", DataType::Float32()}};
+  std::mt19937_64 rng(31);
+  std::uniform_real_distribution<float> unit(0.0f, 1.0f);
+  struct Columns {
+    std::vector<uint32_t> offsets{0};
+    std::vector<float> pt, eta, phi, mass;
+  } cols[2];
+  for (int64_t e = 0; e < kComboRows; ++e) {
+    const uint32_t sizes[2] = {
+        e == kBusyEvent ? 100u : static_cast<uint32_t>(e % 6),
+        e == kBusyEvent ? 30u : static_cast<uint32_t>((e / 6) % 4)};
+    for (int l = 0; l < 2; ++l) {
+      for (uint32_t k = 0; k < sizes[l]; ++k) {
+        cols[l].pt.push_back(10.0f + 60.0f * unit(rng));
+        cols[l].eta.push_back(-2.5f + 5.0f * unit(rng));
+        cols[l].phi.push_back(-3.14f + 6.28f * unit(rng));
+        cols[l].mass.push_back(0.1f + 10.0f * unit(rng));
+      }
+      cols[l].offsets.push_back(cols[l].offsets.back() + sizes[l]);
+    }
+  }
+  std::vector<ArrayPtr> lists;
+  for (Columns& c : cols) {
+    lists.push_back(MakeListOfStructArray(
+                        fields, std::move(c.offsets),
+                        {MakeFloat32Array(std::move(c.pt)),
+                         MakeFloat32Array(std::move(c.eta)),
+                         MakeFloat32Array(std::move(c.phi)),
+                         MakeFloat32Array(std::move(c.mass))})
+                        .ValueOrDie());
+  }
+  auto schema = std::make_shared<Schema>(std::vector<Field>{
+      {"Jet", DataType::List(DataType::Struct(fields))},
+      {"Muon", DataType::List(DataType::Struct(fields))}});
+  return RecordBatch::Make(schema, std::move(lists)).ValueOrDie();
+}
+
+EventQuery TwoListQuery(const std::string& name) {
+  EventQuery query(name);
+  EXPECT_EQ(query.DeclareList("Jet", {"pt", "eta", "phi", "mass"}), kListA);
+  EXPECT_EQ(query.DeclareList("Muon", {"pt", "eta", "phi", "mass"}), kListB);
+  return query;
+}
+
+struct LoopSet {
+  const char* name;
+  std::vector<ComboLoop> loops;
+};
+
+const std::vector<LoopSet>& LoopSets() {
+  static const auto& sets = *new std::vector<LoopSet>{
+      {"AA", {{kListA, 0}, {kListA, 1}}},
+      {"AAA", {{kListA, 0}, {kListA, 1}, {kListA, 2}}},
+      {"AB", {{kListA, 0}, {kListB, 1}}},
+      {"ABA", {{kListA, 0}, {kListB, 1}, {kListA, 2}}},
+  };
+  return sets;
+}
+
+/// Invariant mass of the combination, through the decomposed Cartesian
+/// lowering (one conversion table per list).
+ExprPtr ComboMass(const std::vector<ComboLoop>& loops) {
+  std::vector<ExprPtr> args;
+  for (const ComboLoop& loop : loops) {
+    for (int m = 0; m < 4; ++m) {
+      args.push_back(IterMember(loop.list_slot, loop.iter_slot, m));
+    }
+  }
+  return Call(loops.size() == 2 ? Fn::kInvMass2 : Fn::kInvMass3,
+              std::move(args));
+}
+
+/// The combination's ordinals as one number (two decimal digits each), so
+/// a histogram of it pins which combinations ran and in what order.
+ExprPtr OrdinalCode(const std::vector<ComboLoop>& loops) {
+  ExprPtr code = Lit(0.0);
+  for (const ComboLoop& loop : loops) {
+    code = Add(Mul(code, Lit(100.0)),
+               IterOrdinal(loop.list_slot, loop.iter_slot));
+  }
+  return code;
+}
+
+ExprPtr PtSum(const std::vector<ComboLoop>& loops) {
+  ExprPtr sum = Lit(0.0);
+  for (const ComboLoop& loop : loops) {
+    sum = Add(sum, IterMember(loop.list_slot, loop.iter_slot, 0));
+  }
+  return sum;
+}
+
+HistogramSpec CodeSpec() { return {"code", "", 1000, 0.0, 1e6}; }
+HistogramSpec MassSpec() { return {"mass", "", 100, 0.0, 400.0}; }
+
+TEST(ComboDriverTest, BestCombinationMatchesInterpreter) {
+  const RecordBatchPtr batch = TwoListBatch();
+  for (const LoopSet& set : LoopSets()) {
+    SCOPED_TRACE(set.name);
+    // A data-dependent argmin, then a constant key whose winner is the
+    // first passing combination in enumeration order.
+    for (const bool constant_key : {false, true}) {
+      EventQuery query = TwoListQuery("best");
+      query.AddStage(BestCombination(
+          set.loops, Gt(PtSum(set.loops), Lit(60.0)),
+          constant_key ? Lit(1.0)
+                       : Call(Fn::kAbs, {Sub(ComboMass(set.loops),
+                                             Lit(90.0))})));
+      query.AddHistogram(CodeSpec(), OrdinalCode(set.loops));
+      query.AddHistogram(MassSpec(), ComboMass(set.loops));
+      const EventQueryResult run = RunBothTiers(&query, *batch);
+      EXPECT_GT(run.events_selected, 0);
+      EXPECT_LT(run.events_selected, kComboRows);
+    }
+  }
+}
+
+TEST(ComboDriverTest, AnyCombinationMatchesInterpreter) {
+  const RecordBatchPtr batch = TwoListBatch();
+  for (const LoopSet& set : LoopSets()) {
+    SCOPED_TRACE(set.name);
+    EventQuery query = TwoListQuery("any");
+    query.AddStage(AnyCombination(
+        set.loops, Gt(ComboMass(set.loops), Lit(40.0))));
+    query.AddHistogram(CodeSpec(), OrdinalCode(set.loops));
+    const EventQueryResult run = RunBothTiers(&query, *batch);
+    EXPECT_GT(run.events_selected, 0);
+  }
+}
+
+TEST(ComboDriverTest, PerCombinationFillsMatchInterpreter) {
+  const RecordBatchPtr batch = TwoListBatch();
+  for (const LoopSet& set : LoopSets()) {
+    SCOPED_TRACE(set.name);
+    EventQuery query = TwoListQuery("fill");
+    query.AddPerCombinationHistogram(CodeSpec(), set.loops, nullptr,
+                                     OrdinalCode(set.loops));
+    query.AddPerCombinationHistogram(MassSpec(), set.loops,
+                                     Gt(PtSum(set.loops), Lit(70.0)),
+                                     ComboMass(set.loops));
+    const EventQueryResult run = RunBothTiers(&query, *batch);
+    EXPECT_EQ(run.events_selected, kComboRows);
+    // Base accesses plus at least the busy event's own combinations.
+    EXPECT_GT(run.ops, static_cast<uint64_t>(kComboRows) + 4950u);
+  }
+}
+
+TEST(ComboDriverTest, IteratorInheritedFromBestElementMatchesInterpreter) {
+  // Stage 1 binds iterator 3 to the leading B element; the search and the
+  // per-combination fill over A pairs read it in every lane.
+  const RecordBatchPtr batch = TwoListBatch();
+  const std::vector<ComboLoop> pair = {{kListA, 0}, {kListA, 1}};
+  const ExprPtr lead_pt = IterMember(kListB, 3, 0);
+  EventQuery query = TwoListQuery("inherit");
+  query.AddStage(BestElement(kListB, 3, nullptr, Sub(Lit(0.0), lead_pt)));
+  query.AddStage(BestCombination(
+      pair, Gt(PtSum(pair), lead_pt),
+      Call(Fn::kAbs, {Sub(ComboMass(pair), lead_pt)})));
+  // The winners' fill comes first: the interpreter's per-combination fill
+  // leaves its loop slots bound to the last combination afterwards.
+  query.AddHistogram(CodeSpec(), Add(Mul(OrdinalCode(pair), Lit(100.0)),
+                                     IterOrdinal(kListB, 3)));
+  query.AddPerCombinationHistogram(MassSpec(), pair, nullptr,
+                                   Add(PtSum(pair), lead_pt));
+  const EventQueryResult run = RunBothTiers(&query, *batch);
+  EXPECT_GT(run.events_selected, 0);
+}
+
 }  // namespace
 }  // namespace hepq::engine
